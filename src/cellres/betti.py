@@ -13,12 +13,13 @@ when allowed, which is sound in the only direction it is trusted: zero
 homology mod p forces zero homology over Q.
 """
 
+from bisect import bisect_right
 from collections import defaultdict
 from itertools import combinations
 
 from .chain import LabeledChainComplex, UNIT
 from .errors import NonMonotoneLabels, TooManyGenerators
-from .exact import ChainData, homology_ranks, is_exact
+from .exact import ChainData, check_prime, homology_ranks, is_exact
 from .monomial import Monomial, lcm_of
 
 TAYLOR_BOUND = 16
@@ -116,31 +117,59 @@ class LabeledCellComplex:
 
 
 def lcm_lattice(ideal):
-    """All lcms of nonempty generator subsets: the closure of the
-    generators under pairwise lcm."""
-    current = {g for g in ideal.gens}
-    frontier = set(current)
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            for b in list(current):
-                m = a.lcm(b)
-                if m not in current and m not in fresh:
-                    fresh.add(m)
-        current |= fresh
-        frontier = fresh
-    return sorted(current)
+    """All lcms of nonempty generator subsets, sorted.
+
+    Built one generator at a time on exponent tuples: the lcms of subsets
+    of the first i generators are those of the first i - 1, the i-th
+    generator itself, and its lcm with each of them.
+    """
+    lattice = set()
+    for g in ideal.gens:
+        ge = g.e
+        lattice |= {tuple(map(max, ge, b)) for b in lattice}
+        lattice.add(ge)
+    return [Monomial._raw(e) for e in sorted(lattice)]
+
+
+def _strands(labels, lattice):
+    """{member mask: first lattice point selecting it}, where bit c of a
+    mask is set when labels[c] divides the lattice point.
+
+    Per variable, the cells are bucketed by exponent and the buckets
+    accumulated upwards, so the cells dividing b are the AND, over the
+    variables, of the prefix whose exponents are at most b's.
+    """
+    prefixes = []
+    for i in range(len(lattice[0].e) if lattice else 0):
+        buckets = defaultdict(int)
+        for c, e in enumerate(labels):
+            buckets[e[i]] |= 1 << c
+        values = sorted(buckets)
+        masks, acc = [], 0
+        for v in values:
+            acc |= buckets[v]
+            masks.append(acc)
+        prefixes.append((values, masks))
+    strands = {}
+    for b in lattice:
+        member = -1
+        for (values, masks), v in zip(prefixes, b.e):
+            pos = bisect_right(values, v)
+            member &= masks[pos - 1] if pos else 0
+        strands.setdefault(member, b)
+    return strands
 
 
 def _strand_chain(cells, boundaries, member):
-    """ChainData of the cells in `member`, augmented so homology is reduced
-    (the empty cell sits in degree -1)."""
+    """ChainData of the cells selected by the `member` mask, augmented so
+    homology is reduced (the empty cell sits in degree -1)."""
     cells_by_deg = defaultdict(list)
     boundary = {}
     aug = ("",)  # sorts uniformly, cannot collide with cell keys
     cells_by_deg[-1].append(aug)
-    for key, dim, _ in cells:
-        if key not in member:
+    # bits least significant first; cells past the top bit are not members
+    for (key, dim, _), bit in zip(cells, bin(member)[:1:-1]):
+        if bit == "0":
             continue
         cells_by_deg[dim].append(key)
         if dim == 0:
@@ -161,6 +190,8 @@ def check_cellular_resolution(X, ideal, prime=None, prefilter=True):
     Distinct lattice points selecting the same cell set share one homology
     computation.
     """
+    if prime is not None:
+        check_prime(prime)
     if getattr(X, "strands_are_full_simplices", False):
         # Every strand is the full simplex on the generators dividing b
         # (lcm(S) | b iff every member of S divides b), hence acyclic.
@@ -192,13 +223,8 @@ def check_cellular_resolution(X, ideal, prime=None, prefilter=True):
     gen_labels = sorted(g.e for g in ideal.gens)
     if vertex_labels != gen_labels:
         return False, Monomial.one(ideal.n)
-    if getattr(X, "strands_are_full_simplices", False):
-        return True, None
-    strands = {}
-    for b in lcm_lattice(ideal):
-        member = frozenset(key for key, label in labels.items() if label.divides(b))
-        strands.setdefault(member, b)
-    for member in sorted(strands, key=lambda m: (len(m), str(strands[m]))):
+    strands = _strands([label.e for _, _, label in cells], lcm_lattice(ideal))
+    for member in sorted(strands, key=lambda m: (m.bit_count(), str(strands[m]))):
         strand = _strand_chain(cells, boundaries, member)
         ok, _ = is_exact(strand, prime=prime, prefilter=prefilter)
         if not ok:

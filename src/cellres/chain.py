@@ -274,25 +274,69 @@ def mapping_cone(psi, relabel_shifted=None, check=True):
 # -- resolutions from decomposition rules --------------------------------
 
 
+def chain_orders(rule, j, alpha, conflict=None):
+    """Orders sigma of alpha whose chain j, rule(x_{s1} m_j), ... never
+    repeats a vertex and that respect the rule's pairwise order constraint.
+
+    `conflict(s, t)` for s < t is true when s may not precede t.  The
+    orders are built one variable at a time: a prefix whose last step
+    repeats a vertex stays degenerate, and a prefix breaking the
+    constraint stays inadmissible, whatever follows, so both are cut
+    there.  The survivors come in itertools.permutations(sorted alpha)
+    order.
+    """
+    alpha = tuple(sorted(alpha))
+    sigma = []
+    vertices = [j]
+
+    def extend():
+        if len(sigma) == len(alpha):
+            yield tuple(sigma)
+            return
+        last = vertices[-1]
+        for t in alpha:
+            if t in sigma:
+                continue
+            if conflict is not None and any(
+                s < t and conflict(s, t) for s in sigma
+            ):
+                continue
+            v = rule.apply(last, t)
+            if v in vertices:
+                continue
+            sigma.append(t)
+            vertices.append(v)
+            yield from extend()
+            vertices.pop()
+            sigma.pop()
+
+    return extend()
+
+
 class BRule:
     """The canonical decomposition function: first generator dividing."""
 
     def __init__(self, ideal):
         self.ideal = ideal
+        self._steps = {}
 
     def apply(self, j, t):
         """Index of b(x_t m_j)."""
-        return self.ideal.decomp_b(self.ideal.gen(j).times_var(t))
+        key = (j, t)
+        g = self._steps.get(key)
+        if g is None:
+            g = self.ideal.decomp_b(self.ideal.gen(j).times_var(t))
+            self._steps[key] = g
+        return g
 
     def tset(self, j, alpha):
         """Elements of alpha contributing rule terms (all of them for b)."""
         return alpha
 
     def permutations(self, j, alpha):
-        """Chain orders glued into the cell of (m_j, alpha): all of them."""
-        from itertools import permutations as _perms
-
-        return _perms(alpha)
+        """Chain orders glued into the cell of (m_j, alpha): those whose
+        chain is nondegenerate."""
+        return chain_orders(self, j, alpha)
 
 
 def symbol_basis(ideal):

@@ -32,7 +32,7 @@ from .cointerval import (
 from .corpus import gen_corpus
 from .ekcells import build_ek_cw, cellular_chain_complex
 from .errors import CellresError, InputError
-from .exact import DEFAULT_PRIME
+from .exact import DEFAULT_PRIME, check_prime
 from .ideals import OrderedIdeal, check_regularity, parse_ideal
 from .monomial import Monomial
 from .rules import combinatorial_type, complex_for_rule, enumerate_regular_rules
@@ -91,7 +91,11 @@ def _prime(args):
         return None, False
     env = os.environ.get("RESOLVE_PRIME")
     if env:
-        p = int(env)
+        try:
+            p = int(env)
+        except ValueError:
+            raise InputError("RESOLVE_PRIME=%r is not an integer" % env) from None
+        check_prime(p)
         if p <= 1 << 20:
             print("warning: RESOLVE_PRIME should exceed 2^20", file=sys.stderr)
         return p, True

@@ -12,9 +12,15 @@ iterated mapping cone.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
-from .chain import LabeledChainComplex, Symbol, UNIT, resolution_from_rule
+from .chain import (
+    LabeledChainComplex,
+    Symbol,
+    UNIT,
+    chain_orders,
+    resolution_from_rule,
+)
 from .errors import (
     InputError,
     NotCointerval,
@@ -349,9 +355,13 @@ def partition_A(ideal, j):
 def compute_T(ideal, j, alpha):
     """Blockwise maxima of alpha; blocks missing from alpha contribute
     nothing."""
+    return _blockwise_maxima(partition_A(ideal, j), alpha)
+
+
+def _blockwise_maxima(blocks, alpha):
     alpha = set(alpha)
     out = []
-    for block in partition_A(ideal, j):
+    for block in blocks:
         hit = alpha & set(block)
         if hit:
             out.append(max(hit))
@@ -381,6 +391,7 @@ class CRule:
     def __init__(self, ideal):
         self.ideal = ideal
         self._blocks = {}
+        self._steps = {}
 
     def blocks(self, j):
         if j not in self._blocks:
@@ -394,6 +405,14 @@ class CRule:
         return None
 
     def apply(self, j, t):
+        key = (j, t)
+        g = self._steps.get(key)
+        if g is None:
+            g = self._step(j, t)
+            self._steps[key] = g
+        return g
+
+    def _step(self, j, t):
         if t not in self.ideal.set_of(j):
             return j
         target = decomp_c(self.ideal, self.ideal.gen(j), t)
@@ -405,22 +424,14 @@ class CRule:
         return g
 
     def tset(self, j, alpha):
-        return compute_T(self.ideal, j, alpha)
+        return _blockwise_maxima(self.blocks(j), alpha)
 
     def permutations(self, j, alpha):
-        for sigma in permutations(alpha):
-            ok = True
-            for a in range(len(sigma)):
-                for b in range(a + 1, len(sigma)):
-                    if sigma[a] < sigma[b] and self.block_of(
-                        j, sigma[a]
-                    ) == self.block_of(j, sigma[b]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                yield sigma
+        """Nondegenerate chain orders listing larger same-block elements
+        first."""
+        return chain_orders(
+            self, j, alpha, lambda s, t: self.block_of(j, s) == self.block_of(j, t)
+        )
 
 
 def homcone_resolution(ideal):

@@ -18,7 +18,7 @@ this.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import NamedTuple
 
 from .chain import BRule, LabeledChainComplex, Symbol, UNIT
@@ -191,18 +191,23 @@ class GlueCell:
 def build_cell(ideal, j, alpha, rule=None):
     """Glue the nondegenerate chain simplices for (m_j, alpha).
 
-    Enumerate the rule's admissible permutations, keep the nondegenerate
-    chains with orientations eps(sigma), and check that every facet shared
-    by two simplices cancels while every other facet survives with a unit
-    coefficient.  The survivors make up the geometric boundary.
+    The rule yields exactly the admissible orders whose chains are
+    nondegenerate; each becomes a simplex with orientation eps(sigma).
+    Check that every facet shared by two simplices cancels while every
+    other facet survives with a unit coefficient.  The survivors make up
+    the geometric boundary.
     """
     rule = rule or BRule(ideal)
     alpha = tuple(sorted(alpha))
     chains = []
     for sigma in rule.permutations(j, alpha):
         chain = ch_simplex(ideal, j, alpha, sigma, rule)
-        if not chain.degenerate:
-            chains.append(chain)
+        if chain.degenerate:
+            raise VerificationError(
+                "rule yielded the degenerate order %s for (m_%d, %s)"
+                % (sigma, j, alpha)
+            )
+        chains.append(chain)
     if not chains:
         raise VerificationError(
             "no nondegenerate chain for (m_%d, %s)" % (j, alpha)

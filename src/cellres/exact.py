@@ -14,12 +14,57 @@ is handed to the dense rank routines.
 
 import logging
 from collections import defaultdict, deque
+from functools import lru_cache
+
+from .errors import InputError, VerificationError
 
 log = logging.getLogger("cellres")
 
 # Smallest prime above 2**20; large enough that accidental rank drops
 # modulo p are rare.  Override via RESOLVE_PRIME in the CLI.
 DEFAULT_PRIME = 1048583
+
+# Miller-Rabin with these bases decides primality for every n < 3.3e24,
+# so for every modulus accepted here (below 2**64).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_LIMIT = 1 << 64
+
+
+@lru_cache(maxsize=64)
+def _is_prime(n):
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_prime(p):
+    """Return p if it is a prime below 2**64; raise InputError otherwise.
+
+    The GF(p) routines invert by Fermat's little theorem, so a composite
+    modulus would overstate ranks and could certify a non-exact complex.
+    """
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise InputError("prime must be an integer, got %r" % (p,))
+    if not 2 <= p < PRIME_LIMIT or not _is_prime(p):
+        raise InputError("%d is not a prime below 2^64" % p)
+    return p
 
 
 def bareiss_rank(rows):
@@ -58,7 +103,8 @@ def bareiss_rank(rows):
 
 
 def rank_mod_p(rows, p):
-    """Rank of an integer matrix over GF(p)."""
+    """Rank of an integer matrix over GF(p); p must be prime."""
+    check_prime(p)
     M = [[int(x) % p for x in r] for r in rows]
     if not M or not M[0]:
         return 0
@@ -147,8 +193,8 @@ def _collapse(chain):
     """Split off acyclic (face, coface) pairs with unit incidence.
 
     Returns (remaining cell set, removed count).  Requires dd = 0, which is
-    asserted on the fly: when a face's unique coface is removed, nothing
-    above may still be attached to that coface.
+    checked on the fly: when a face's unique coface is removed, nothing
+    above may still be attached to that coface, else VerificationError.
     """
     bdry = {c: dict(fs) for c, fs in chain.boundary.items()}
     cofaces = defaultdict(set)
@@ -170,7 +216,8 @@ def _collapse(chain):
         if not is_free(f):
             continue
         (c,) = cofaces[f]
-        assert not cofaces[c], "collapse hit a non-complex (dd != 0?)"
+        if cofaces[c]:
+            raise VerificationError("collapse hit a non-complex (dd != 0?)")
         alive.discard(f)
         alive.discard(c)
         removed += 2
@@ -224,6 +271,8 @@ def homology_ranks(chain, prime=None):
     The collapse phase is field-independent; only the residual core needs
     actual rank computations.
     """
+    if prime is not None:
+        check_prime(prime)
     alive, _ = _collapse(chain)
     by_deg, mats = _core_matrices(chain, alive)
     rank = {}
@@ -245,6 +294,8 @@ def is_exact(chain, prime=None, prefilter=True):
     triggers the exact computation over Q; if Q then says "exact", the
     discrepancy (p-torsion) is logged and the Q verdict stands.
     """
+    if prime is not None:
+        check_prime(prime)
     alive, _ = _collapse(chain)
     if not alive:
         return True, {}

@@ -6,6 +6,7 @@ variable x_i.
 """
 
 import re
+from operator import add, le, sub
 
 from .errors import MalformedMonomial
 
@@ -24,21 +25,32 @@ class Monomial:
         self.e = e
 
     @classmethod
+    def _raw(cls, e):
+        """Wrap an exponent tuple known to be nonnegative, unvalidated.
+
+        For arithmetic results only; every outside value goes through the
+        validating constructor.
+        """
+        m = object.__new__(cls)
+        m.e = e
+        return m
+
+    @classmethod
     def one(cls, n):
-        return cls((0,) * n)
+        return cls._raw((0,) * n)
 
     @classmethod
     def variable(cls, i, n):
         """x_i inside k[x1..xn] (1-based i)."""
         if not 1 <= i <= n:
             raise ValueError("variable index %d out of range 1..%d" % (i, n))
-        return cls(tuple(1 if j == i - 1 else 0 for j in range(n)))
+        return cls._raw(tuple(1 if j == i - 1 else 0 for j in range(n)))
 
     @classmethod
     def from_support(cls, support, n):
         """Squarefree monomial with the given 1-based support."""
         s = set(support)
-        return cls(tuple(1 if j + 1 in s else 0 for j in range(n)))
+        return cls._raw(tuple(1 if j + 1 in s else 0 for j in range(n)))
 
     @property
     def n(self):
@@ -58,27 +70,27 @@ class Monomial:
         return tuple(i + 1 for i, a in enumerate(self.e) if a)
 
     def divides(self, other):
-        return all(a <= b for a, b in zip(self.e, other.e))
+        return all(map(le, self.e, other.e))
 
     def __mul__(self, other):
-        return Monomial(tuple(a + b for a, b in zip(self.e, other.e)))
+        return Monomial._raw(tuple(map(add, self.e, other.e)))
 
     def __floordiv__(self, other):
         if not other.divides(self):
             raise ValueError("%s does not divide %s" % (other, self))
-        return Monomial(tuple(a - b for a, b in zip(self.e, other.e)))
+        return Monomial._raw(tuple(map(sub, self.e, other.e)))
 
     def lcm(self, other):
-        return Monomial(tuple(max(a, b) for a, b in zip(self.e, other.e)))
+        return Monomial._raw(tuple(map(max, self.e, other.e)))
 
     def gcd(self, other):
-        return Monomial(tuple(min(a, b) for a, b in zip(self.e, other.e)))
+        return Monomial._raw(tuple(map(min, self.e, other.e)))
 
     def times_var(self, i):
         """Multiply by x_i (1-based)."""
         e = list(self.e)
         e[i - 1] += 1
-        return Monomial(e)
+        return Monomial._raw(tuple(e))
 
     def extended(self, n):
         """The same monomial viewed in k[x1..xn] for n >= self.n."""

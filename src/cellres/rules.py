@@ -15,9 +15,13 @@ cells use only the chain orders that apply the larger variable of an
 absorbing pair first.
 """
 
-from itertools import permutations
-
-from .chain import BRule, check_dd_zero, check_minimal, resolution_from_rule
+from .chain import (
+    BRule,
+    chain_orders,
+    check_dd_zero,
+    check_minimal,
+    resolution_from_rule,
+)
 from .ekcells import build_ek_cw, cellular_chain_complex
 from .errors import (
     MismatchWithAlgebraicDifferential,
@@ -76,20 +80,11 @@ class TableRule:
         return tuple(out)
 
     def permutations(self, j, alpha):
-        """Chain orders where the larger member of each absorbing pair
-        comes first."""
-        for sigma in permutations(alpha):
-            ok = True
-            for a in range(len(sigma)):
-                for b in range(a + 1, len(sigma)):
-                    lo, hi = sigma[a], sigma[b]
-                    if lo < hi and self._pair_kind(j, lo, hi) == "absorb":
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                yield sigma
+        """Nondegenerate chain orders where the larger member of each
+        absorbing pair comes first."""
+        return chain_orders(
+            self, j, alpha, lambda s, t: self._pair_kind(j, s, t) == "absorb"
+        )
 
 
 def rule_from_function(ideal, rule):

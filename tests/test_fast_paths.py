@@ -1,0 +1,162 @@
+"""The enumeration and lattice fast paths against the plain loops they
+replace, kept here as the reference, plus a work-count guard."""
+
+from itertools import combinations, permutations
+
+import pytest
+
+from cellres.betti import _strands, lcm_lattice
+from cellres.chain import BRule, chain_orders
+from cellres.cointerval import CRule
+from cellres.corpus import gen_corpus
+from cellres.ekcells import build_ek_cw, ch_simplex
+from cellres.ideals import check_regularity, parse_ideal
+from cellres.monomial import Monomial
+from cellres.rules import rule_from_function
+
+MAX_ALPHA = 6  # keeps the |alpha|! reference loop small
+
+
+@pytest.fixture(scope="module")
+def sample():
+    items = gen_corpus()
+    return items[::53] + items[-2:]
+
+
+def _admissible(sigma, j, bad):
+    """The pair filter the rules used before: no s < t with s before t
+    and bad(j, s, t)."""
+    for a in range(len(sigma)):
+        for b in range(a + 1, len(sigma)):
+            if sigma[a] < sigma[b] and bad(j, sigma[a], sigma[b]):
+                return False
+    return True
+
+
+def _reference_orders(ideal, rule, j, alpha, bad):
+    return [
+        sigma
+        for sigma in permutations(alpha)
+        if (bad is None or _admissible(sigma, j, bad))
+        and not ch_simplex(ideal, j, alpha, sigma, rule).degenerate
+    ]
+
+
+def _absorbing(rule):
+    return lambda j, s, t: rule._pair_kind(j, s, t) == "absorb"
+
+
+def _same_block(rule):
+    return lambda j, s, t: rule.block_of(j, s) == rule.block_of(j, t)
+
+
+def _rules_of(item):
+    """(rule, pair constraint) for every rule that applies to the item."""
+    ideal = item.ideal
+    table = rule_from_function(ideal, BRule(ideal))
+    out = [(BRule(ideal), None), (table, _absorbing(table))]
+    if item.tags.get("cointerval"):
+        c = CRule(ideal)
+        ctable = rule_from_function(ideal, CRule(ideal))
+        out += [(c, _same_block(c)), (ctable, _absorbing(ctable))]
+    return out
+
+
+def test_chain_orders_match_reference(sample):
+    compared = set()
+    for item in sample:
+        ideal = item.ideal
+        for rule, bad in _rules_of(item):
+            for j in range(1, ideal.k + 1):
+                sj = ideal.set_of(j)
+                for size in range(min(len(sj), MAX_ALPHA) + 1):
+                    for alpha in combinations(sj, size):
+                        want = _reference_orders(ideal, rule, j, alpha, bad)
+                        assert list(rule.permutations(j, alpha)) == want, (
+                            item.name,
+                            type(rule).__name__,
+                            j,
+                            alpha,
+                        )
+            compared.add(type(rule).__name__)
+    assert compared == {"BRule", "TableRule", "CRule"}
+
+
+def test_chain_orders_on_running_example(running):
+    rule = BRule(running)
+    j = running.k  # x4*x5, set = (1, 2, 3)
+    alpha = running.set_of(j)
+    kept = [(1, 3, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+    assert list(chain_orders(rule, j, alpha)) == kept
+    assert list(chain_orders(rule, j, alpha[::-1])) == kept
+    # a conflict on every pair leaves only the descending order
+    assert list(chain_orders(rule, j, alpha, lambda s, t: True)) == [(3, 2, 1)]
+
+
+def _pairwise_closure(ideal):
+    """lcm_lattice as it was first written: close the generators under
+    pairwise lcm until nothing new appears."""
+    current = set(ideal.gens)
+    frontier = set(current)
+    while frontier:
+        fresh = set()
+        for a in frontier:
+            for b in list(current):
+                m = a.lcm(b)
+                if m not in current and m not in fresh:
+                    fresh.add(m)
+        current |= fresh
+        frontier = fresh
+    return sorted(current)
+
+
+def test_lcm_lattice_matches_pairwise_closure(sample):
+    for item in sample:
+        assert lcm_lattice(item.ideal) == _pairwise_closure(item.ideal), item.name
+    ideal = parse_ideal("x1^2*x2, x1*x2^3, x2*x3^2, x3^4")
+    assert lcm_lattice(ideal) == _pairwise_closure(ideal)
+
+
+def test_strand_masks_match_divisibility(sample):
+    checked = 0
+    for item in sample:
+        ideal = item.ideal
+        if not check_regularity(ideal).regular:
+            continue
+        cells = list(build_ek_cw(ideal).cells_with_labels())
+        lattice = lcm_lattice(ideal)
+        want = {}
+        for b in lattice:
+            member = frozenset(key for key, _, label in cells if label.divides(b))
+            want.setdefault(member, b)
+        got = {
+            frozenset(key for c, (key, _, _) in enumerate(cells) if mask >> c & 1): b
+            for mask, b in _strands([label.e for _, _, label in cells], lattice).items()
+        }
+        assert got == want, item.name
+        checked += 1
+    assert checked > 10
+
+
+def test_monomial_public_constructor_still_validates():
+    with pytest.raises(ValueError):
+        Monomial((1, -1))
+    a, b = Monomial((2, 0, 1)), Monomial((1, 1, 0))
+    for m in (a * b, a.lcm(b), a.gcd(b), a.times_var(2), (a * b) // b):
+        assert m == Monomial(m.e)
+        assert all(type(x) is int and x >= 0 for x in m.e)
+    with pytest.raises(ValueError):
+        a // b
+
+
+def test_maximal_ideal_enumerates_only_kept_chains():
+    # Counts, not times: every order the rule yields is glued into a cell.
+    # Enumerating all |alpha|! orders would yield
+    # sum_j sum_p C(j-1, p) p! = 16072 instead of 255.
+    ideal = parse_ideal(", ".join("x%d" % i for i in range(1, 9)))
+    rule = BRule(ideal)
+    X = build_ek_cw(ideal, rule)
+    assert len(X.cells) == 255
+    yielded = sum(len(list(rule.permutations(j, alpha))) for (j, alpha) in X.cells)
+    kept = sum(len(cell.simplices) for cell in X.cells.values())
+    assert yielded == kept == 255
