@@ -160,25 +160,6 @@ def _strands(labels, lattice):
     return strands
 
 
-def _strand_chain(cells, boundaries, member):
-    """ChainData of the cells selected by the `member` mask, augmented so
-    homology is reduced (the empty cell sits in degree -1)."""
-    cells_by_deg = defaultdict(list)
-    boundary = {}
-    aug = ("",)  # sorts uniformly, cannot collide with cell keys
-    cells_by_deg[-1].append(aug)
-    # bits least significant first; cells past the top bit are not members
-    for (key, dim, _), bit in zip(cells, bin(member)[:1:-1]):
-        if bit == "0":
-            continue
-        cells_by_deg[dim].append(key)
-        if dim == 0:
-            boundary[key] = {aug: 1}
-        else:
-            boundary[key] = boundaries[key]
-    return ChainData(cells_by_deg, boundary)
-
-
 def check_cellular_resolution(X, ideal, prime=None, prefilter=True):
     """Does the labeled complex X support a resolution of R/I?
 
@@ -207,6 +188,9 @@ def check_cellular_resolution(X, ideal, prime=None, prefilter=True):
         return True, None
     cells = list(X.cells_with_labels())
     labels = {key: label for key, _, label in cells}
+    aug = ("",)  # the empty cell, in degree -1; cannot collide with cell keys
+    cells_by_deg = defaultdict(list)
+    cells_by_deg[-1].append(aug)
     boundaries = {}
     for key, dim, label in cells:
         faces = {}
@@ -218,14 +202,21 @@ def check_cellular_resolution(X, ideal, prime=None, prefilter=True):
                     "label of %r does not divide label of %r" % (face, key)
                 )
             faces[face] = sign
-        boundaries[key] = faces
+        cells_by_deg[dim].append(key)
+        boundaries[key] = faces if dim else {aug: 1}
     vertex_labels = sorted(label.e for key, dim, label in cells if dim == 0)
     gen_labels = sorted(g.e for g in ideal.gens)
     if vertex_labels != gen_labels:
         return False, Monomial.one(ideal.n)
+    # X augmented so homology is reduced; every strand is a restriction
+    chain = ChainData(cells_by_deg, boundaries)
+    keys = [key for key, _, _ in cells]
     strands = _strands([label.e for _, _, label in cells], lcm_lattice(ideal))
     for member in sorted(strands, key=lambda m: (m.bit_count(), str(strands[m]))):
-        strand = _strand_chain(cells, boundaries, member)
+        # bits least significant first; cells past the top bit are not members
+        strand = chain.restrict(
+            [aug] + [key for key, bit in zip(keys, bin(member)[:1:-1]) if bit == "1"]
+        )
         ok, _ = is_exact(strand, prime=prime, prefilter=prefilter)
         if not ok:
             return False, strands[member]

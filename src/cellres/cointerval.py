@@ -204,14 +204,18 @@ class HomComplex:
             self.by_dim.setdefault(_cell_dim(cell), []).append(cell)
         for cells in self.by_dim.values():
             cells.sort()
+        self._labels = {}
 
     def f_vector(self):
         top = max(self.by_dim)
         return tuple(len(self.by_dim.get(i, ())) for i in range(top + 1))
 
     def label(self, cell):
-        support = [v for block in cell for v in block]
-        return Monomial.from_support(support, self.n)
+        label = self._labels.get(cell)
+        if label is None:
+            support = [v for block in cell for v in block]
+            label = self._labels[cell] = Monomial.from_support(support, self.n)
+        return label
 
     def cells_with_labels(self):
         for dim in sorted(self.by_dim):

@@ -121,18 +121,6 @@ def _cointerval_1graphs(n):
     return out
 
 
-def _cointerval_2graphs(n):
-    """Brute force over edge subsets; cheap at n <= 6 with memoized checks."""
-    pairs = list(combinations(range(1, n + 1), 2))
-    out = []
-    for mask in range(1, 1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        g = DGraph.from_edges(2, edges)
-        if is_cointerval(g):
-            out.append(g)
-    return out
-
-
 def _cointerval_2graph_edge_sets_on(universe):
     pairs = list(combinations(universe, 2))
     out = []
@@ -194,7 +182,11 @@ def cointerval_corpus(max_d=3, max_n=6):
     if max_d >= 1:
         graphs += _cointerval_1graphs(max_n)
     if max_d >= 2:
-        graphs += _cointerval_2graphs(max_n)
+        graphs += [
+            DGraph.from_edges(2, edges)
+            for edges in _cointerval_2graph_edge_sets_on(tuple(range(1, max_n + 1)))
+            if edges
+        ]
     if max_d >= 3:
         graphs += _cointerval_3graphs(max_n)
     for g in graphs:

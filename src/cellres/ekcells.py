@@ -348,6 +348,7 @@ class CWComplexEK:
         self.rule = rule
         self.cells = cells  # {(j, alpha): GlueCell}
         self.boundary = boundary  # {key: [(key', sign, coeff)]}
+        self._labels = {}
 
     def f_vector(self):
         top = max(len(a) for (_, a) in self.cells)
@@ -357,7 +358,10 @@ class CWComplexEK:
         return tuple(fv)
 
     def label(self, key):
-        return cell_label(self.ideal, key[0], key[1])
+        label = self._labels.get(key)
+        if label is None:
+            label = self._labels[key] = cell_label(self.ideal, key[0], key[1])
+        return label
 
     def cells_with_labels(self):
         for key in sorted(self.cells):

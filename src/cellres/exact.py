@@ -12,6 +12,7 @@ fill-in, and usually empties the complex entirely.  Whatever core remains
 is handed to the dense rank routines.
 """
 
+import copy
 import logging
 from collections import defaultdict, deque
 from functools import lru_cache
@@ -163,90 +164,108 @@ class ChainData:
     cells_by_deg: {degree: iterable of cell ids}, ids hashable and unique
     across degrees.  boundary: {cell id: {face id: integer coefficient}};
     faces must live one degree lower.
+
+    Cells are numbered in the order given: `index` maps a cell id to its
+    number i, `deg[i]` is the cell's degree and `faces[i]` its boundary as
+    {face number: coefficient}.  A complex may be a restriction of a
+    larger one (`restrict`); it then shares those tables and `members`
+    lists the numbers of its own cells in increasing order.
     """
 
     def __init__(self, cells_by_deg, boundary):
-        self.cells = {d: list(cs) for d, cs in cells_by_deg.items() if cs}
-        self.deg_of = {}
-        for d, cs in self.cells.items():
+        deg, index = [], {}
+        for d, cs in cells_by_deg.items():
             for c in cs:
-                if c in self.deg_of:
+                if c in index:
                     raise ValueError("duplicate cell id %r" % (c,))
-                self.deg_of[c] = d
-        self.boundary = {
-            c: {f: int(v) for f, v in faces.items() if v}
-            for c, faces in boundary.items()
-            if c in self.deg_of
-        }
-        for c, faces in self.boundary.items():
-            for f in faces:
-                if self.deg_of.get(f) != self.deg_of[c] - 1:
+                index[c] = len(deg)
+                deg.append(d)
+        faces = [{} for _ in deg]
+        for c, fs in boundary.items():
+            i = index.get(c)
+            if i is None:
+                continue
+            row = faces[i]
+            for f, v in fs.items():
+                if not v:
+                    continue
+                k = index.get(f)
+                if k is None or deg[k] != deg[i] - 1:
                     raise ValueError(
                         "face %r of %r is not one degree lower" % (f, c)
                     )
+                row[k] = int(v)
+        self.deg = deg
+        self.index = index
+        self.faces = faces
+        self.members = range(len(deg))
 
-    def dims(self):
-        return {d: len(cs) for d, cs in self.cells.items()}
+    def restrict(self, cells):
+        """The subcomplex on the given cell ids, sharing this complex's
+        numbering.  Raises VerificationError unless every face of a listed
+        cell is listed too."""
+        index, faces = self.index, self.faces
+        members = {index[c] for c in cells}
+        if not set().union(*[faces[i] for i in members]) <= members:
+            raise VerificationError("subcomplex is not closed under faces")
+        sub = copy.copy(self)
+        sub.members = sorted(members)
+        return sub
 
 
 def _collapse(chain):
     """Split off acyclic (face, coface) pairs with unit incidence.
 
-    Returns (remaining cell set, removed count).  Requires dd = 0, which is
-    checked on the fly: when a face's unique coface is removed, nothing
-    above may still be attached to that coface, else VerificationError.
+    Returns (numbers of the remaining cells, removed count).  A cell's live
+    cofaces are tracked as their count and the XOR of their numbers, so
+    the only coface of a free face is read off directly.  Requires dd = 0,
+    which is checked on the fly: when a face's unique coface is removed,
+    nothing above may still be attached to that coface, else
+    VerificationError.
     """
-    bdry = {c: dict(fs) for c, fs in chain.boundary.items()}
-    cofaces = defaultdict(set)
-    for c, faces in bdry.items():
-        for f in faces:
-            cofaces[f].add(c)
-    alive = set(chain.deg_of)
-
-    def is_free(f):
-        if f not in alive or len(cofaces[f]) != 1:
-            return False
-        (c,) = cofaces[f]
-        return abs(bdry[c][f]) == 1
-
-    queue = deque(f for f in alive if is_free(f))
+    faces, members = chain.faces, chain.members
+    count = [0] * len(faces)
+    xor = [0] * len(faces)
+    for c in members:
+        for f in faces[c]:
+            count[f] += 1
+            xor[f] ^= c
+    queue = deque(
+        f for f in members if count[f] == 1 and abs(faces[xor[f]][f]) == 1
+    )
+    gone = bytearray(len(faces))
     removed = 0
     while queue:
         f = queue.popleft()
-        if not is_free(f):
+        # counts only fall, so a face still at count 1 is alive and keeps
+        # the unit coface it was queued with
+        if count[f] != 1:
             continue
-        (c,) = cofaces[f]
-        if cofaces[c]:
+        c = xor[f]
+        if count[c]:
             raise VerificationError("collapse hit a non-complex (dd != 0?)")
-        alive.discard(f)
-        alive.discard(c)
+        gone[f] = gone[c] = 1
         removed += 2
-        for f2 in bdry.get(c, ()):
-            if f2 != f and f2 in alive:
-                cofaces[f2].discard(c)
-                if is_free(f2):
-                    queue.append(f2)
-        del bdry[c]
-        cofaces.pop(f, None)
-        cofaces.pop(c, None)
-        if f in bdry:
-            for f2 in bdry[f]:
-                cofaces[f2].discard(f)
-                if is_free(f2):
-                    queue.append(f2)
-            del bdry[f]
-    return alive, removed
+        for cell in (c, f):
+            for g in faces[cell]:
+                count[g] -= 1
+                xor[g] ^= cell
+                if count[g] == 1 and abs(faces[xor[g]][g]) == 1:
+                    queue.append(g)
+    if removed == len(members):
+        return [], removed
+    return [c for c in members if not gone[c]], removed
 
 
 def _core_matrices(chain, alive):
-    """Dense boundary matrices of the subcomplex on `alive` cells."""
+    """Cells by degree and dense boundary matrices of the subcomplex on the
+    `alive` cell numbers."""
     by_deg = defaultdict(list)
-    for d in sorted(chain.cells):
-        for c in chain.cells[d]:
-            if c in alive:
-                by_deg[d].append(c)
+    for c in alive:
+        by_deg[chain.deg[c]].append(c)
+    by_deg = {d: by_deg[d] for d in sorted(by_deg)}
     index = {}
-    for d, cs in by_deg.items():
+    for cs in by_deg.values():
         for i, c in enumerate(cs):
             index[c] = i
     mats = {}
@@ -256,13 +275,27 @@ def _core_matrices(chain, alive):
         rows = [[0] * len(cs) for _ in by_deg[d - 1]]
         nonzero = False
         for j, c in enumerate(cs):
-            for f, v in chain.boundary.get(c, {}).items():
-                if f in alive:
+            for f, v in chain.faces[c].items():
+                if f in index:
                     rows[index[f]][j] = v
                     nonzero = True
         if nonzero:
             mats[d] = rows
     return by_deg, mats
+
+
+def _core_homology(by_deg, mats, prime):
+    """{degree: dim H_d} of the core, over Q (prime=None) or GF(prime)."""
+    rank = {
+        d: bareiss_rank(rows) if prime is None else rank_mod_p(rows, prime)
+        for d, rows in mats.items()
+    }
+    h = {}
+    for d, cs in by_deg.items():
+        hd = len(cs) - rank.get(d, 0) - rank.get(d + 1, 0)
+        if hd:
+            h[d] = hd
+    return h
 
 
 def homology_ranks(chain, prime=None):
@@ -274,16 +307,7 @@ def homology_ranks(chain, prime=None):
     if prime is not None:
         check_prime(prime)
     alive, _ = _collapse(chain)
-    by_deg, mats = _core_matrices(chain, alive)
-    rank = {}
-    for d, rows in mats.items():
-        rank[d] = bareiss_rank(rows) if prime is None else rank_mod_p(rows, prime)
-    h = {}
-    for d, cs in by_deg.items():
-        hd = len(cs) - rank.get(d, 0) - rank.get(d + 1, 0)
-        if hd:
-            h[d] = hd
-    return h
+    return _core_homology(*_core_matrices(chain, alive), prime)
 
 
 def is_exact(chain, prime=None, prefilter=True):
@@ -300,33 +324,17 @@ def is_exact(chain, prime=None, prefilter=True):
     if not alive:
         return True, {}
     by_deg, mats = _core_matrices(chain, alive)
-
-    def ranks(field_prime):
-        rk = {}
-        for d, rows in mats.items():
-            rk[d] = (
-                bareiss_rank(rows)
-                if field_prime is None
-                else rank_mod_p(rows, field_prime)
-            )
-        h = {}
-        for d, cs in by_deg.items():
-            hd = len(cs) - rk.get(d, 0) - rk.get(d + 1, 0)
-            if hd:
-                h[d] = hd
-        return h
-
     if prefilter:
         p = prime or DEFAULT_PRIME
-        h_p = ranks(p)
+        h_p = _core_homology(by_deg, mats, p)
         if not h_p:
             return True, {}
-        h_q = ranks(None)
+        h_q = _core_homology(by_deg, mats, None)
         if not h_q:
             log.warning(
                 "GF(%d) saw homology %r but Q is exact; keeping Q verdict", p, h_p
             )
             return True, {}
         return False, h_q
-    h_q = ranks(None)
+    h_q = _core_homology(by_deg, mats, None)
     return not h_q, h_q

@@ -61,6 +61,8 @@ class OrderedIdeal:
                     raise NonMinimalGenerators("%s divides %s" % (g, h))
         self.n = n
         self.gens = gens
+        self._position = {g: j for j, g in enumerate(gens, start=1)}
+        self._colons = {}
         self._set_table = None
 
     @property
@@ -75,10 +77,7 @@ class OrderedIdeal:
 
     def index_of(self, m):
         """1-based index of a generator equal to m, or None."""
-        try:
-            return self.gens.index(m) + 1
-        except ValueError:
-            return None
+        return self._position.get(m)
 
     def reordered(self, order):
         """New OrderedIdeal with generators permuted by `order` (1-based)."""
@@ -94,15 +93,22 @@ class OrderedIdeal:
         """
         if not 1 <= j <= self.k:
             raise IndexOutOfRange(j)
-        mj = self.gens[j - 1]
-        quotients = [mi // mi.gcd(mj) for mi in self.gens[: j - 1]]
-        return set(minimalize(quotients))
+        return set(self._colon(j))
+
+    def _colon(self, j):
+        """colon_by_generator(j), computed once per j and shared."""
+        colon = self._colons.get(j)
+        if colon is None:
+            mj = self.gens[j - 1]
+            quotients = [mi // mi.gcd(mj) for mi in self.gens[: j - 1]]
+            colon = self._colons[j] = frozenset(minimalize(quotients))
+        return colon
 
     def linear_quotient_failure(self):
         """None if the order has linear quotients, else (j, witness monomial)
         for the smallest j whose colon has a non-variable minimal generator."""
         for j in range(1, self.k + 1):
-            for q in sorted(self.colon_by_generator(j)):
+            for q in sorted(self._colon(j)):
                 if q.degree() != 1:
                     return j, q
         return None
@@ -115,7 +121,7 @@ class OrderedIdeal:
         if self._set_table is None:
             table = []
             for j in range(1, self.k + 1):
-                colon = self.colon_by_generator(j)
+                colon = self._colon(j)
                 bad = [q for q in colon if q.degree() != 1]
                 if bad:
                     raise NotLinearQuotients(

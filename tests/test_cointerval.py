@@ -33,7 +33,7 @@ from cellres.cointerval import (
 )
 from cellres.errors import NotCointerval, NotInSet, SymbolNotInComplex
 from cellres.ideals import parse_ideal
-from cellres.monomial import parse_monomial
+from cellres.monomial import Monomial, parse_monomial
 
 
 def running_graph():
@@ -170,6 +170,14 @@ def test_bijection_roundtrip(running):
             for alpha in combinations(running.set_of(j), size):
                 cell = face_of_symbol(running, j, alpha)
                 assert symbol_of_face(running, cell) == Symbol(j, alpha)
+
+
+def test_hom_labels_are_cached():
+    X = build_hom_complex(running_graph())
+    for cell, _, label in X.cells_with_labels():
+        support = sorted(v for block in cell for v in block)
+        assert label == Monomial.from_support(support, X.n)
+        assert X.label(cell) is label
 
 
 def test_face_of_symbol_rejects(running):

@@ -14,6 +14,7 @@ from cellres.ekcells import (
     build_ek_cw,
     cell_boundary,
     cell_is_ball,
+    cell_label,
     cellular_chain_complex,
     ch_simplex,
     classify_facet,
@@ -270,6 +271,13 @@ def test_labels_monotone(running):
     for key, entries in X.boundary.items():
         for target, _, _ in entries:
             assert X.label(target).divides(X.label(key))
+
+
+def test_labels_are_cached(running):
+    X = build_ek_cw(running)
+    for key, _, label in X.cells_with_labels():
+        assert label == cell_label(running, key[0], key[1])
+        assert X.label(key) is label
 
 
 def test_cells_are_balls(example1, running, maximal4):

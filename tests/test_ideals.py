@@ -66,6 +66,22 @@ def test_colon_simple():
     assert ideal.colon_by_generator(2) == {Monomial.variable(2, 3)}
 
 
+def test_colon_is_a_fresh_set_each_call():
+    ideal = parse_ideal("x1*x2, x1*x3")
+    colon = ideal.colon_by_generator(2)
+    colon.add(Monomial.variable(1, 3))
+    assert ideal.colon_by_generator(2) == {Monomial.variable(2, 3)}
+    assert ideal.has_linear_quotients()
+    assert ideal.set_table() == ((), (2,))
+
+
+def test_index_of(example1):
+    for j, g in enumerate(example1.gens, start=1):
+        assert example1.index_of(g) == j
+    assert example1.index_of(Monomial.one(5)) is None
+    assert example1.index_of(example1.gen(1) * Monomial.variable(2, 5)) is None
+
+
 def test_set_table_example1(example1):
     assert example1.set_table() == ((), (4,), (3,), (2, 3), (1,), (1, 4))
 
