@@ -313,30 +313,60 @@ def chain_orders(rule, j, alpha, conflict=None):
     return extend()
 
 
-class BRule:
-    """The canonical decomposition function: first generator dividing."""
+class TableRule:
+    """A decomposition rule: a table (j, t) -> g sending x_t m_j to the
+    earlier generator m_g, plus the absorbing pairs (j, s, t), s < t in
+    set(m_j), where the later variable's effect is overwritten.
 
-    def __init__(self, ideal):
+    Products missing from the table stay put (g = j).  An absorbed
+    variable contributes no rule term to the differential, and the glued
+    cells use only the chain orders that apply the larger variable of an
+    absorbing pair first.  The table is shared, not copied.
+    """
+
+    def __init__(self, ideal, table, absorbing):
         self.ideal = ideal
-        self._steps = {}
+        self.table = table
+        self.absorbing = frozenset(absorbing)
+        self._absorbing_at = {}
+        for j, s, t in self.absorbing:
+            self._absorbing_at.setdefault(j, set()).add((s, t))
+
+    def key(self):
+        return tuple(sorted(self.table.items()))
 
     def apply(self, j, t):
-        """Index of b(x_t m_j)."""
-        key = (j, t)
-        g = self._steps.get(key)
-        if g is None:
-            g = self.ideal.decomp_b(self.ideal.gen(j).times_var(t))
-            self._steps[key] = g
-        return g
+        """Index of rule(x_t m_j)."""
+        return self.table.get((j, t), j)
 
     def tset(self, j, alpha):
-        """Elements of alpha contributing rule terms (all of them for b)."""
-        return alpha
+        """Elements of alpha contributing rule terms: those not absorbed
+        by a larger element of alpha."""
+        pairs = self._absorbing_at.get(j)
+        if not pairs:
+            return alpha
+        return tuple(
+            t for t in alpha if not any(t < u and (t, u) in pairs for u in alpha)
+        )
 
     def permutations(self, j, alpha):
         """Chain orders glued into the cell of (m_j, alpha): those whose
-        chain is nondegenerate."""
-        return chain_orders(self, j, alpha)
+        chain is nondegenerate and that put the larger member of each
+        absorbing pair first."""
+        pairs = self._absorbing_at.get(j)
+        conflict = (lambda s, t: (s, t) in pairs) if pairs else None
+        return chain_orders(self, j, alpha, conflict)
+
+
+class BRule(TableRule):
+    """The canonical decomposition function b (first generator dividing),
+    with no absorbing pairs."""
+
+    def __init__(self, ideal):
+        super().__init__(ideal, ideal.b_table(), ())
+
+    # bound per class: the traced benchmark wraps vars(cls)["permutations"]
+    permutations = TableRule.permutations
 
 
 def symbol_basis(ideal):
@@ -481,3 +511,52 @@ def _sorted_symbol_complex(cx):
         for (r, c), e in cx.diff[i].items():
             diff[i][(inv[i - 1][r], inv[i][c])] = e
     return LabeledChainComplex(cx.n, basis, mdeg, diff)
+
+
+# -- labeled cell complexes on the symbol basis ----------------------------
+
+
+def symbol_complex(X, ideal, symbol_of):
+    """The labeled chain complex of a cell complex, as a resolution of R/I
+    on the symbol basis.
+
+    X offers cells_with_labels() -> (cell, dim, label) and
+    topo_boundary(cell) -> [(face, sign)]; symbol_of(cell) is the cell's
+    Symbol.  Degree 0 is the ring; degree i >= 1 holds the cells of
+    dimension i-1, and a face enters with the coefficient label // face
+    label.  Signs are normalized per homological degree so that the entry
+    into (m; alpha minus its largest element) carries the sign
+    (-1)^|alpha|, the convention of the algebraic resolution.
+    """
+    labels, symbols, by_dim = {}, {}, {}
+    for cell, dim, label in X.cells_with_labels():
+        labels[cell] = label
+        symbols[cell] = symbol_of(cell)
+        by_dim.setdefault(dim, []).append(cell)
+    top = max(by_dim) if by_dim else 0
+    levels = [
+        sorted(by_dim.get(dim, []), key=symbols.get) for dim in range(top + 1)
+    ]
+    basis = [[UNIT]] + [[symbols[cell] for cell in level] for level in levels]
+    mdeg = [[Monomial.one(ideal.n)]]
+    mdeg += [[labels[cell] for cell in level] for level in levels]
+    index = [{s: i for i, s in enumerate(level)} for level in basis]
+    diff = [dict() for _ in basis]
+    for c, sym in enumerate(basis[1]):
+        diff[1][(0, c)] = (1, ideal.gen(sym.gen))
+    for deg in range(2, top + 2):
+        raw = {}
+        for col, cell in enumerate(levels[deg - 1]):
+            for face, sign in X.topo_boundary(cell):
+                row = index[deg - 1][symbols[face]]
+                raw[(row, col)] = (sign, labels[cell] // labels[face])
+        flip = 1
+        for col, sym in enumerate(basis[deg]):
+            ref = (index[deg - 1][Symbol(sym.gen, sym.alpha[:-1])], col)
+            if ref in raw:
+                want = 1 if len(sym.alpha) % 2 == 0 else -1
+                flip = want * raw[ref][0]
+                break
+        for key, (sign, coeff) in raw.items():
+            diff[deg][key] = (flip * sign, coeff)
+    return LabeledChainComplex(ideal.n, basis, mdeg, diff)

@@ -7,6 +7,7 @@ input.  The GF(p) pre-filter prime is overridden by RESOLVE_PRIME; pass
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -390,8 +391,14 @@ def build_parser():
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The one parser of this process; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as e:

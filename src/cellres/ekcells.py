@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .chain import BRule, LabeledChainComplex, Symbol, UNIT
+from .chain import BRule, Symbol, symbol_complex
 from .errors import (
     AlphaNotInSet,
     DegenerateChain,
@@ -325,11 +325,10 @@ def cell_boundary(ideal, cell, rule=None, cell_cache=None):
     if cell_cache is None:
         cell_cache = {}
     label = cell_label(ideal, cell.source, cell.alpha)
-    out = []
-    for target, incidence in _boundary_from_cell(ideal, cell, rule, cell_cache):
-        tlabel = cell_label(ideal, target[0], target[1])
-        out.append((target, incidence, label // tlabel))
-    return out
+    return [
+        (target, incidence, label // cell_label(ideal, target[0], target[1]))
+        for target, incidence in _boundary_from_cell(ideal, cell, rule, cell_cache)
+    ]
 
 
 def cell_label(ideal, j, alpha):
@@ -343,12 +342,12 @@ class CWComplexEK:
     m * x_alpha, which is verified to equal the lcm of its vertex labels.
     """
 
-    def __init__(self, ideal, rule, cells, boundary):
+    def __init__(self, ideal, rule, cells, boundary, labels):
         self.ideal = ideal
         self.rule = rule
         self.cells = cells  # {(j, alpha): GlueCell}
         self.boundary = boundary  # {key: [(key', sign, coeff)]}
-        self._labels = {}
+        self._labels = labels  # {key: cell_label}
 
     def f_vector(self):
         top = max(len(a) for (_, a) in self.cells)
@@ -358,10 +357,7 @@ class CWComplexEK:
         return tuple(fv)
 
     def label(self, key):
-        label = self._labels.get(key)
-        if label is None:
-            label = self._labels[key] = cell_label(self.ideal, key[0], key[1])
-        return label
+        return self._labels[key]
 
     def cells_with_labels(self):
         for key in sorted(self.cells):
@@ -385,14 +381,16 @@ def build_ek_cw(ideal, rule=None):
     rule = rule or BRule(ideal)
     table = ideal.set_table()
     cache = {}
+    labels = {}
     for j in range(1, ideal.k + 1):
         for size in range(len(table[j - 1]) + 1):
             for alpha in combinations(table[j - 1], size):
                 cache[(j, alpha)] = build_cell(ideal, j, alpha, rule)
+                labels[(j, alpha)] = cell_label(ideal, j, alpha)
     boundary = {}
     for key in sorted(cache):
         cell = cache[key]
-        label = cell_label(ideal, key[0], key[1])
+        label = labels[key]
         vertex_lcm = lcm_of(
             [ideal.gen(v) for v in sorted(cell.vertex_set())], n=ideal.n
         )
@@ -400,63 +398,24 @@ def build_ek_cw(ideal, rule=None):
             raise VerificationError(
                 "label of U%s is not the lcm of its vertices" % (key,)
             )
-        entries = cell_boundary(ideal, cell, rule, cache)
+        entries = [
+            (target, incidence, label // labels[target])
+            for target, incidence in _boundary_from_cell(ideal, cell, rule, cache)
+        ]
         for target, _, coeff in entries:
             if coeff.is_one():
                 raise VerificationError(
                     "unit coefficient between U%s and U%s" % (key, target)
                 )
         boundary[key] = entries
-    return CWComplexEK(ideal, rule, cache, boundary)
+    return CWComplexEK(ideal, rule, cache, boundary, labels)
 
 
 def cellular_chain_complex(X):
-    """The labeled chain complex of the CW complex, as a resolution of R/I.
-
-    Degree 0 is the ring; degree i >= 1 holds the cells of dimension i-1
-    as symbols (m; alpha).  Signs are normalized per homological degree so
-    that the entry into (m; alpha minus its largest element) carries the
-    sign (-1)^|alpha|; with that convention the complex must equal the
-    algebraic resolution entry by entry.
-    """
-    ideal = X.ideal
-    n = ideal.n
-    by_dim = {}
-    for (j, alpha) in X.cells:
-        by_dim.setdefault(len(alpha), []).append((j, alpha))
-    top = max(by_dim) if by_dim else 0
-    basis = [[UNIT]]
-    mdeg = [[Monomial.one(n)]]
-    for dim in range(top + 1):
-        level = sorted(by_dim.get(dim, []))
-        basis.append([Symbol(j, alpha) for (j, alpha) in level])
-        mdeg.append([X.label(key) for key in level])
-    diff = [dict() for _ in basis]
-    index = [{s: i for i, s in enumerate(level)} for level in basis]
-    for c, sym in enumerate(basis[1]):
-        diff[1][(0, c)] = (1, ideal.gen(sym.gen))
-    for dim in range(1, top + 1):
-        deg = dim + 1
-        raw = {}
-        for (j, alpha) in by_dim.get(dim, []):
-            col = index[deg][Symbol(j, alpha)]
-            for target, sign, coeff in X.boundary[(j, alpha)]:
-                row = index[deg - 1][Symbol(target[0], target[1])]
-                raw[(row, col)] = (sign, coeff)
-        # per-degree normalization against the Koszul-type reference entry
-        flip = 1
-        for (j, alpha) in sorted(by_dim.get(dim, [])):
-            tmax = alpha[-1]
-            ref = (j, tuple(x for x in alpha if x != tmax))
-            col = index[deg][Symbol(j, alpha)]
-            row = index[deg - 1][Symbol(ref[0], ref[1])]
-            if (row, col) in raw:
-                want = 1 if len(alpha) % 2 == 0 else -1
-                flip = want * raw[(row, col)][0]
-                break
-        for key, (sign, coeff) in raw.items():
-            diff[deg][key] = (flip * sign, coeff)
-    return LabeledChainComplex(n, basis, mdeg, diff)
+    """The labeled chain complex of the CW complex, as a resolution of R/I:
+    cell (m_j, alpha) becomes the symbol (m_j; alpha), normalized per
+    degree so that it must equal the algebraic resolution entry by entry."""
+    return symbol_complex(X, X.ideal, lambda key: Symbol(*key))
 
 
 # -- topological sanity of low-dimensional cells -------------------------

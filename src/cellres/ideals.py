@@ -64,6 +64,7 @@ class OrderedIdeal:
         self._position = {g: j for j, g in enumerate(gens, start=1)}
         self._colons = {}
         self._set_table = None
+        self._b_table = None
 
     @property
     def k(self):
@@ -153,6 +154,23 @@ class OrderedIdeal:
 
     def b_of(self, m):
         return self.gens[self.decomp_b(m) - 1]
+
+    def b_table(self):
+        """{(j, t): index of b(x_t m_j)} for every t in set(m_j), computed
+        once and shared.
+
+        Under linear quotients x_t m_j lies in (m_1,..,m_{j-1}) exactly
+        when t is in set(m_j), so b(x_t m_j) = m_j for every other t and
+        table.get((j, t), j) is b on all products x_t m_j.
+        """
+        if self._b_table is None:
+            table = {}
+            for j, sj in enumerate(self.set_table(), start=1):
+                mj = self.gens[j - 1]
+                for t in sj:
+                    table[(j, t)] = self.decomp_b(mj.times_var(t))
+            self._b_table = table
+        return self._b_table
 
     def __str__(self):
         return "<" + ", ".join(str(g) for g in self.gens) + ">"
@@ -262,22 +280,18 @@ def check_regularity(ideal):
     and, independently, the commutation b(x_s b(x_t m)) = b(x_t b(x_s m))
     for all pairs s, t in set(m)."""
     table = ideal.set_table()  # raises NotLinearQuotients when not LQ
+    b = ideal.b_table()
     witnesses = []
     star_witnesses = []
     for j in range(1, ideal.k + 1):
-        mj = ideal.gen(j)
         sj = set(table[j - 1])
         for t in table[j - 1]:
-            bt = ideal.decomp_b(mj.times_var(t))
-            if not set(table[bt - 1]) <= sj:
+            if not set(table[b[(j, t)] - 1]) <= sj:
                 witnesses.append((j, t))
         for a_idx, s in enumerate(table[j - 1]):
             for t in table[j - 1][a_idx + 1 :]:
-                bt = ideal.b_of(mj.times_var(t))
-                bs = ideal.b_of(mj.times_var(s))
-                left = ideal.decomp_b(bt.times_var(s))
-                right = ideal.decomp_b(bs.times_var(t))
-                if left != right:
+                bt, bs = b[(j, t)], b[(j, s)]
+                if b.get((bt, s), bt) != b.get((bs, t), bs):
                     star_witnesses.append((j, s, t))
     return RegularityReport(
         regular=not witnesses,

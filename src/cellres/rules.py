@@ -15,9 +15,10 @@ cells use only the chain orders that apply the larger variable of an
 absorbing pair first.
 """
 
+from itertools import combinations
+
 from .chain import (
-    BRule,
-    chain_orders,
+    TableRule,
     check_dd_zero,
     check_minimal,
     resolution_from_rule,
@@ -31,69 +32,42 @@ from .errors import (
 from .poset import complex_fingerprint
 
 
-class TableRule:
-    """Rule protocol (apply / tset / permutations) backed by a finite table."""
+def _pair_kind(table, j, s, t):
+    """'commute' | 'absorb' | None for s < t in set(m_j) under a bare
+    table; a pair that does both counts as commuting."""
 
-    def __init__(self, ideal, table):
-        self.ideal = ideal
-        self.table = dict(table)
-        self._pairs = {}
+    def step(g, v):
+        return table.get((g, v), g)
 
-    def key(self):
-        return tuple(sorted(self.table.items()))
+    st = step(step(j, t), s)
+    ts = step(step(j, s), t)
+    if st == ts:
+        return "commute"
+    if st == step(j, s):
+        return "absorb"
+    return None
 
-    def apply(self, j, t):
-        return self.table.get((j, t), j)
 
-    def _pair_kind(self, j, s, t):
-        """'commute' | 'absorb' | None for s < t in set(m_j)."""
-        if (j, s, t) not in self._pairs:
-            st = self.apply(self.apply(j, t), s)
-            ts = self.apply(self.apply(j, s), t)
-            if st == ts:
-                kind = "commute"
-            elif st == self.apply(j, s):
-                kind = "absorb"
-            else:
-                kind = None
-            self._pairs[(j, s, t)] = kind
-        return self._pairs[(j, s, t)]
-
-    def admissible(self):
-        for j in range(1, self.ideal.k + 1):
-            sj = self.ideal.set_of(j)
-            for a, s in enumerate(sj):
-                for t in sj[a + 1 :]:
-                    if self._pair_kind(j, s, t) is None:
-                        return False
-        return True
-
-    def tset(self, j, alpha):
-        """alpha elements not absorbed by a larger alpha element."""
-        out = []
-        for t in alpha:
-            if any(
-                t2 > t and self._pair_kind(j, t, t2) == "absorb" for t2 in alpha
-            ):
-                continue
-            out.append(t)
-        return tuple(out)
-
-    def permutations(self, j, alpha):
-        """Nondegenerate chain orders where the larger member of each
-        absorbing pair comes first."""
-        return chain_orders(
-            self, j, alpha, lambda s, t: self._pair_kind(j, s, t) == "absorb"
-        )
+def _table_rule(ideal, table):
+    """The rule of a bare table, its absorbing pairs read off the
+    commute-or-absorb classification."""
+    absorbing = [
+        (j, s, t)
+        for j in range(1, ideal.k + 1)
+        for s, t in combinations(ideal.set_of(j), 2)
+        if _pair_kind(table, j, s, t) == "absorb"
+    ]
+    return TableRule(ideal, table, absorbing)
 
 
 def rule_from_function(ideal, rule):
-    """Tabulate a rule object (e.g. BRule or CRule) on its domain."""
+    """Tabulate a rule object (e.g. BRule or CRule) on its domain; the
+    absorbing pairs are derived from the table alone."""
     table = {}
     for j in range(1, ideal.k + 1):
         for t in ideal.set_of(j):
             table[(j, t)] = rule.apply(j, t)
-    return TableRule(ideal, table)
+    return _table_rule(ideal, table)
 
 
 def enumerate_regular_rules(ideal, bound=100000):
@@ -130,17 +104,15 @@ def enumerate_regular_rules(ideal, bound=100000):
         gen_end[j] = pos
     out = []
 
-    def pairs_ok(rule, j):
-        sj = table[j - 1]
-        for a, s in enumerate(sj):
-            for t in sj[a + 1 :]:
-                if rule._pair_kind(j, s, t) is None:
-                    return False
-        return True
+    def pairs_ok(assignment, j):
+        return all(
+            _pair_kind(assignment, j, s, t) is not None
+            for s, t in combinations(table[j - 1], 2)
+        )
 
     def search(pos, assignment):
         if pos == len(slots):
-            rule = TableRule(ideal, assignment)
+            rule = _table_rule(ideal, dict(assignment))
             cx = resolution_from_rule(ideal, rule)
             ok, _ = check_dd_zero(cx)
             if ok and check_minimal(cx):
@@ -149,11 +121,9 @@ def enumerate_regular_rules(ideal, bound=100000):
         (j, t), cands = slots[pos]
         for g in cands:
             assignment[(j, t)] = g
-            if gen_end[j] == pos:
-                trial = TableRule(ideal, assignment)
-                if not pairs_ok(trial, j):
-                    del assignment[(j, t)]
-                    continue
+            if gen_end[j] == pos and not pairs_ok(assignment, j):
+                del assignment[(j, t)]
+                continue
             search(pos + 1, assignment)
             del assignment[(j, t)]
 

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from cellres import cli
 from cellres.cli import main
 
 RUNNING = "x1*x2, x1*x3, x1*x5, x2*x3, x2*x5, x3*x5, x4*x5"
@@ -197,3 +198,25 @@ def test_determinism_byte_identical(tmp_path):
     second = subprocess.run(cmd, capture_output=True, text=True)
     assert first.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for _ in range(2):
+        argv = ["check", "--require", "cointerval", EXAMPLE1]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 1
+        code, out, _ = run_cli(["check", EXAMPLE1], capsys)
+        assert code == 0  # the default requirements, not cointerval
+        assert "regular: yes" in out
+    code, _, err = run_cli(["check", "x1*blah"], capsys)
+    assert code == 2 and "input error" in err
+    assert len(built) == 1

@@ -7,7 +7,7 @@ import pytest
 
 from cellres.betti import _strands, lcm_lattice
 from cellres.chain import BRule, chain_orders
-from cellres.cointerval import CRule
+from cellres.cointerval import CRule, partition_A
 from cellres.corpus import gen_corpus
 from cellres.ekcells import build_ek_cw, ch_simplex
 from cellres.ideals import check_regularity, parse_ideal
@@ -43,11 +43,26 @@ def _reference_orders(ideal, rule, j, alpha, bad):
 
 
 def _absorbing(rule):
-    return lambda j, s, t: rule._pair_kind(j, s, t) == "absorb"
+    """The commute-or-absorb classification on rule.apply: s < t absorb
+    when the two orders disagree and s after t lands where s alone does."""
+
+    def bad(j, s, t):
+        st = rule.apply(rule.apply(j, t), s)
+        ts = rule.apply(rule.apply(j, s), t)
+        return st != ts and st == rule.apply(j, s)
+
+    return bad
 
 
 def _same_block(rule):
-    return lambda j, s, t: rule.block_of(j, s) == rule.block_of(j, t)
+    """s and t in one block of partition_A(ideal, j)."""
+
+    def bad(j, s, t):
+        return any(
+            s in block and t in block for block in partition_A(rule.ideal, j)
+        )
+
+    return bad
 
 
 def _rules_of(item):

@@ -1,0 +1,416 @@
+"""One rule type and one cells-to-symbols path, checked against the
+classes and functions they replace, kept here as references: the old
+BRule / CRule / TableRule, the old regularity loop, and the two old
+cell-complex-to-symbol functions with their own sign normalization."""
+
+from itertools import combinations
+
+import pytest
+
+from cellres import ekcells
+from cellres.chain import (
+    BRule,
+    LabeledChainComplex,
+    Symbol,
+    TableRule,
+    UNIT,
+    chain_orders,
+)
+from cellres.cointerval import (
+    CRule,
+    build_hom_complex,
+    decomp_c,
+    dgraph_of_ideal,
+    hom_boundary,
+    hom_chain_complex,
+    partition_A,
+    symbol_of_face,
+)
+from cellres.corpus import gen_corpus
+from cellres.ekcells import build_ek_cw, cellular_chain_complex
+from cellres.errors import NotCointerval, VerificationError
+from cellres.ideals import RegularityReport, check_regularity, parse_ideal
+from cellres.monomial import Monomial
+from cellres import rules
+from cellres.rules import enumerate_regular_rules, rule_from_function
+
+
+@pytest.fixture(scope="module")
+def sample():
+    items = gen_corpus()
+    return items[::13] + items[-2:]
+
+
+# -- the rule classes, as they were --------------------------------------------
+
+
+class OldBRule:
+    def __init__(self, ideal):
+        self.ideal = ideal
+
+    def apply(self, j, t):
+        return self.ideal.decomp_b(self.ideal.gen(j).times_var(t))
+
+    def tset(self, j, alpha):
+        return alpha
+
+    def permutations(self, j, alpha):
+        return chain_orders(self, j, alpha)
+
+
+class OldCRule:
+    def __init__(self, ideal):
+        self.ideal = ideal
+
+    def block_of(self, j, t):
+        for ell, block in enumerate(partition_A(self.ideal, j)):
+            if t in block:
+                return ell
+        return None
+
+    def apply(self, j, t):
+        if t not in self.ideal.set_of(j):
+            return j
+        target = decomp_c(self.ideal, self.ideal.gen(j), t)
+        g = self.ideal.index_of(target)
+        if g is None:
+            raise NotCointerval(
+                "c(x_%d m_%d) = %s is not a generator" % (t, j, str(target))
+            )
+        return g
+
+    def tset(self, j, alpha):
+        out = []
+        for block in partition_A(self.ideal, j):
+            hit = set(alpha) & set(block)
+            if hit:
+                out.append(max(hit))
+        return tuple(sorted(out))
+
+    def permutations(self, j, alpha):
+        return chain_orders(
+            self, j, alpha, lambda s, t: self.block_of(j, s) == self.block_of(j, t)
+        )
+
+
+class OldTableRule:
+    def __init__(self, ideal, table):
+        self.ideal = ideal
+        self.table = dict(table)
+
+    def apply(self, j, t):
+        return self.table.get((j, t), j)
+
+    def _pair_kind(self, j, s, t):
+        st = self.apply(self.apply(j, t), s)
+        ts = self.apply(self.apply(j, s), t)
+        if st == ts:
+            return "commute"
+        if st == self.apply(j, s):
+            return "absorb"
+        return None
+
+    def tset(self, j, alpha):
+        return tuple(
+            t
+            for t in alpha
+            if not any(
+                t2 > t and self._pair_kind(j, t, t2) == "absorb" for t2 in alpha
+            )
+        )
+
+    def permutations(self, j, alpha):
+        return chain_orders(
+            self, j, alpha, lambda s, t: self._pair_kind(j, s, t) == "absorb"
+        )
+
+
+def _assert_same_rule(ideal, new, old, name):
+    for j in range(1, ideal.k + 1):
+        for t in range(1, ideal.n + 1):
+            assert new.apply(j, t) == old.apply(j, t), (name, j, t)
+        sj = ideal.set_of(j)
+        for size in range(len(sj) + 1):
+            for alpha in combinations(sj, size):
+                assert tuple(new.tset(j, alpha)) == tuple(old.tset(j, alpha)), (
+                    name,
+                    j,
+                    alpha,
+                )
+                assert list(new.permutations(j, alpha)) == list(
+                    old.permutations(j, alpha)
+                ), (name, j, alpha)
+
+
+def test_one_class_defines_the_rule_protocol():
+    for name in ("apply", "tset", "permutations"):
+        assert name in vars(TableRule)
+    assert "apply" not in vars(BRule) and "tset" not in vars(BRule)
+    assert "apply" not in vars(CRule) and "tset" not in vars(CRule)
+    assert BRule.permutations is TableRule.permutations
+    assert CRule.permutations is TableRule.permutations
+    assert rules.TableRule is TableRule
+
+
+def test_brule_matches_old(sample):
+    regular = 0
+    for item in sample:
+        ideal = item.ideal
+        _assert_same_rule(ideal, BRule(ideal), OldBRule(ideal), item.name)
+        regular += check_regularity(ideal).regular
+    assert 0 < regular < len(sample)  # regular and irregular b both covered
+
+
+def test_crule_matches_old(sample):
+    seen = 0
+    for item in sample:
+        if item.tags.get("cointerval"):
+            ideal = item.ideal
+            _assert_same_rule(ideal, CRule(ideal), OldCRule(ideal), item.name)
+            seen += 1
+    assert seen > 10
+
+
+def test_tabulated_rules_match_old_tables(sample):
+    for item in sample:
+        ideal = item.ideal
+        olds = [OldBRule(ideal)]
+        if item.tags.get("cointerval"):
+            olds.append(OldCRule(ideal))
+        for old in olds:
+            table = rule_from_function(ideal, old)
+            reference = OldTableRule(ideal, table.table)
+            assert table.key() == tuple(sorted(reference.table.items()))
+            _assert_same_rule(ideal, table, reference, item.name)
+
+
+def test_enumerated_rules_match_old_tables(running, example1):
+    for ideal in (running, example1):
+        found = enumerate_regular_rules(ideal)
+        assert found
+        for rule in found:
+            _assert_same_rule(ideal, rule, OldTableRule(ideal, rule.table), str(ideal))
+
+
+def test_brule_shares_one_b_table(running):
+    table = running.b_table()
+    assert BRule(running).table is table
+    assert BRule(running).absorbing == frozenset()
+    for (j, t), g in table.items():
+        assert g == running.decomp_b(running.gen(j).times_var(t))
+
+
+def test_crule_absorbs_same_block_pairs(running):
+    want = {
+        (j, s, t)
+        for j in range(1, running.k + 1)
+        for block in partition_A(running, j)
+        for s, t in combinations(block, 2)
+    }
+    assert CRule(running).absorbing == want
+
+
+def _outcome(rule_class, ideal):
+    """The rule's c-table and tsets, or the error it raises on the way:
+    the old rule raised lazily, the new one raises when it is built."""
+    try:
+        rule = rule_class(ideal)
+        table = [
+            rule.apply(j, t) for j in range(1, ideal.k + 1) for t in ideal.set_of(j)
+        ]
+        tsets = [rule.tset(j, ideal.set_of(j)) for j in range(1, ideal.k + 1)]
+        return table, tsets
+    except (NotCointerval, VerificationError) as e:
+        return type(e).__name__, str(e)
+
+
+def test_crule_refuses_like_old(sample):
+    refused = set()
+    for item in sample:
+        ideal = item.ideal
+        if item.tags.get("cointerval") or not ideal.has_linear_quotients():
+            continue
+        if len({g.degree() for g in ideal.gens}) != 1:
+            continue
+        old = _outcome(OldCRule, ideal)
+        assert _outcome(CRule, ideal) == old, item.name
+        if isinstance(old[0], str):
+            refused.add(old[0])
+    assert {"NotCointerval", "VerificationError"} <= refused
+
+
+# -- regularity through the shared b-table ------------------------------------
+
+
+def _old_check_regularity(ideal):
+    table = ideal.set_table()
+    witnesses = []
+    star_witnesses = []
+    for j in range(1, ideal.k + 1):
+        mj = ideal.gen(j)
+        sj = set(table[j - 1])
+        for t in table[j - 1]:
+            bt = ideal.decomp_b(mj.times_var(t))
+            if not set(table[bt - 1]) <= sj:
+                witnesses.append((j, t))
+        for a_idx, s in enumerate(table[j - 1]):
+            for t in table[j - 1][a_idx + 1 :]:
+                bt = ideal.b_of(mj.times_var(t))
+                bs = ideal.b_of(mj.times_var(s))
+                left = ideal.decomp_b(bt.times_var(s))
+                right = ideal.decomp_b(bs.times_var(t))
+                if left != right:
+                    star_witnesses.append((j, s, t))
+    return RegularityReport(
+        regular=not witnesses,
+        witnesses=witnesses,
+        star_commutes=not star_witnesses,
+        star_witnesses=star_witnesses,
+    )
+
+
+def test_regularity_matches_old_loop():
+    irregular = star_failures = 0
+    for item in gen_corpus()[::5]:
+        new = check_regularity(item.ideal)
+        assert new == _old_check_regularity(item.ideal), item.name
+        irregular += not new.regular
+        star_failures += not new.star_commutes
+    assert irregular and star_failures
+
+
+# -- cells to symbols, as it was -----------------------------------------------
+
+
+def _old_cellular_chain_complex(X):
+    ideal = X.ideal
+    n = ideal.n
+    by_dim = {}
+    for (j, alpha) in X.cells:
+        by_dim.setdefault(len(alpha), []).append((j, alpha))
+    top = max(by_dim) if by_dim else 0
+    basis = [[UNIT]]
+    mdeg = [[Monomial.one(n)]]
+    for dim in range(top + 1):
+        level = sorted(by_dim.get(dim, []))
+        basis.append([Symbol(j, alpha) for (j, alpha) in level])
+        mdeg.append([X.label(key) for key in level])
+    diff = [dict() for _ in basis]
+    index = [{s: i for i, s in enumerate(level)} for level in basis]
+    for c, sym in enumerate(basis[1]):
+        diff[1][(0, c)] = (1, ideal.gen(sym.gen))
+    for dim in range(1, top + 1):
+        deg = dim + 1
+        raw = {}
+        for (j, alpha) in by_dim.get(dim, []):
+            col = index[deg][Symbol(j, alpha)]
+            for target, sign, coeff in X.boundary[(j, alpha)]:
+                row = index[deg - 1][Symbol(target[0], target[1])]
+                raw[(row, col)] = (sign, coeff)
+        flip = 1
+        for (j, alpha) in sorted(by_dim.get(dim, [])):
+            tmax = alpha[-1]
+            ref = (j, tuple(x for x in alpha if x != tmax))
+            col = index[deg][Symbol(j, alpha)]
+            row = index[deg - 1][Symbol(ref[0], ref[1])]
+            if (row, col) in raw:
+                want = 1 if len(alpha) % 2 == 0 else -1
+                flip = want * raw[(row, col)][0]
+                break
+        for key, (sign, coeff) in raw.items():
+            diff[deg][key] = (flip * sign, coeff)
+    return LabeledChainComplex(n, basis, mdeg, diff)
+
+
+def _old_hom_chain_complex(X, ideal):
+    n = ideal.n
+    top = max(X.by_dim)
+    basis = [[UNIT]]
+    mdeg = [[Monomial.one(n)]]
+    face_of = {}
+    for dim in range(top + 1):
+        level = []
+        for cell in X.by_dim.get(dim, ()):
+            sym = symbol_of_face(ideal, cell)
+            face_of[sym] = cell
+            level.append(sym)
+        level.sort()
+        basis.append(level)
+        mdeg.append([X.label(face_of[s]) for s in level])
+    index = [{s: i for i, s in enumerate(level)} for level in basis]
+    diff = [dict() for _ in basis]
+    for c, sym in enumerate(basis[1]):
+        diff[1][(0, c)] = (1, ideal.gen(sym.gen))
+    for dim in range(1, top + 1):
+        deg = dim + 1
+        raw = {}
+        for sym in basis[deg]:
+            cell = face_of[sym]
+            col = index[deg][sym]
+            label = X.label(cell)
+            for face, sign in hom_boundary(cell):
+                fsym = symbol_of_face(ideal, face)
+                raw[(index[deg - 1][fsym], col)] = (sign, label // X.label(face))
+        flip = 1
+        for sym in basis[deg]:
+            tmax = sym.alpha[-1]
+            ref = Symbol(sym.gen, tuple(x for x in sym.alpha if x != tmax))
+            key = (index[deg - 1][ref], index[deg][sym])
+            if key in raw:
+                want = 1 if len(sym.alpha) % 2 == 0 else -1
+                flip = want * raw[key][0]
+                break
+        for key, (sign, coeff) in raw.items():
+            diff[deg][key] = (flip * sign, coeff)
+    return LabeledChainComplex(n, basis, mdeg, diff)
+
+
+def _assert_same_complex(new, old, name):
+    assert new.basis == old.basis, name
+    assert new.mdeg == old.mdeg, name
+    # same entries in the same order, so serializers see the same complex
+    assert [list(d.items()) for d in new.diff] == [
+        list(d.items()) for d in old.diff
+    ], name
+
+
+def test_symbol_paths_match_old(sample, running):
+    items = [(item.name, item.ideal, item.tags.get("cointerval")) for item in sample]
+    items.append(("running", running, True))
+    ek = hom = 0
+    for name, ideal, cointerval in items:
+        if check_regularity(ideal).regular:
+            X = build_ek_cw(ideal)
+            _assert_same_complex(
+                cellular_chain_complex(X), _old_cellular_chain_complex(X), name
+            )
+            ek += 1
+        if cointerval:
+            H = build_hom_complex(dgraph_of_ideal(ideal), ideal.n)
+            _assert_same_complex(
+                hom_chain_complex(H, ideal), _old_hom_chain_complex(H, ideal), name
+            )
+            hom += 1
+    assert ek > 10 and hom > 10
+
+
+# -- one label per cell --------------------------------------------------------
+
+
+def test_build_ek_cw_computes_each_label_once(monkeypatch):
+    calls = []
+    original = ekcells.cell_label
+
+    def counted(ideal, j, alpha):
+        calls.append((j, alpha))
+        return original(ideal, j, alpha)
+
+    monkeypatch.setattr(ekcells, "cell_label", counted)
+    for k in (7, 8):
+        del calls[:]
+        ideal = parse_ideal(", ".join("x%d" % i for i in range(1, k + 1)))
+        X = build_ek_cw(ideal)
+        cellular_chain_complex(X)
+        assert len(X.cells) == 2**k - 1
+        assert len(calls) == len(X.cells)
+        assert sorted(calls) == sorted(X.cells)
