@@ -9,8 +9,8 @@ package is compared against.
 A labeled complex X supports a resolution of R/I iff for every b in the
 lcm lattice the subcomplex of cells whose label divides b has vanishing
 reduced homology.  Homology is checked over Q; a GF(p) run is used first
-when allowed, which is sound in the only direction it is trusted: zero
-homology mod p forces zero homology over Q.
+unless prime=None, which is sound in the only direction it is trusted:
+zero homology mod p forces zero homology over Q.
 """
 
 from bisect import bisect_right
@@ -19,50 +19,21 @@ from itertools import combinations
 
 from .chain import LabeledChainComplex, UNIT
 from .errors import NonMonotoneLabels, TooManyGenerators
-from .exact import ChainData, check_prime, homology_ranks, is_exact
-from .monomial import Monomial, lcm_of
+from .exact import DEFAULT_PRIME, ChainData, check_prime, homology_ranks, is_exact
+from .monomial import Monomial
 
 TAYLOR_BOUND = 16
 
 
-def taylor_complex(ideal, bound=TAYLOR_BOUND):
-    """The full 2^k simplex with lcm labels, as a labeled chain complex.
-
-    Resolves R/I; minimal only when no face's lcm equals a facet's.
-    """
-    k = ideal.k
-    if k > bound:
-        raise TooManyGenerators("%d generators exceed the bound %d" % (k, bound))
-    n = ideal.n
-    lcms = {(): Monomial.one(n)}
-    basis = [[UNIT]]
-    mdeg = [[Monomial.one(n)]]
-    diff = [dict()]
-    for size in range(1, k + 1):
-        level = list(combinations(range(1, k + 1), size))
-        for S in level:
-            lcms[S] = lcm_of([ideal.gen(j) for j in S])
-        basis.append(list(level))
-        mdeg.append([lcms[S] for S in level])
-        diff.append({})
-    for size in range(1, k + 1):
-        lower = {S: i for i, S in enumerate(basis[size - 1])}
-        for c, S in enumerate(basis[size]):
-            for pos, g in enumerate(S, start=1):
-                rest = tuple(x for x in S if x != g)
-                row = lower[rest] if size > 1 else 0
-                sign = 1 if pos % 2 == 1 else -1
-                diff[size][(row, c)] = (sign, lcms[S] // lcms[rest])
-    return LabeledChainComplex(n, basis, mdeg, diff)
-
-
 class TaylorSupport:
-    """The Taylor complex as a cell complex for strand checking.
+    """The Taylor complex: the full simplex on the generators, each face
+    labeled by the lcm of its generators.
 
-    Cells are the nonempty generator subsets.  Every divisibility strand
-    is the full simplex on the generators dividing b: lcm(S) | b iff each
-    member divides b.  The strand checker uses that to certify acyclicity
-    without eliminating anything.
+    Cells are the nonempty generator subsets, in order of size and then
+    lexicographically.  Every divisibility strand is the full simplex on
+    the generators dividing b: lcm(S) | b iff each member divides b.  The
+    strand checker uses that to certify acyclicity without eliminating
+    anything.
     """
 
     strands_are_full_simplices = True
@@ -73,12 +44,15 @@ class TaylorSupport:
                 "%d generators exceed the bound %d" % (ideal.k, bound)
             )
         self.ideal = ideal
-        self._lcms = {}
+        self._lcms = {(): Monomial.one(ideal.n)}
 
     def label(self, key):
-        if key not in self._lcms:
-            self._lcms[key] = lcm_of([self.ideal.gen(j) for j in key])
-        return self._lcms[key]
+        """lcm of the generators in key, one generator more than its prefix."""
+        label = self._lcms.get(key)
+        if label is None:
+            label = self.label(key[:-1]).lcm(self.ideal.gen(key[-1]))
+            self._lcms[key] = label
+        return label
 
     def cells_with_labels(self):
         for size in range(1, self.ideal.k + 1):
@@ -88,11 +62,32 @@ class TaylorSupport:
     def topo_boundary(self, key):
         if len(key) == 1:
             return []
-        out = []
-        for pos, g in enumerate(key, start=1):
-            rest = tuple(x for x in key if x != g)
-            out.append((rest, 1 if pos % 2 == 1 else -1))
-        return out
+        return [(key[:i] + key[i + 1 :], -1 if i % 2 else 1) for i in range(len(key))]
+
+
+def taylor_complex(ideal, bound=TAYLOR_BOUND):
+    """The Taylor complex as a labeled chain complex: face S in degree |S|.
+
+    Resolves R/I; minimal only when no face's lcm equals a facet's.
+    """
+    X = TaylorSupport(ideal, bound)
+    basis = [[UNIT]]
+    mdeg = [[Monomial.one(ideal.n)]]
+    for S, dim, label in X.cells_with_labels():
+        if dim + 1 == len(basis):
+            basis.append([])
+            mdeg.append([])
+        basis[-1].append(S)
+        mdeg[-1].append(label)
+    diff = [{}, {(0, c): (1, ideal.gen(S[0])) for c, S in enumerate(basis[1])}]
+    for size in range(2, len(basis)):
+        lower = {S: i for i, S in enumerate(basis[size - 1])}
+        entries = {}
+        for c, S in enumerate(basis[size]):
+            for face, sign in X.topo_boundary(S):
+                entries[(lower[face], c)] = (sign, X.label(S) // X.label(face))
+        diff.append(entries)
+    return LabeledChainComplex(ideal.n, basis, mdeg, diff)
 
 
 class LabeledCellComplex:
@@ -160,7 +155,7 @@ def _strands(labels, lattice):
     return strands
 
 
-def check_cellular_resolution(X, ideal, prime=None, prefilter=True):
+def check_cellular_resolution(X, ideal, prime=DEFAULT_PRIME):
     """Does the labeled complex X support a resolution of R/I?
 
     Checks that the 0-cells are labeled exactly by the generators, that
@@ -169,7 +164,8 @@ def check_cellular_resolution(X, ideal, prime=None, prefilter=True):
     homology.  Returns (ok, failing multidegree or None).
 
     Distinct lattice points selecting the same cell set share one homology
-    computation.
+    computation.  `prime` is passed to is_exact: a GF(prime) prefilter, or
+    exact Q only when None.
     """
     if prime is not None:
         check_prime(prime)
@@ -217,7 +213,7 @@ def check_cellular_resolution(X, ideal, prime=None, prefilter=True):
         strand = chain.restrict(
             [aug] + [key for key, bit in zip(keys, bin(member)[:1:-1]) if bit == "1"]
         )
-        ok, _ = is_exact(strand, prime=prime, prefilter=prefilter)
+        ok, _ = is_exact(strand, prime=prime)
         if not ok:
             return False, strands[member]
     return True, None
@@ -236,12 +232,6 @@ class BettiTable:
     def totals(self):
         top = max((d for d, _ in self.data), default=0)
         return tuple(self.total(i) for i in range(top + 1))
-
-    def by_total_degree(self):
-        out = defaultdict(int)
-        for (i, exps), v in self.data.items():
-            out[(i, sum(exps))] += v
-        return dict(out)
 
     def rows(self):
         """Deterministic (i, exponent tuple, value) rows."""
@@ -265,17 +255,10 @@ def multigraded_betti(ideal, bound=TAYLOR_BOUND):
     generator only when the lcm is unchanged.  The homology of that strand
     is computed exactly over Q, bucket by bucket.
     """
-    k = ideal.k
-    if k > bound:
-        raise TooManyGenerators("%d generators exceed the bound %d" % (k, bound))
+    X = TaylorSupport(ideal, bound)
     buckets = defaultdict(list)
-    lcms = {(): Monomial.one(ideal.n)}
-    for size in range(1, k + 1):
-        for S in combinations(range(1, k + 1), size):
-            lcms[S] = lcms[S[:-1]].lcm(ideal.gen(S[-1])) if size > 1 else ideal.gen(
-                S[0]
-            )
-            buckets[lcms[S]].append(S)
+    for S, _, label in X.cells_with_labels():
+        buckets[label].append(S)
     data = defaultdict(int)
     data[(0, Monomial.one(ideal.n).e)] = 1
     for b, faces in buckets.items():
@@ -284,12 +267,9 @@ def multigraded_betti(ideal, bound=TAYLOR_BOUND):
         boundary = {}
         for S in faces:
             cells_by_deg[len(S)].append(S)
-            entries = {}
-            for pos, g in enumerate(S, start=1):
-                rest = tuple(x for x in S if x != g)
-                if rest in members:
-                    entries[rest] = 1 if pos % 2 == 1 else -1
-            boundary[S] = entries
+            boundary[S] = {
+                face: sign for face, sign in X.topo_boundary(S) if face in members
+            }
         h = homology_ranks(ChainData(cells_by_deg, boundary))
         for i, v in h.items():
             data[(i, b.e)] += v

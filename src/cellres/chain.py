@@ -54,15 +54,9 @@ class LabeledChainComplex:
     def ranks(self):
         return tuple(len(b) for b in self.basis)
 
-    def top_degree(self):
-        return len(self.basis) - 1
-
     def entries(self, i):
         """Sorted items of diff[i] for deterministic traversal."""
         return sorted(self.diff[i].items())
-
-    def multidegree(self, i, pos):
-        return self.mdeg[i][pos]
 
     def validate(self):
         """Multidegree homogeneity at every nonzero entry."""
@@ -230,14 +224,14 @@ class ChainMap:
         return True
 
 
-def mapping_cone(psi, relabel_shifted=None, check=True):
+def mapping_cone(psi, relabel_shifted=None):
     """The cone of psi: G -> F, i.e. G[1] (+) F with differential
     d(g, f) = (-d_G g, psi g + d_F f).
 
     Basis labels from G are passed through `relabel_shifted` (default wraps
     them as ("cone", label)) so the two parts stay distinguishable.
     """
-    if check and not psi.commutes():
+    if not psi.commutes():
         raise NonCommutingChainMap("chain map does not commute with differentials")
     G, F = psi.source, psi.target
     if relabel_shifted is None:
@@ -435,19 +429,18 @@ def resolution_from_rule(ideal, rule):
     return LabeledChainComplex(ideal.n, basis, mdeg, diff)
 
 
-def ht_resolution(ideal, require_regular=True):
+def ht_resolution(ideal):
     """Minimal free resolution of R/I for an ideal with linear quotients and
     a regular decomposition function, on the symbol basis."""
     if not ideal.has_linear_quotients():
         raise NotLinearQuotients(str(ideal))
-    if require_regular:
-        report = check_regularity(ideal)
-        if not report.regular:
-            raise NotRegular("witnesses: %s" % report.witnesses[:3])
+    report = check_regularity(ideal)
+    if not report.regular:
+        raise NotRegular("witnesses: %s" % report.witnesses[:3])
     return resolution_from_rule(ideal, BRule(ideal))
 
 
-def iterated_cone_resolution(ideal, rule=None, check=True):
+def iterated_cone_resolution(ideal, rule=None):
     """Rebuild the resolution one generator at a time, as an explicit
     mapping cone of a Koszul complex onto the previous stage.
 
@@ -490,7 +483,7 @@ def iterated_cone_resolution(ideal, rule=None, check=True):
             maps.append(mp)
         psi = ChainMap(kos, current, maps)
         current = mapping_cone(
-            psi, relabel_shifted=lambda beta, s=step: Symbol(s, beta), check=check
+            psi, relabel_shifted=lambda beta, s=step: Symbol(s, beta)
         )
     return _sorted_symbol_complex(current)
 

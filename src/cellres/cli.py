@@ -88,19 +88,20 @@ def _write(out, text):
 
 
 def _prime(args):
+    """The GF(p) prefilter prime, or None for exact Q arithmetic only."""
     if getattr(args, "no_prefilter", False):
-        return None, False
+        return None
     env = os.environ.get("RESOLVE_PRIME")
-    if env:
-        try:
-            p = int(env)
-        except ValueError:
-            raise InputError("RESOLVE_PRIME=%r is not an integer" % env) from None
-        check_prime(p)
-        if p <= 1 << 20:
-            print("warning: RESOLVE_PRIME should exceed 2^20", file=sys.stderr)
-        return p, True
-    return DEFAULT_PRIME, True
+    if not env:
+        return DEFAULT_PRIME
+    try:
+        p = int(env)
+    except ValueError:
+        raise InputError("RESOLVE_PRIME=%r is not an integer" % env) from None
+    check_prime(p)
+    if p <= 1 << 20:
+        print("warning: RESOLVE_PRIME should exceed 2^20", file=sys.stderr)
+    return p
 
 
 def _cointerval_state(ideal):
@@ -184,7 +185,7 @@ def cmd_resolve(args):
 
 def cmd_complex(args):
     ideal = load_ideal(args.input)
-    prime, prefilter = _prime(args)
+    prime = _prime(args)
     if args.method == "ek":
         X = build_ek_cw(ideal)
         payload = (
@@ -200,9 +201,7 @@ def cmd_complex(args):
             if args.format == "json"
             else export.hom_complex_to_off(X, ideal)
         )
-    ok, failing = betti_mod.check_cellular_resolution(
-        X, ideal, prime=prime, prefilter=prefilter
-    )
+    ok, failing = betti_mod.check_cellular_resolution(X, ideal, prime=prime)
     if not ok:
         print("acyclicity failed at multidegree %s" % failing, file=sys.stderr)
         return EXIT_PROPERTY
@@ -252,7 +251,7 @@ def cmd_enumerate(args):
 
 def cmd_verify(args):
     ideal = load_ideal(args.input)
-    prime, prefilter = _prime(args)
+    prime = _prime(args)
     checks = []
 
     def record(name, ok):
@@ -282,9 +281,7 @@ def cmd_verify(args):
         cellular = cellular_chain_complex(X)
         ok, _ = compare_up_to_degree_signs(cellular, alg)
         record("cellular = algebraic", ok)
-        ok, failing = betti_mod.check_cellular_resolution(
-            X, ideal, prime=prime, prefilter=prefilter
-        )
+        ok, failing = betti_mod.check_cellular_resolution(X, ideal, prime=prime)
         record("cell complex strands acyclic", ok)
         if ideal.k <= betti_mod.TAYLOR_BOUND:
             oracle = betti_mod.multigraded_betti(ideal)
@@ -307,13 +304,11 @@ def cmd_verify(args):
         H = build_hom_complex(dgraph_of_ideal(ideal), ideal.n)
         ok, _ = compare_up_to_degree_signs(hom_chain_complex(H, ideal), hom)
         record("hom cellular = algebraic", ok)
-        ok, _ = betti_mod.check_cellular_resolution(
-            H, ideal, prime=prime, prefilter=prefilter
-        )
+        ok, _ = betti_mod.check_cellular_resolution(H, ideal, prime=prime)
         record("hom strands acyclic", ok)
     if ideal.k <= betti_mod.TAYLOR_BOUND:
         ok, _ = betti_mod.check_cellular_resolution(
-            betti_mod.TaylorSupport(ideal), ideal, prime=prime, prefilter=prefilter
+            betti_mod.TaylorSupport(ideal), ideal, prime=prime
         )
         record("Taylor strands acyclic", ok)
     return EXIT_OK if all(ok for _, ok in checks) else EXIT_PROPERTY

@@ -219,10 +219,6 @@ class HomComplex:
     def topo_boundary(self, cell):
         return hom_boundary(cell)
 
-    def vertices_of(self, cell):
-        """Product vertices of a cell, as sorted edge tuples."""
-        return sorted(tuple(sorted(choice)) for choice in product(*cell))
-
 
 def _cell_dim(cell):
     return sum(len(block) for block in cell) - len(cell)
@@ -412,16 +408,17 @@ def homcone_resolution(ideal):
     return resolution_from_rule(ideal, CRule(ideal))
 
 
-def admissible_perm_cells(ideal, j, alpha):
-    """The glued cell of (m_j, alpha) built from c-chains over the
-    admissible permutations; cross-checked against the product cell."""
+def admissible_perm_cells(rule, j, alpha):
+    """The glued cell of (m_j, alpha) built from the c-chains of `rule`, a
+    CRule, over the admissible permutations; cross-checked against the
+    product cell."""
     from .ekcells import build_cell
 
-    cell = build_cell(ideal, j, alpha, CRule(ideal))
-    block_cell = face_of_symbol(ideal, j, alpha)
+    ideal = rule.ideal
+    cell = build_cell(ideal, j, alpha, rule)
     want = {
         ideal.index_of(Monomial.from_support(e, ideal.n))
-        for e in HomComplex(dgraph_of_ideal(ideal), ideal.n).vertices_of(block_cell)
+        for e in product(*face_of_symbol(ideal, j, alpha))
     }
     if cell.vertex_set() != want:
         raise VerificationError(

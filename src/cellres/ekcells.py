@@ -314,23 +314,6 @@ def _boundary_from_cell(ideal, cell, rule, cell_cache):
     return out
 
 
-def cell_boundary(ideal, cell, rule=None, cell_cache=None):
-    """Signed list of the cells in the geometric boundary of `cell`,
-    as (cell key, incidence sign, coefficient monomial) triples.
-
-    The coefficient is the ratio of the two cells' monomial labels, which
-    makes the labeled cellular complex multigraded-homogeneous.
-    """
-    rule = rule or BRule(ideal)
-    if cell_cache is None:
-        cell_cache = {}
-    label = cell_label(ideal, cell.source, cell.alpha)
-    return [
-        (target, incidence, label // cell_label(ideal, target[0], target[1]))
-        for target, incidence in _boundary_from_cell(ideal, cell, rule, cell_cache)
-    ]
-
-
 def cell_label(ideal, j, alpha):
     return ideal.gen(j) * Monomial.from_support(alpha, ideal.n)
 
@@ -340,13 +323,15 @@ class CWComplexEK:
 
     Cells are keyed by (generator index, alpha); the label of a cell is
     m * x_alpha, which is verified to equal the lcm of its vertex labels.
+    A face's coefficient is the ratio of the two labels, which makes the
+    labeled cellular complex multigraded-homogeneous.
     """
 
     def __init__(self, ideal, rule, cells, boundary, labels):
         self.ideal = ideal
         self.rule = rule
         self.cells = cells  # {(j, alpha): GlueCell}
-        self.boundary = boundary  # {key: [(key', sign, coeff)]}
+        self.boundary = boundary  # {key: [(key', sign)]}
         self._labels = labels  # {key: cell_label}
 
     def f_vector(self):
@@ -364,7 +349,7 @@ class CWComplexEK:
             yield key, len(key[1]), self.label(key)
 
     def topo_boundary(self, key):
-        return [(k, s) for (k, s, _) in self.boundary.get(key, [])]
+        return self.boundary.get(key, [])
 
     def vertex_coordinates(self):
         """Exponent vectors of the generators, keyed by generator index."""
@@ -398,12 +383,13 @@ def build_ek_cw(ideal, rule=None):
             raise VerificationError(
                 "label of U%s is not the lcm of its vertices" % (key,)
             )
-        entries = [
-            (target, incidence, label // labels[target])
-            for target, incidence in _boundary_from_cell(ideal, cell, rule, cache)
-        ]
-        for target, _, coeff in entries:
-            if coeff.is_one():
+        entries = _boundary_from_cell(ideal, cell, rule, cache)
+        for target, _ in entries:
+            if not labels[target].divides(label):
+                raise VerificationError(
+                    "label of U%s does not divide label of U%s" % (target, key)
+                )
+            if labels[target] == label:
                 raise VerificationError(
                     "unit coefficient between U%s and U%s" % (key, target)
                 )

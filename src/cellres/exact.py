@@ -1,8 +1,8 @@
 """Exact linear algebra over the integers and homology of chain complexes.
 
 No floating point anywhere: ranks over Q are computed by fraction-free
-(Bareiss) elimination on integer matrices, optionally preceded by a rank
-computation over GF(p) used strictly as a sound pre-filter.
+(Bareiss) elimination on integer matrices.  is_exact first tries GF(p),
+used strictly as a sound pre-filter; prime=None skips it.
 
 The homology engine works on an abstract chain complex given by cells
 (grouped by integer degree) and integer boundary coefficients.  It first
@@ -136,23 +136,6 @@ def rank_mod_p(rows, p):
         if row == nrows:
             break
     return rank
-
-
-def exact_rank(rows, prime=None):
-    """Rank over Q.  When `prime` is given, GF(prime) is tried first and the
-    answer is confirmed over Q only if elimination mod p might have lost
-    rank; a genuine disagreement is logged and Q wins."""
-    if prime is None:
-        return bareiss_rank(rows)
-    rp = rank_mod_p(rows, prime)
-    full = min(len(rows), len(rows[0]) if rows else 0)
-    if rp == full:
-        # rank mod p is a lower bound for the rank over Q
-        return rp
-    rq = bareiss_rank(rows)
-    if rq != rp:
-        log.warning("GF(%d) rank %d disagrees with Q rank %d", prime, rp, rq)
-    return rq
 
 
 # -- chain complexes ----------------------------------------------------
@@ -310,13 +293,14 @@ def homology_ranks(chain, prime=None):
     return _core_homology(*_core_matrices(chain, alive), prime)
 
 
-def is_exact(chain, prime=None, prefilter=True):
+def is_exact(chain, prime=DEFAULT_PRIME):
     """True iff the chain complex has zero homology in every degree.
 
-    With `prefilter`, homology is first computed over GF(prime): zero
-    homology mod p certifies zero homology over Q.  A nonzero mod-p answer
-    triggers the exact computation over Q; if Q then says "exact", the
-    discrepancy (p-torsion) is logged and the Q verdict stands.
+    With a prime, homology is first computed over GF(prime): zero homology
+    mod p certifies zero homology over Q.  A nonzero mod-p answer, or
+    prime=None, triggers the exact computation over Q; if Q says "exact"
+    after GF(prime) did not, the discrepancy (p-torsion) is logged and the
+    Q verdict stands.
     """
     if prime is not None:
         check_prime(prime)
@@ -324,17 +308,13 @@ def is_exact(chain, prime=None, prefilter=True):
     if not alive:
         return True, {}
     by_deg, mats = _core_matrices(chain, alive)
-    if prefilter:
-        p = prime or DEFAULT_PRIME
-        h_p = _core_homology(by_deg, mats, p)
+    if prime is not None:
+        h_p = _core_homology(by_deg, mats, prime)
         if not h_p:
             return True, {}
-        h_q = _core_homology(by_deg, mats, None)
-        if not h_q:
-            log.warning(
-                "GF(%d) saw homology %r but Q is exact; keeping Q verdict", p, h_p
-            )
-            return True, {}
-        return False, h_q
     h_q = _core_homology(by_deg, mats, None)
+    if not h_q and prime is not None:
+        log.warning(
+            "GF(%d) saw homology %r but Q is exact; keeping Q verdict", prime, h_p
+        )
     return not h_q, h_q

@@ -50,6 +50,7 @@ def ek_complex_to_json(X):
         ids[key] = i
     for key in ordered:
         cell = X.cells[key]
+        label = X.label(key)
         cells.append(
             {
                 "id": ids[key],
@@ -58,10 +59,10 @@ def ek_complex_to_json(X):
                 "alpha": list(cell.alpha),
                 "simplices": [list(s.vertices) for s in cell.simplices],
                 "orientations": list(cell.eps),
-                "label": list(X.label(key).e),
+                "label": list(label.e),
                 "boundary": [
-                    [ids[t], sign, list(coeff.e)]
-                    for t, sign, coeff in X.boundary.get(key, [])
+                    [ids[t], sign, list((label // X.label(t)).e)]
+                    for t, sign in X.topo_boundary(key)
                 ],
             }
         )

@@ -208,15 +208,6 @@ def parse_ideal(text, n=None):
     return OrderedIdeal(n, [m.extended(n) for m in raw])
 
 
-def is_linear_quotient_order(ideal):
-    """(True, set table) when every colon is variable-generated, else
-    (False, (smallest failing j, a non-variable minimal colon generator))."""
-    failure = ideal.linear_quotient_failure()
-    if failure is None:
-        return True, ideal.set_table()
-    return False, failure
-
-
 # -- linear quotient order search --------------------------------------
 
 

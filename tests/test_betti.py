@@ -1,8 +1,11 @@
+from collections import defaultdict
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from cellres.betti import (
+    BettiTable,
     LabeledCellComplex,
     TaylorSupport,
     betti_from_resolution,
@@ -11,13 +14,20 @@ from cellres.betti import (
     multigraded_betti,
     taylor_complex,
 )
-from cellres.chain import check_dd_zero, check_minimal, ht_resolution
+from cellres.chain import (
+    UNIT,
+    LabeledChainComplex,
+    check_dd_zero,
+    check_minimal,
+    ht_resolution,
+)
 from cellres.cointerval import build_hom_complex, homcone_resolution
+from cellres.corpus import gen_corpus
 from cellres.ekcells import build_ek_cw
 from cellres.errors import NonMonotoneLabels, TooManyGenerators
-from cellres.exact import ChainData, bareiss_rank, exact_rank, homology_ranks, rank_mod_p
+from cellres.exact import ChainData, bareiss_rank, homology_ranks, rank_mod_p
 from cellres.ideals import parse_ideal
-from cellres.monomial import parse_monomial
+from cellres.monomial import Monomial, lcm_of, parse_monomial
 
 
 # -- exact rank -------------------------------------------------------------
@@ -26,8 +36,8 @@ from cellres.monomial import parse_monomial
 def test_ranks_basic():
     identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert bareiss_rank(identity) == 3
-    assert exact_rank(identity) == 3
-    assert exact_rank([[0, 0], [0, 0]]) == 0
+    assert rank_mod_p(identity, 1048583) == 3
+    assert bareiss_rank([[0, 0], [0, 0]]) == 0
     assert bareiss_rank([]) == 0
 
 
@@ -38,14 +48,14 @@ def test_rank_hollow_triangle_boundary():
         [1, 0, -1],
         [0, 1, 1],
     ]
-    assert exact_rank(d1) == 2
-    assert exact_rank(d1, prime=1048583) == 2
+    assert bareiss_rank(d1) == 2
+    assert rank_mod_p(d1, 1048583) == 2
 
 
 def test_rank_mod_p_can_drop_but_q_wins():
     M = [[2, 0], [0, 3]]
     assert rank_mod_p(M, 3) == 1
-    assert exact_rank(M, prime=3) == 2
+    assert bareiss_rank(M) == 2
 
 
 def test_homology_of_circle():
@@ -67,10 +77,10 @@ def test_prefilter_never_overrules_q(caplog):
 
     chain = ChainData({1: ["e"], 2: ["f"]}, {"f": {"e": 2}})
     with caplog.at_level(logging.WARNING, logger="cellres"):
-        ok, _ = is_exact(chain, prime=2, prefilter=True)
+        ok, _ = is_exact(chain, prime=2)
     assert ok
     assert any("GF(2)" in rec.getMessage() for rec in caplog.records)
-    ok, _ = is_exact(chain, prime=2, prefilter=False)
+    ok, _ = is_exact(chain, prime=None)
     assert ok
 
 
@@ -101,8 +111,10 @@ def test_taylor_single_generator():
 
 def test_taylor_bound():
     ideal = parse_ideal(", ".join("x%d" % i for i in range(1, 6)))
-    with pytest.raises(TooManyGenerators):
-        taylor_complex(ideal, bound=4)
+    for build in (taylor_complex, TaylorSupport, multigraded_betti):
+        with pytest.raises(TooManyGenerators, match="^5 generators exceed the bound 4"):
+            build(ideal, bound=4)
+        build(ideal, bound=5)
 
 
 # -- multigraded Betti --------------------------------------------------------
@@ -223,3 +235,111 @@ def test_nonmonotone_labels_detected():
 def test_hom_resolution_strands(running):
     cx = homcone_resolution(running)
     assert betti_from_resolution(cx) == multigraded_betti(running)
+
+
+# -- the Taylor complex and the Taylor Betti oracle, as they were ---------------
+
+
+def _old_taylor_complex(ideal, bound=16):
+    k = ideal.k
+    if k > bound:
+        raise TooManyGenerators("%d generators exceed the bound %d" % (k, bound))
+    n = ideal.n
+    lcms = {(): Monomial.one(n)}
+    basis = [[UNIT]]
+    mdeg = [[Monomial.one(n)]]
+    diff = [dict()]
+    for size in range(1, k + 1):
+        level = list(combinations(range(1, k + 1), size))
+        for S in level:
+            lcms[S] = lcm_of([ideal.gen(j) for j in S])
+        basis.append(list(level))
+        mdeg.append([lcms[S] for S in level])
+        diff.append({})
+    for size in range(1, k + 1):
+        lower = {S: i for i, S in enumerate(basis[size - 1])}
+        for c, S in enumerate(basis[size]):
+            for pos, g in enumerate(S, start=1):
+                rest = tuple(x for x in S if x != g)
+                row = lower[rest] if size > 1 else 0
+                sign = 1 if pos % 2 == 1 else -1
+                diff[size][(row, c)] = (sign, lcms[S] // lcms[rest])
+    return LabeledChainComplex(n, basis, mdeg, diff)
+
+
+def _old_multigraded_betti(ideal, bound=16):
+    k = ideal.k
+    if k > bound:
+        raise TooManyGenerators("%d generators exceed the bound %d" % (k, bound))
+    buckets = defaultdict(list)
+    lcms = {(): Monomial.one(ideal.n)}
+    for size in range(1, k + 1):
+        for S in combinations(range(1, k + 1), size):
+            lcms[S] = lcms[S[:-1]].lcm(ideal.gen(S[-1])) if size > 1 else ideal.gen(
+                S[0]
+            )
+            buckets[lcms[S]].append(S)
+    data = defaultdict(int)
+    data[(0, Monomial.one(ideal.n).e)] = 1
+    for b, faces in buckets.items():
+        members = set(faces)
+        cells_by_deg = defaultdict(list)
+        boundary = {}
+        for S in faces:
+            cells_by_deg[len(S)].append(S)
+            entries = {}
+            for pos, g in enumerate(S, start=1):
+                rest = tuple(x for x in S if x != g)
+                if rest in members:
+                    entries[rest] = 1 if pos % 2 == 1 else -1
+            boundary[S] = entries
+        h = homology_ranks(ChainData(cells_by_deg, boundary))
+        for i, v in h.items():
+            data[(i, b.e)] += v
+    return BettiTable(dict(data), ideal.n)
+
+
+@pytest.fixture(scope="module")
+def small_ideals(running, example1):
+    """The running example, example 1, every stable corpus ideal and every
+    53rd cointerval one, all with at most 12 generators."""
+    items = [it for it in gen_corpus() if it.ideal.k <= 12]
+    cointerval = [it for it in items if it.kind == "cointerval"]
+    others = [it for it in items if it.kind != "cointerval"]
+    return [running, example1] + [it.ideal for it in others + cointerval[::53]]
+
+
+def test_taylor_complex_matches_old_construction(small_ideals):
+    assert len(small_ideals) > 120
+    for ideal in small_ideals:
+        got, want = taylor_complex(ideal), _old_taylor_complex(ideal)
+        assert got.basis == want.basis, ideal
+        assert got.mdeg == want.mdeg, ideal
+        assert [list(d.items()) for d in got.diff] == [
+            list(d.items()) for d in want.diff
+        ], ideal
+
+
+def test_multigraded_betti_matches_old_oracle(small_ideals):
+    for ideal in small_ideals:
+        got, want = multigraded_betti(ideal), _old_multigraded_betti(ideal)
+        assert got == want, ideal
+        assert got.n == want.n and got.rows() == want.rows(), ideal
+
+
+def test_taylor_labels_are_lcms():
+    ideal = next(it.ideal for it in gen_corpus() if it.ideal.k == 10)
+    want = {
+        S: lcm_of([ideal.gen(j) for j in S])
+        for size in range(1, 11)
+        for S in combinations(range(1, 11), size)
+    }
+    assert len(want) == 2**10 - 1
+    cells = list(TaylorSupport(ideal).cells_with_labels())
+    assert [(S, dim) for S, dim, _ in cells] == [(S, len(S) - 1) for S in want]
+    assert all(label == want[S] for S, _, label in cells)
+    # asked largest first, so every prefix is filled in on demand
+    support = TaylorSupport(ideal)
+    for S in sorted(want, key=len, reverse=True):
+        assert support.label(S) == want[S], S
+

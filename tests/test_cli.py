@@ -4,6 +4,7 @@ import sys
 
 from cellres import cli
 from cellres.cli import main
+from cellres.exact import DEFAULT_PRIME
 
 RUNNING = "x1*x2, x1*x3, x1*x5, x2*x3, x2*x5, x3*x5, x4*x5"
 EXAMPLE1 = "x1*x3*x4, x1*x3*x5, x1*x2*x4, x1*x4*x5, x2*x3*x4, x2*x3*x5"
@@ -184,6 +185,19 @@ def test_resolve_prime_env_override(capsys, monkeypatch):
     monkeypatch.setenv("RESOLVE_PRIME", "1048589")
     code, out, _ = run_cli(["verify", "x1*x2, x1*x3, x2*x3"], capsys)
     assert code == 0 and "FAIL" not in out
+
+
+def test_prime_is_one_value(capsys, monkeypatch):
+    # --no-prefilter means exact Q and never reads RESOLVE_PRIME
+    monkeypatch.setenv("RESOLVE_PRIME", "abc")
+    args = cli._parser().parse_args(["verify", "--no-prefilter", RUNNING])
+    assert cli._prime(args) is None
+    code, out, err = run_cli(["verify", "--no-prefilter", RUNNING], capsys)
+    assert code == 0 and "FAIL" not in out and err == ""
+    monkeypatch.setenv("RESOLVE_PRIME", "1048589")
+    assert cli._prime(cli._parser().parse_args(["verify", RUNNING])) == 1048589
+    monkeypatch.delenv("RESOLVE_PRIME")
+    assert cli._prime(cli._parser().parse_args(["verify", RUNNING])) == DEFAULT_PRIME
 
 
 def test_determinism_byte_identical(tmp_path):

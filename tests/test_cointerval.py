@@ -290,7 +290,7 @@ def test_hom_chain_complex_matches_homcone(running):
 
 def test_admissible_perm_cells_top(running):
     j7 = running.index_of(parse_monomial("x4*x5", n=5))
-    cell = admissible_perm_cells(running, j7, (1, 2, 3))
+    cell = admissible_perm_cells(CRule(running), j7, (1, 2, 3))
     # single descending chain: the tetrahedron on x4x5, x3x5, x2x5, x1x5
     assert len(cell.simplices) == 1
     assert cell.vertex_set() == {
@@ -300,10 +300,11 @@ def test_admissible_perm_cells_top(running):
 
 
 def test_admissible_perm_cells_exhaustive(running):
+    rule = CRule(running)
     for j in range(1, running.k + 1):
         for size in range(len(running.set_of(j)) + 1):
             for alpha in combinations(running.set_of(j), size):
-                admissible_perm_cells(running, j, alpha)
+                admissible_perm_cells(rule, j, alpha)
 
 
 def test_homcone_is_an_iterated_cone(running):

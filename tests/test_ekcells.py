@@ -2,6 +2,7 @@ from itertools import permutations
 
 import pytest
 
+from cellres import ekcells
 from cellres.chain import (
     check_dd_zero,
     check_minimal,
@@ -12,7 +13,6 @@ from cellres.ekcells import (
     affinely_independent,
     build_cell,
     build_ek_cw,
-    cell_boundary,
     cell_is_ball,
     cell_label,
     cellular_chain_complex,
@@ -21,7 +21,12 @@ from cellres.ekcells import (
     nondegenerate_lift,
     orientation_sign,
 )
-from cellres.errors import AlphaNotInSet, DegenerateChain, NotDegenerate
+from cellres.errors import (
+    AlphaNotInSet,
+    DegenerateChain,
+    NotDegenerate,
+    VerificationError,
+)
 from cellres.monomial import parse_monomial
 
 
@@ -209,9 +214,8 @@ def test_affinely_independent_basics():
 
 def test_segment_boundary(example1):
     j = gen_index(example1, "x1*x3*x5")
-    cell = build_cell(example1, j, (4,))
-    entries = cell_boundary(example1, cell)
-    targets = {t: s for t, s, _ in entries}
+    X = build_ek_cw(example1)
+    targets = dict(X.topo_boundary((j, (4,))))
     b = example1.decomp_b(example1.gen(j).times_var(4))
     assert set(targets) == {(b, ()), (j, ())}
     assert targets[(b, ())] == -targets[(j, ())]
@@ -219,9 +223,11 @@ def test_segment_boundary(example1):
 
 def test_triangle_boundary_coefficients(example1):
     j = gen_index(example1, "x1*x4*x5")
-    cell = build_cell(example1, j, (2, 3))
-    entries = cell_boundary(example1, cell)
-    by_target = {t: (s, c) for t, s, c in entries}
+    X = build_ek_cw(example1)
+    key = (j, (2, 3))
+    by_target = {
+        t: (s, X.label(key) // X.label(t)) for t, s in X.topo_boundary(key)
+    }
     m3 = gen_index(example1, "x1*x2*x4")
     assert set(by_target) == {(j, (2,)), (j, (3,)), (m3, (3,))}
     assert str(by_target[(m3, (3,))][1]) == "x5"
@@ -269,8 +275,37 @@ def test_cellular_equals_algebraic(example1, running, maximal4):
 def test_labels_monotone(running):
     X = build_ek_cw(running)
     for key, entries in X.boundary.items():
-        for target, _, _ in entries:
+        for target, _ in entries:
             assert X.label(target).divides(X.label(key))
+
+
+def test_boundary_labels_must_properly_divide(running, monkeypatch):
+    original = ekcells._boundary_from_cell
+
+    def with_extra_face(extra):
+        def boundary(ideal, cell, rule, cache):
+            out = original(ideal, cell, rule, cache)
+            return out + [(extra(cell.key), 1)] if cell.alpha else out
+
+        return boundary
+
+    # the cell itself as a face: equal labels, a unit coefficient
+    itself = with_extra_face(lambda key: key)
+    monkeypatch.setattr(ekcells, "_boundary_from_cell", itself)
+    with pytest.raises(VerificationError, match="unit coefficient"):
+        build_ek_cw(running)
+
+    def stranger(key):
+        label = cell_label(running, *key)
+        return next(
+            (g, ())
+            for g in range(1, running.k + 1)
+            if not running.gen(g).divides(label)
+        )
+
+    monkeypatch.setattr(ekcells, "_boundary_from_cell", with_extra_face(stranger))
+    with pytest.raises(VerificationError, match="does not divide"):
+        build_ek_cw(running)
 
 
 def test_labels_are_cached(running):

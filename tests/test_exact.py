@@ -12,7 +12,6 @@ from cellres.errors import InputError, VerificationError
 from cellres.exact import (
     ChainData,
     check_prime,
-    exact_rank,
     homology_ranks,
     is_exact,
     rank_mod_p,
@@ -64,11 +63,7 @@ def test_composite_prime_cannot_certify_exactness():
     with pytest.raises(InputError):
         is_exact(chain, prime=15)
     with pytest.raises(InputError):
-        is_exact(chain, prime=15, prefilter=False)
-    with pytest.raises(InputError):
         homology_ranks(chain, prime=15)
-    with pytest.raises(InputError):
-        exact_rank([[3, 6], [5, 10]], prime=15)
     with pytest.raises(InputError):
         rank_mod_p([[3, 6], [5, 10]], 15)
 

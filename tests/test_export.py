@@ -40,6 +40,20 @@ def test_hom_json_fields(running):
     assert len(top[0]["boundary"]) == 4  # a single tetrahedron
 
 
+def test_json_boundary_coefficient_times_face_label_is_cell_label(running):
+    H = build_hom_complex(dgraph_of_ideal(running), running.n)
+    X = build_ek_cw(running)
+    for payload in (ek_complex_to_json(X), hom_complex_to_json(H, running)):
+        cells = json.loads(payload)["cells"]
+        entries = 0
+        for cell in cells:
+            for face, _, coeff in cell["boundary"]:
+                label = [a + b for a, b in zip(coeff, cells[face]["label"])]
+                assert label == cell["label"] and any(coeff)
+                entries += 1
+        assert entries > len(cells)
+
+
 def test_ek_off_tetrahedron(maximal4):
     off = ek_complex_to_off(build_ek_cw(maximal4))
     lines = off.splitlines()

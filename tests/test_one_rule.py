@@ -304,9 +304,9 @@ def _old_cellular_chain_complex(X):
         raw = {}
         for (j, alpha) in by_dim.get(dim, []):
             col = index[deg][Symbol(j, alpha)]
-            for target, sign, coeff in X.boundary[(j, alpha)]:
+            for target, sign in X.boundary[(j, alpha)]:
                 row = index[deg - 1][Symbol(target[0], target[1])]
-                raw[(row, col)] = (sign, coeff)
+                raw[(row, col)] = (sign, X.label((j, alpha)) // X.label(target))
         flip = 1
         for (j, alpha) in sorted(by_dim.get(dim, [])):
             tmax = alpha[-1]

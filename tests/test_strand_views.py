@@ -23,6 +23,7 @@ from cellres.cointerval import (
     edge_ideal,
     is_cointerval,
 )
+from cellres import exact
 from cellres.corpus import cointerval_corpus, example_corpus, gen_corpus, stable_corpus
 from cellres.ekcells import _simplicial_chain_data, build_ek_cw
 from cellres.errors import NonMonotoneLabels, VerificationError
@@ -169,7 +170,7 @@ def test_hollow_triangle_goes_through_the_core():
     strand = chain.restrict(["-", "v12", "v13", "v23", "e1", "e2", "e3"])
     assert _collapse(strand) == ([0, 1, 2, 3, 4, 5, 6], 0)
     assert is_exact(strand) == (False, {1: 1})
-    assert is_exact(strand, prefilter=False) == (False, {1: 1})
+    assert is_exact(strand, prime=None) == (False, {1: 1})
     # without the third edge the strand is a path, and collapses away
     path = chain.restrict(["-", "v12", "v13", "v23", "e1", "e2"])
     assert _collapse(path) == ([], 6)
@@ -258,6 +259,31 @@ def test_homology_ranks_match_dense_reference(facets):
     assert homology_ranks(chain) == want
     assert homology_ranks(chain, prime=1048583) == want
     assert is_exact(chain) == (not want, want)
+
+
+def test_is_exact_without_prime_is_exact_q_only(complexes, monkeypatch):
+    """prime=None runs Q alone and equals homology_ranks; the default
+    GF(p) prefilter reaches the same verdict on every strand."""
+    chains = []
+    for _, X, ideal in complexes:
+        cells = list(X.cells_with_labels())
+        boundaries = {key: dict(X.topo_boundary(key)) for key, _, _ in cells}
+        strands = _strands([label.e for _, _, label in cells], lcm_lattice(ideal))
+        chains += [_strand_chain(cells, boundaries, member) for member in strands]
+    chains += [_simplicial_chain_data(facets) for facets in _facet_families()]
+    with_prime = [is_exact(x)[0] for x in chains]
+
+    def no_gf_p(rows, p):
+        raise AssertionError("GF(p) rank asked for with prime=None")
+
+    monkeypatch.setattr(exact, "rank_mod_p", no_gf_p)
+    nonexact = 0
+    for x, ok in zip(chains, with_prime):
+        h = homology_ranks(x)
+        assert is_exact(x, prime=None) == (not h, h)
+        assert ok == (not h)
+        nonexact += bool(h)
+    assert nonexact > 5
 
 
 # -- the corpus's 2-graph block ------------------------------------------------
