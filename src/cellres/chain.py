@@ -13,6 +13,7 @@ validate() and d o d = 0 is checked, never assumed.
 
 from collections import defaultdict
 from itertools import combinations
+from operator import add
 from typing import NamedTuple
 
 from .errors import NonCommutingChainMap, NotLinearQuotients, NotRegular
@@ -80,32 +81,56 @@ class LabeledChainComplex:
         return dict(out)
 
 
+def _homogeneous(cx, i):
+    """True iff every entry of diff[i] has coefficient * row degree =
+    column degree, on exponent vectors of one length."""
+    try:
+        rows, cols = cx.mdeg[i - 1], cx.mdeg[i]
+        for (r, c), (_, coeff) in cx.diff[i].items():
+            row = rows[r].e
+            if len(coeff.e) != len(row) or tuple(map(add, coeff.e, row)) != cols[c].e:
+                return False
+    except IndexError:
+        return False
+    return True
+
+
 def check_dd_zero(cx):
     """Exact check that consecutive differentials compose to zero.
 
     Returns (True, None) or (False, (degree, row label, col label)) with the
     first failing entry in deterministic order.
+
+    Where diff[i] and diff[i-1] are both homogeneous, every path col ->
+    row has the coefficient mdeg(col) / mdeg(row), so only the signs are
+    summed; elsewhere the path monomials are summed exactly.
     """
+    lower_homogeneous = _homogeneous(cx, 1)
     for i in range(2, len(cx.basis)):
-        by_col = defaultdict(list)
-        for (r, c), e in cx.diff[i].items():
-            by_col[c].append((r, e))
+        homogeneous = _homogeneous(cx, i)
         lower_by_col = defaultdict(list)
         for (r2, c2), e in cx.diff[i - 1].items():
             lower_by_col[c2].append((r2, e))
-        acc = defaultdict(lambda: defaultdict(int))
-        for c, terms in by_col.items():
-            for mid, (s1, m1) in terms:
+        if homogeneous and lower_homogeneous:
+            signs = defaultdict(int)
+            for (mid, c), (s1, _) in cx.diff[i].items():
+                for r2, (s2, _) in lower_by_col.get(mid, ()):
+                    signs[(r2, c)] += s1 * s2
+            bad = sorted(key for key, v in signs.items() if v)
+        else:
+            acc = defaultdict(lambda: defaultdict(int))
+            for (mid, c), (s1, m1) in cx.diff[i].items():
                 for r2, (s2, m2) in lower_by_col.get(mid, ()):
                     acc[(r2, c)][(m1 * m2).e] += s1 * s2
-        bad = sorted(
-            (r, c)
-            for (r, c), poly in acc.items()
-            if any(v for v in poly.values())
-        )
+            bad = sorted(
+                (r, c)
+                for (r, c), poly in acc.items()
+                if any(v for v in poly.values())
+            )
         if bad:
             r, c = bad[0]
             return False, (i, cx.basis[i - 2][r], cx.basis[i][c])
+        lower_homogeneous = homogeneous
     return True, None
 
 

@@ -228,7 +228,8 @@ def cmd_enumerate(args):
     types = {}
     for rule in rules:
         X = complex_for_rule(ideal, rule)
-        fp = combinatorial_type(X)
+        # a lone rule is its own type; no canonical form is needed
+        fp = combinatorial_type(X) if len(rules) > 1 else None
         fp_id = types.setdefault(fp, len(types))
         entries.append(
             {
@@ -240,11 +241,7 @@ def cmd_enumerate(args):
                 "type": fp_id,
             }
         )
-    payload = json.dumps(
-        {"rules": entries, "distinct_types": len(types)},
-        sort_keys=True,
-        indent=1,
-    ) + "\n"
+    payload = export._dump({"rules": entries, "distinct_types": len(types)})
     _write(args.out, payload)
     return EXIT_OK
 

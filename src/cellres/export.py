@@ -6,12 +6,55 @@ sorted keys and every list is explicitly ordered.
 """
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .chain import Symbol
 
 
 def _dump(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """The bytes of json.dumps(obj, sort_keys=True, separators=(",", ": "),
+    indent=1) plus a newline, without the json module's pure-Python
+    encoder, which indent forces it to use.  Dict keys must be strings."""
+    out = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj, nl, out):
+    """Append obj's indented JSON to out; nl is the newline plus the
+    indentation of obj's own line."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + " "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError("JSON object keys must be str, not %r" % (key,))
+        inner = nl + " "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(obj[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        out.append(json.dumps(obj))
 
 
 def _basis_entry(label):

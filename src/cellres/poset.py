@@ -5,44 +5,78 @@ isomorphic.  The poset is handed over as covering relations (cell ->
 cells one dimension down); the fingerprint is the minimal canonical form
 over a color-refinement search with individualization, which is exact at
 the desk scale this package works at.
+
+Nodes are numbered once, in the order of their string forms, and the
+search runs on those integer ids.  The canonical form is built from
+colors and positions only, and the minimum over individualized branches
+does not depend on the order they are tried in, so the numbering never
+shows in a fingerprint.
 """
+
+
+def _structure(cover_down):
+    """(down, up, triples) of the poset on integer node ids.
+
+    down[i] and up[i] list the ids covered by and covering node i;
+    triples[i] is its (height, faces, cofaces), the initial color of the
+    refinement.
+    """
+    nodes = set(cover_down)
+    for vs in cover_down.values():
+        nodes.update(vs)
+    order = sorted(nodes, key=str)
+    ids = {v: i for i, v in enumerate(order)}
+    down = [[ids[u] for u in cover_down.get(v, ())] for v in order]
+    up = [[] for _ in order]
+    for i, vs in enumerate(down):
+        for u in vs:
+            up[u].append(i)
+    height = [None] * len(order)
+
+    def h(i):
+        if height[i] is None:
+            height[i] = 1 + max((h(u) for u in down[i]), default=-1)
+        return height[i]
+
+    triples = [(h(i), len(down[i]), len(up[i])) for i in range(len(order))]
+    return down, up, triples
 
 
 def _refine(colors, down, up):
     while True:
-        sig = {}
-        for v, c in colors.items():
-            sig[v] = (
+        sig = [
+            (
                 c,
-                tuple(sorted(colors[u] for u in down[v])),
-                tuple(sorted(colors[u] for u in up[v])),
+                tuple(sorted([colors[u] for u in dv])),
+                tuple(sorted([colors[u] for u in uv])),
             )
-        palette = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        new = {v: palette[sig[v]] for v in colors}
+            for c, dv, uv in zip(colors, down, up)
+        ]
+        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [palette[s] for s in sig]
         if new == colors:
             return colors
         colors = new
 
 
-def _canonical_form(colors, down, up, nodes):
+def _canonical_form(colors, down, up):
+    # refined colors are always 0..m-1, so once they are discrete a
+    # node's color is its position in the canonical order
     classes = {}
-    for v, c in colors.items():
+    for v, c in enumerate(colors):
         classes.setdefault(c, []).append(v)
-    split = sorted(c for c, vs in classes.items() if len(vs) > 1)
-    if not split:
-        order = sorted(nodes, key=lambda v: colors[v])
-        pos = {v: i for i, v in enumerate(order)}
-        return tuple(
-            (colors[v], tuple(sorted(pos[u] for u in down[v]))) for v in order
-        )
-    target = split[0]
+    if len(classes) == len(colors):
+        form = [None] * len(colors)
+        for v, c in enumerate(colors):
+            form[c] = (c, tuple(sorted([colors[u] for u in down[v]])))
+        return tuple(form)
+    target = min(c for c, vs in classes.items() if len(vs) > 1)
     best = None
-    fresh = max(colors.values()) + 1
-    for v in sorted(classes[target], key=lambda u: str(u)):
-        trial = dict(colors)
+    fresh = len(classes)
+    for v in classes[target]:
+        trial = list(colors)
         trial[v] = fresh
-        trial = _refine(trial, down, up)
-        form = _canonical_form(trial, down, up, nodes)
+        form = _canonical_form(_refine(trial, down, up), down, up)
         if best is None or form < best:
             best = form
     return best
@@ -54,26 +88,10 @@ def poset_fingerprint(cover_down):
     cover_down: {node: iterable of nodes covered by it}.  Nodes missing
     from any value list but present as keys or covered nodes are included.
     """
-    nodes = set(cover_down)
-    for vs in cover_down.values():
-        nodes.update(vs)
-    down = {v: sorted(cover_down.get(v, ()), key=str) for v in nodes}
-    up = {v: [] for v in nodes}
-    for v, vs in down.items():
-        for u in vs:
-            up[u].append(v)
-    # initial color: height layer computed from the covering structure
-    height = {}
-
-    def h(v):
-        if v not in height:
-            height[v] = 1 + max((h(u) for u in down[v]), default=-1)
-        return height[v]
-
-    colors = {v: (h(v), len(down[v]), len(up[v])) for v in nodes}
-    palette = {c: i for i, c in enumerate(sorted(set(colors.values())))}
-    colors = _refine({v: palette[colors[v]] for v in nodes}, down, up)
-    return _canonical_form(colors, down, up, sorted(nodes, key=str))
+    down, up, triples = _structure(cover_down)
+    palette = {c: i for i, c in enumerate(sorted(set(triples)))}
+    colors = _refine([palette[c] for c in triples], down, up)
+    return _canonical_form(colors, down, up)
 
 
 def complex_fingerprint(X):

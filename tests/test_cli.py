@@ -130,6 +130,18 @@ def test_enumerate_rules_maximal(capsys):
     assert len(data["rules"]) == 1 and data["distinct_types"] == 1
 
 
+def test_enumerate_rules_orientation_clash_is_a_property_failure(capsys, tmp_path):
+    # rule 2 of this d-graph's 5 admitted rules cannot be glued; the
+    # command reports it and prints no rules
+    path = tmp_path / "graph.txt"
+    path.write_text("3 6\n1 2 3\n1 2 6\n1 3 6\n1 5 6\n2 5 6\n3 5 6\n4 5 6\n")
+    code, out, err = run_cli(["enumerate-rules", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("property failure: OrientationClash")
+    assert "Traceback" not in err
+
+
 def test_verify_running(capsys):
     code, out, _ = run_cli(["verify", RUNNING], capsys)
     assert code == 0
