@@ -95,6 +95,27 @@ def _homogeneous(cx, i):
     return True
 
 
+def _by_col(d):
+    """Entries of a differential or map grouped by column:
+    col -> [(row, (sign, coeff))]."""
+    out = defaultdict(list)
+    for (r, c), e in d.items():
+        out[c].append((r, e))
+    return out
+
+
+def _path_sums(upper, lower_by_col, acc=None, sign=1):
+    """Add sign times the composite lower o upper to acc (a new one by
+    default) and return it, exactly: every path col -> mid -> row adds its
+    sign to acc[(row, col)][exponent vector of the path monomial]."""
+    if acc is None:
+        acc = defaultdict(lambda: defaultdict(int))
+    for (mid, c), (s1, m1) in upper.items():
+        for r, (s2, m2) in lower_by_col.get(mid, ()):
+            acc[(r, c)][(m1 * m2).e] += sign * s1 * s2
+    return acc
+
+
 def check_dd_zero(cx):
     """Exact check that consecutive differentials compose to zero.
 
@@ -108,9 +129,7 @@ def check_dd_zero(cx):
     lower_homogeneous = _homogeneous(cx, 1)
     for i in range(2, len(cx.basis)):
         homogeneous = _homogeneous(cx, i)
-        lower_by_col = defaultdict(list)
-        for (r2, c2), e in cx.diff[i - 1].items():
-            lower_by_col[c2].append((r2, e))
+        lower_by_col = _by_col(cx.diff[i - 1])
         if homogeneous and lower_homogeneous:
             signs = defaultdict(int)
             for (mid, c), (s1, _) in cx.diff[i].items():
@@ -118,15 +137,8 @@ def check_dd_zero(cx):
                     signs[(r2, c)] += s1 * s2
             bad = sorted(key for key, v in signs.items() if v)
         else:
-            acc = defaultdict(lambda: defaultdict(int))
-            for (mid, c), (s1, m1) in cx.diff[i].items():
-                for r2, (s2, m2) in lower_by_col.get(mid, ()):
-                    acc[(r2, c)][(m1 * m2).e] += s1 * s2
-            bad = sorted(
-                (r, c)
-                for (r, c), poly in acc.items()
-                if any(v for v in poly.values())
-            )
+            acc = _path_sums(cx.diff[i], lower_by_col)
+            bad = sorted(key for key, poly in acc.items() if any(poly.values()))
         if bad:
             r, c = bad[0]
             return False, (i, cx.basis[i - 2][r], cx.basis[i][c])
@@ -231,21 +243,11 @@ class ChainMap:
         """Exact check of d_target o psi = psi o d_source."""
         src, tgt = self.source, self.target
         for i in range(1, len(src.basis)):
-            acc = defaultdict(lambda: defaultdict(int))
-            # psi o d_source
-            for (r, c), (s1, m1) in src.diff[i].items():
-                for (tr, sc), (s2, m2) in self.maps[i - 1].items():
-                    if sc == r:
-                        acc[(tr, c)][(m1 * m2).e] += s1 * s2
-            # minus d_target o psi
-            for (tr, sc), (s1, m1) in self.maps[i].items():
-                if i < len(tgt.basis):
-                    for (r2, c2), (s2, m2) in tgt.diff[i].items():
-                        if c2 == tr:
-                            acc[(r2, sc)][(m1 * m2).e] -= s1 * s2
-            for poly in acc.values():
-                if any(poly.values()):
-                    return False
+            acc = _path_sums(src.diff[i], _by_col(self.maps[i - 1]))
+            if i < len(tgt.basis):
+                _path_sums(self.maps[i], _by_col(tgt.diff[i]), acc, sign=-1)
+            if any(any(poly.values()) for poly in acc.values()):
+                return False
         return True
 
 

@@ -36,7 +36,7 @@ from .errors import CellresError, InputError
 from .exact import DEFAULT_PRIME, check_prime
 from .ideals import OrderedIdeal, check_regularity, parse_ideal
 from .monomial import Monomial
-from .rules import combinatorial_type, complex_for_rule, enumerate_regular_rules
+from .rules import rule_family
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -223,24 +223,19 @@ def cmd_betti(args):
 
 def cmd_enumerate(args):
     ideal = load_ideal(args.input)
-    rules = enumerate_regular_rules(ideal, bound=args.bound)
-    entries = []
-    types = {}
-    for rule in rules:
-        X = complex_for_rule(ideal, rule)
-        # a lone rule is its own type; no canonical form is needed
-        fp = combinatorial_type(X) if len(rules) > 1 else None
-        fp_id = types.setdefault(fp, len(types))
-        entries.append(
-            {
-                "table": [
-                    {"gen": j, "var": t, "target": g}
-                    for (j, t), g in sorted(rule.table.items())
-                ],
-                "f_vector": list(X.f_vector()),
-                "type": fp_id,
-            }
-        )
+    rules, types = rule_family(ideal, bound=args.bound)
+    type_id = {fp: i for i, fp in enumerate(types)}
+    entries = [
+        {
+            "table": [
+                {"gen": j, "var": t, "target": g}
+                for (j, t), g in sorted(rule.table.items())
+            ],
+            "f_vector": list(X.f_vector()),
+            "type": type_id[fp],
+        }
+        for rule, X, fp in rules
+    ]
     payload = export._dump({"rules": entries, "distinct_types": len(types)})
     _write(args.out, payload)
     return EXIT_OK

@@ -255,7 +255,7 @@ def build_cell(ideal, j, alpha, rule=None):
     )
 
 
-def _boundary_from_cell(ideal, cell, rule, cell_cache):
+def _boundary_from_cell(ideal, cell, cell_cache):
     """Signed incidences of the codimension-one cells under a glued cell.
 
     Each surviving facet is matched, as an ordered vertex chain, against a
@@ -265,12 +265,6 @@ def _boundary_from_cell(ideal, cell, rule, cell_cache):
     if not cell.alpha:
         return []
     table = ideal.set_table()
-
-    def get_cell(key):
-        if key not in cell_cache:
-            cell_cache[key] = build_cell(ideal, key[0], key[1], rule)
-        return cell_cache[key]
-
     hits = {}
     for facet, coeff, sigma, dropped in cell.facets:
         if dropped == 0:
@@ -287,8 +281,7 @@ def _boundary_from_cell(ideal, cell, rule, cell_cache):
 
     out = []
     for target in sorted(hits):
-        tcell = get_cell(target)
-        chains = tcell.chain_by_vertices()
+        chains = cell_cache[target].chain_by_vertices()
         seen = set()
         incidence = None
         for facet, coeff in hits[target]:
@@ -383,7 +376,7 @@ def build_ek_cw(ideal, rule=None):
             raise VerificationError(
                 "label of U%s is not the lcm of its vertices" % (key,)
             )
-        entries = _boundary_from_cell(ideal, cell, rule, cache)
+        entries = _boundary_from_cell(ideal, cell, cache)
         for target, _ in entries:
             if not labels[target].divides(label):
                 raise VerificationError(

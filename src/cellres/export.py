@@ -204,30 +204,33 @@ def _polygon_cycle(edges):
     return cycle
 
 
-def ek_complex_to_off(X):
-    """OFF export of the vertex set and the 2-cell triangles."""
-    coords = X.vertex_coordinates()
-    kept, projected = _project_coords(coords)
+def _off(kept, projected, faces):
+    """OFF text of the projected vertices, in sorted key order, and the
+    faces, each a cycle of vertex keys."""
     order = sorted(projected)
-    pos = {j: i for i, j in enumerate(order)}
-    faces = []
-    for key in sorted(X.cells, key=lambda key: (len(key[1]), key)):
-        cell = X.cells[key]
-        if cell.dim != 2:
-            continue
-        for s in cell.simplices:
-            faces.append([pos[v] for v in s.vertices])
+    pos = {key: i for i, key in enumerate(order)}
     lines = [
         "OFF",
         "# projection kept 1-based coordinates: %s"
         % (",".join(str(i + 1) for i in kept) or "none"),
-        "%d %d 0" % (len(order), len(faces)),
+        "%d %d 0" % (len(projected), len(faces)),
     ]
-    for j in order:
-        lines.append(" ".join(str(c) for c in projected[j]))
+    for key in order:
+        lines.append(" ".join(str(c) for c in projected[key]))
     for f in faces:
-        lines.append("3 " + " ".join(map(str, f)))
+        lines.append("%d " % len(f) + " ".join(str(pos[v]) for v in f))
     return "\n".join(lines) + "\n"
+
+
+def ek_complex_to_off(X):
+    """OFF export of the vertex set and the 2-cell triangles."""
+    kept, projected = _project_coords(X.vertex_coordinates())
+    faces = []
+    for key in sorted(X.cells, key=lambda key: (len(key[1]), key)):
+        cell = X.cells[key]
+        if cell.dim == 2:
+            faces.extend(s.vertices for s in cell.simplices)
+    return _off(kept, projected, faces)
 
 
 def hom_complex_to_off(X, ideal):
@@ -237,28 +240,12 @@ def hom_complex_to_off(X, ideal):
         cell: ideal.gen(ideal.index_of(X.label(cell))).e for cell in verts
     }
     kept, projected = _project_coords(coords)
-    order = sorted(projected)
-    pos = {v: i for i, v in enumerate(order)}
     faces = []
     for cell, dim, _ in X.cells_with_labels():
-        if dim != 2:
-            continue
-        edges = []
-        for edge, _ in X.topo_boundary(cell):
-            edges.append(tuple(_endpoints(edge)))
-        cycle = _polygon_cycle(edges)
-        faces.append([pos[v] for v in cycle])
-    lines = [
-        "OFF",
-        "# projection kept 1-based coordinates: %s"
-        % (",".join(str(i + 1) for i in kept) or "none"),
-        "%d %d 0" % (len(order), len(faces)),
-    ]
-    for v in order:
-        lines.append(" ".join(str(c) for c in projected[v]))
-    for f in faces:
-        lines.append("%d " % len(f) + " ".join(map(str, f)))
-    return "\n".join(lines) + "\n"
+        if dim == 2:
+            edges = [tuple(_endpoints(edge)) for edge, _ in X.topo_boundary(cell)]
+            faces.append(_polygon_cycle(edges))
+    return _off(kept, projected, faces)
 
 
 def _endpoints(cell):

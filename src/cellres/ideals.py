@@ -120,17 +120,15 @@ class OrderedIdeal:
         Raises NotLinearQuotients when some colon is not variable-generated.
         """
         if self._set_table is None:
-            table = []
-            for j in range(1, self.k + 1):
-                colon = self._colon(j)
-                bad = [q for q in colon if q.degree() != 1]
-                if bad:
-                    raise NotLinearQuotients(
-                        "colon at j=%d has non-variable generator %s"
-                        % (j, sorted(bad)[0])
-                    )
-                table.append(tuple(sorted(q.support()[0] for q in colon)))
-            self._set_table = tuple(table)
+            failure = self.linear_quotient_failure()
+            if failure is not None:
+                raise NotLinearQuotients(
+                    "colon at j=%d has non-variable generator %s" % failure
+                )
+            self._set_table = tuple(
+                tuple(sorted(q.support()[0] for q in self._colon(j)))
+                for j in range(1, self.k + 1)
+            )
         return self._set_table
 
     def set_of(self, j):

@@ -152,18 +152,21 @@ def combinatorial_type(X):
 
 
 def rule_family(ideal, bound=100000):
-    """Admitted rules with their complexes, fingerprints and f-vectors,
-    deduplicated by combinatorial type.
+    """Admitted rules with their complexes and fingerprints, grouped by
+    combinatorial type; `cellres enumerate-rules` prints this family.
 
     Returns (rules, types) where types maps fingerprint -> sorted list of
-    rule positions, and rules[i] is (TableRule, CWComplexEK, fingerprint).
+    rule positions in first-seen order, and rules[i] is (TableRule,
+    CWComplexEK, fingerprint).  A lone rule is its own type: when the
+    family has one rule its fingerprint is None and no canonical form is
+    computed.
     """
     rules = enumerate_regular_rules(ideal, bound)
     enriched = []
     types = {}
     for i, rule in enumerate(rules):
         X = complex_for_rule(ideal, rule)
-        fp = combinatorial_type(X)
+        fp = combinatorial_type(X) if len(rules) > 1 else None
         enriched.append((rule, X, fp))
         types.setdefault(fp, []).append(i)
     return enriched, types

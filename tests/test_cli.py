@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from cellres import cli
 from cellres.cli import main
@@ -8,6 +11,11 @@ from cellres.exact import DEFAULT_PRIME
 
 RUNNING = "x1*x2, x1*x3, x1*x5, x2*x3, x2*x5, x3*x5, x4*x5"
 EXAMPLE1 = "x1*x3*x4, x1*x3*x5, x1*x2*x4, x1*x4*x5, x2*x3*x4, x2*x3*x5"
+OUTPUTS = Path(__file__).resolve().parent / "cli_outputs"
+# cointerval corpus ideals: a 2-graph whose hom complex is a cone over
+# triangles and squares, and a 3-graph with two square faces
+D2_CONE = "x1*x3, x1*x4, x1*x5, x1*x6, x2*x3, x2*x4"
+D3_PRISM = "x2*x3*x4, x2*x3*x5, x2*x3*x6, x2*x4*x5, x2*x4*x6, x3*x4*x5, x3*x4*x6"
 
 
 def run_cli(args, capsys):
@@ -108,6 +116,18 @@ def test_complex_off_export(capsys):
     assert out.startswith("OFF\n")
     header = out.splitlines()[2].split()
     assert header[0] == "3"  # three vertices
+
+
+@pytest.mark.parametrize("fmt", ["off", "json"])
+@pytest.mark.parametrize(
+    "text, name",
+    [(RUNNING, "running"), (D2_CONE, "d2_cone"), (D3_PRISM, "d3_prism")],
+)
+def test_complex_hom_output_is_unchanged(capsys, text, name, fmt):
+    argv = ["complex", "--method", "hom", "--format", fmt, text]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == (OUTPUTS / ("complex_hom_%s.%s" % (name, fmt))).read_text()
 
 
 def test_betti_csv(capsys):

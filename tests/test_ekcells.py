@@ -283,8 +283,8 @@ def test_boundary_labels_must_properly_divide(running, monkeypatch):
     original = ekcells._boundary_from_cell
 
     def with_extra_face(extra):
-        def boundary(ideal, cell, rule, cache):
-            out = original(ideal, cell, rule, cache)
+        def boundary(ideal, cell, cache):
+            out = original(ideal, cell, cache)
             return out + [(extra(cell.key), 1)] if cell.alpha else out
 
         return boundary

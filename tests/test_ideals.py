@@ -5,6 +5,7 @@ from cellres.errors import (
     MalformedMonomial,
     NonMinimalGenerators,
     NotInIdeal,
+    NotLinearQuotients,
 )
 from cellres.ideals import (
     OrderedIdeal,
@@ -84,6 +85,16 @@ def test_index_of(example1):
 
 def test_set_table_example1(example1):
     assert example1.set_table() == ((), (4,), (3,), (2, 3), (1,), (1, 4))
+
+
+def test_set_table_names_the_linear_quotient_witness():
+    # j=2 is fine; both colon generators at j=3 have degree 2, and the
+    # message names the first in sorted order
+    ideal = parse_ideal("x1*x2, x2*x3, x4*x5*x6")
+    assert ideal.linear_quotient_failure() == (3, parse_monomial("x2*x3", 6))
+    with pytest.raises(NotLinearQuotients) as err:
+        ideal.set_table()
+    assert str(err.value) == "colon at j=3 has non-variable generator x2*x3"
 
 
 def test_set_table_running(running):

@@ -9,14 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from cellres import cli
+from cellres import rules
 from cellres.cli import main
 from cellres.cointerval import build_hom_complex, dgraph_of_ideal
 from cellres.corpus import gen_corpus
 from cellres.errors import CellresError
 from cellres.ideals import parse_ideal
 from cellres.poset import complex_fingerprint, poset_fingerprint
-from cellres.rules import complex_for_rule, enumerate_regular_rules
+from cellres.rules import complex_for_rule, enumerate_regular_rules, rule_family
 
 OUTPUTS = Path(__file__).resolve().parent / "cli_outputs"
 RUNNING = "x1*x2, x1*x3, x1*x5, x2*x3, x2*x5, x3*x5, x4*x5"
@@ -212,13 +212,13 @@ def test_enumerate_type_ids_match_fingerprinting_every_rule(capsys, running, cor
 
 def _count_fingerprints(monkeypatch):
     calls = []
-    real = cli.combinatorial_type
+    real = rules.combinatorial_type
 
     def counted(X):
         calls.append(X)
         return real(X)
 
-    monkeypatch.setattr(cli, "combinatorial_type", counted)
+    monkeypatch.setattr(rules, "combinatorial_type", counted)
     return calls
 
 
@@ -226,6 +226,14 @@ def test_single_rule_is_never_fingerprinted(capsys, monkeypatch):
     calls = _count_fingerprints(monkeypatch)
     data = json.loads(_enumerate(capsys, "x1, x2, x3, x4"))
     assert len(data["rules"]) == 1
+    assert calls == []
+
+
+def test_rule_family_leaves_a_lone_rule_unfingerprinted(monkeypatch):
+    calls = _count_fingerprints(monkeypatch)
+    enriched, types = rule_family(parse_ideal("x1, x2, x3, x4"))
+    assert [fp for _, _, fp in enriched] == [None]
+    assert types == {None: [0]}
     assert calls == []
 
 
