@@ -17,7 +17,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from itertools import combinations
 
-from .chain import LabeledChainComplex, UNIT
+from .chain import cell_chain_complex
 from .errors import NonMonotoneLabels, TooManyGenerators
 from .exact import DEFAULT_PRIME, ChainData, check_prime, homology_ranks, is_exact
 from .monomial import Monomial
@@ -70,24 +70,7 @@ def taylor_complex(ideal, bound=TAYLOR_BOUND):
 
     Resolves R/I; minimal only when no face's lcm equals a facet's.
     """
-    X = TaylorSupport(ideal, bound)
-    basis = [[UNIT]]
-    mdeg = [[Monomial.one(ideal.n)]]
-    for S, dim, label in X.cells_with_labels():
-        if dim + 1 == len(basis):
-            basis.append([])
-            mdeg.append([])
-        basis[-1].append(S)
-        mdeg[-1].append(label)
-    diff = [{}, {(0, c): (1, ideal.gen(S[0])) for c, S in enumerate(basis[1])}]
-    for size in range(2, len(basis)):
-        lower = {S: i for i, S in enumerate(basis[size - 1])}
-        entries = {}
-        for c, S in enumerate(basis[size]):
-            for face, sign in X.topo_boundary(S):
-                entries[(lower[face], c)] = (sign, X.label(S) // X.label(face))
-        diff.append(entries)
-    return LabeledChainComplex(ideal.n, basis, mdeg, diff)
+    return cell_chain_complex(TaylorSupport(ideal, bound), ideal, tuple)
 
 
 class LabeledCellComplex:

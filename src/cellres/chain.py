@@ -65,7 +65,7 @@ class LabeledChainComplex:
             for (r, c), (sign, coeff) in d.items():
                 if sign not in (1, -1):
                     raise ValueError("sign %r at degree %d" % (sign, i))
-                if self.mdeg[i][c] != coeff * self.mdeg[i - 1][r]:
+                if not _homogeneous_entry(coeff, self.mdeg[i - 1][r], self.mdeg[i][c]):
                     raise ValueError(
                         "entry (%d,%d) in degree %d is inhomogeneous" % (r, c, i)
                     )
@@ -81,18 +81,21 @@ class LabeledChainComplex:
         return dict(out)
 
 
+def _homogeneous_entry(coeff, row, col):
+    """coeff * row == col, on exponent vectors of one length."""
+    return len(coeff.e) == len(row.e) and tuple(map(add, coeff.e, row.e)) == col.e
+
+
 def _homogeneous(cx, i):
-    """True iff every entry of diff[i] has coefficient * row degree =
-    column degree, on exponent vectors of one length."""
+    """True iff every entry of diff[i] is homogeneous."""
     try:
         rows, cols = cx.mdeg[i - 1], cx.mdeg[i]
-        for (r, c), (_, coeff) in cx.diff[i].items():
-            row = rows[r].e
-            if len(coeff.e) != len(row) or tuple(map(add, coeff.e, row)) != cols[c].e:
-                return False
+        return all(
+            _homogeneous_entry(coeff, rows[r], cols[c])
+            for (r, c), (_, coeff) in cx.diff[i].items()
+        )
     except IndexError:
         return False
-    return True
 
 
 def _by_col(d):
@@ -533,50 +536,58 @@ def _sorted_symbol_complex(cx):
     return LabeledChainComplex(cx.n, basis, mdeg, diff)
 
 
-# -- labeled cell complexes on the symbol basis ----------------------------
+# -- labeled cell complexes ----------------------------------------------
+
+
+def cell_chain_complex(X, ideal, name_of):
+    """The labeled chain complex of a cell complex, as a resolution of R/I.
+
+    X offers cells_with_labels() -> (cell, dim, label) and
+    topo_boundary(cell) -> [(face, sign)]; name_of(cell) is the cell's
+    basis element.  Degree 0 is the ring; degree i >= 1 holds the cells of
+    dimension i-1 sorted by name.  A vertex maps to the ring by its label,
+    and a face enters with the coefficient label // face label.
+    """
+    labels, names, by_dim = {}, {}, {}
+    for cell, dim, label in X.cells_with_labels():
+        labels[cell] = label
+        names[cell] = name_of(cell)
+        by_dim.setdefault(dim, []).append(cell)
+    top = max(by_dim) if by_dim else 0
+    levels = [sorted(by_dim.get(dim, []), key=names.get) for dim in range(top + 1)]
+    cx = LabeledChainComplex(
+        ideal.n,
+        [[UNIT]] + [[names[cell] for cell in level] for level in levels],
+        [[Monomial.one(ideal.n)]] + [[labels[cell] for cell in level] for level in levels],
+        [],
+    )
+    cx.diff[1] = {(0, c): (1, labels[cell]) for c, cell in enumerate(levels[0])}
+    for deg in range(2, top + 2):
+        rows, entries = cx.index[deg - 1], cx.diff[deg]
+        for col, cell in enumerate(levels[deg - 1]):
+            for face, sign in X.topo_boundary(cell):
+                entries[(rows[names[face]], col)] = (sign, labels[cell] // labels[face])
+    return cx
 
 
 def symbol_complex(X, ideal, symbol_of):
-    """The labeled chain complex of a cell complex, as a resolution of R/I
-    on the symbol basis.
+    """cell_chain_complex on the symbol basis, symbol_of(cell) being the
+    cell's Symbol.
 
-    X offers cells_with_labels() -> (cell, dim, label) and
-    topo_boundary(cell) -> [(face, sign)]; symbol_of(cell) is the cell's
-    Symbol.  Degree 0 is the ring; degree i >= 1 holds the cells of
-    dimension i-1, and a face enters with the coefficient label // face
-    label.  Signs are normalized per homological degree so that the entry
-    into (m; alpha minus its largest element) carries the sign
-    (-1)^|alpha|, the convention of the algebraic resolution.
+    Signs are normalized per homological degree so that the entry into
+    (m; alpha minus its largest element) carries the sign (-1)^|alpha|,
+    the convention of the algebraic resolution.
     """
-    labels, symbols, by_dim = {}, {}, {}
-    for cell, dim, label in X.cells_with_labels():
-        labels[cell] = label
-        symbols[cell] = symbol_of(cell)
-        by_dim.setdefault(dim, []).append(cell)
-    top = max(by_dim) if by_dim else 0
-    levels = [
-        sorted(by_dim.get(dim, []), key=symbols.get) for dim in range(top + 1)
-    ]
-    basis = [[UNIT]] + [[symbols[cell] for cell in level] for level in levels]
-    mdeg = [[Monomial.one(ideal.n)]]
-    mdeg += [[labels[cell] for cell in level] for level in levels]
-    index = [{s: i for i, s in enumerate(level)} for level in basis]
-    diff = [dict() for _ in basis]
-    for c, sym in enumerate(basis[1]):
-        diff[1][(0, c)] = (1, ideal.gen(sym.gen))
-    for deg in range(2, top + 2):
-        raw = {}
-        for col, cell in enumerate(levels[deg - 1]):
-            for face, sign in X.topo_boundary(cell):
-                row = index[deg - 1][symbols[face]]
-                raw[(row, col)] = (sign, labels[cell] // labels[face])
+    cx = cell_chain_complex(X, ideal, symbol_of)
+    for deg in range(2, len(cx.basis)):
+        rows, entries = cx.index[deg - 1], cx.diff[deg]
         flip = 1
-        for col, sym in enumerate(basis[deg]):
-            ref = (index[deg - 1][Symbol(sym.gen, sym.alpha[:-1])], col)
-            if ref in raw:
+        for col, sym in enumerate(cx.basis[deg]):
+            ref = (rows[Symbol(sym.gen, sym.alpha[:-1])], col)
+            if ref in entries:
                 want = 1 if len(sym.alpha) % 2 == 0 else -1
-                flip = want * raw[ref][0]
+                flip = want * entries[ref][0]
                 break
-        for key, (sign, coeff) in raw.items():
-            diff[deg][key] = (flip * sign, coeff)
-    return LabeledChainComplex(ideal.n, basis, mdeg, diff)
+        if flip < 0:
+            cx.diff[deg] = {key: (-sign, coeff) for key, (sign, coeff) in entries.items()}
+    return cx

@@ -112,45 +112,43 @@ def stable_corpus(max_n=4, max_deg=3):
     return items
 
 
-def _cointerval_1graphs(n):
-    out = []
-    universe = range(1, n + 1)
-    for size in range(1, n + 1):
-        for vs in combinations(universe, size):
-            out.append(DGraph.from_edges(1, [(v,) for v in vs]))
-    return out
+def _mask_key(d, universe):
+    """Sort key putting edge sets in bitmask order: bit i marks the i-th
+    d-subset of `universe` in `combinations` order."""
+    bit = {e: 1 << i for i, e in enumerate(combinations(universe, d))}
+    return lambda edges: sum(bit[e] for e in edges)
 
 
-def _cointerval_2graph_edge_sets_on(universe):
-    pairs = list(combinations(universe, 2))
-    out = []
-    for mask in range(1 << len(pairs)):
-        edges = frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
-        if is_cointerval(DGraph.from_edges(2, edges, vertices=universe)):
-            out.append(edges)
-    return out
+def _cointerval_edge_sets(d, universe):
+    """Every cointerval d-graph edge set on the sorted tuple `universe`,
+    the empty one included.
 
-
-def _cointerval_3graphs(n):
-    """Constructive enumeration: choose the layer of each vertex in order.
-
-    A vertex with edges below its layer choice is part of the support, so
-    later support layers must shrink; vertices outside the support are
-    invisible to the nesting condition.
+    d = 1: every vertex subset, by size.  d > 1: choose the layer of each
+    vertex in order, from the cointerval (d-1)-graphs on the later
+    vertices.  A vertex with edges below its layer choice is part of the
+    support, so later support layers must shrink; vertices outside the
+    support are invisible to the nesting condition.
     """
-    layer_options = {
-        v: _cointerval_2graph_edge_sets_on(tuple(range(v + 1, n + 1)))
-        for v in range(1, n + 1)
-    }
+    if d == 1:
+        return [
+            frozenset((v,) for v in vs)
+            for size in range(len(universe) + 1)
+            for vs in combinations(universe, size)
+        ]
+    layer_options = []
+    for i in range(len(universe)):
+        later = universe[i + 1 :]
+        layer_options.append(
+            sorted(_cointerval_edge_sets(d - 1, later), key=_mask_key(d - 1, later))
+        )
     results = []
 
-    def walk(v, bound, in_support, edges):
-        if v > n:
-            if edges:
-                results.append(DGraph.from_edges(3, edges))
+    def walk(i, bound, in_support, edges):
+        if i == len(universe):
+            results.append(frozenset(edges))
             return
-        options = layer_options[v]
-        for layer in options:
+        v = universe[i]
+        for layer in layer_options[i]:
             if bound is not None and not layer <= bound:
                 continue
             if layer:
@@ -161,34 +159,33 @@ def _cointerval_3graphs(n):
                 new_bound = bound
             support2 = in_support | {u for e in layer for u in e}
             walk(
-                v + 1,
+                i + 1,
                 new_bound,
                 support2,
-                edges + [(v,) + e for e in sorted(layer)],
+                edges + [(v,) + e for e in layer],
             )
 
-    walk(1, None, set(), [])
+    walk(0, None, set(), [])
     return results
 
 
 def cointerval_corpus(max_d=3, max_n=6):
-    """Every cointerval d-graph edge ideal with d <= max_d on [max_n].
+    """Every cointerval d-graph edge ideal with d <= min(max_d, 3) on
+    [max_n]: 1-graphs by size, 2-graphs in bitmask order, 3-graphs in
+    walk order.  The order is part of the corpus: tests sample it by
+    stride.
 
     Each instance is passed back through the recursive definition as a
     guard against enumeration bugs.
     """
-    items = []
+    universe = tuple(range(1, max_n + 1))
     graphs = []
-    if max_d >= 1:
-        graphs += _cointerval_1graphs(max_n)
-    if max_d >= 2:
-        graphs += [
-            DGraph.from_edges(2, edges)
-            for edges in _cointerval_2graph_edge_sets_on(tuple(range(1, max_n + 1)))
-            if edges
-        ]
-    if max_d >= 3:
-        graphs += _cointerval_3graphs(max_n)
+    for d in range(1, min(max_d, 3) + 1):
+        edge_sets = _cointerval_edge_sets(d, universe)
+        if d == 2:
+            edge_sets.sort(key=_mask_key(2, universe))
+        graphs += [DGraph.from_edges(d, edges) for edges in edge_sets if edges]
+    items = []
     for g in graphs:
         if not is_cointerval(g):
             raise AssertionError("enumeration produced a non-cointerval graph")

@@ -85,30 +85,37 @@ def complex_to_json(cx):
     )
 
 
-def ek_complex_to_json(X):
-    ids = {}
+def _cells_json(X, ordered, fields):
+    """Cell records numbered in the given order: fields(cell) plus id,
+    label and boundary as [face id, sign, exponents of label // face
+    label]."""
+    ids = {cell: i for i, cell in enumerate(ordered)}
     cells = []
-    ordered = sorted(X.cells, key=lambda key: (len(key[1]), key))
-    for i, key in enumerate(ordered):
-        ids[key] = i
-    for key in ordered:
+    for cell in ordered:
+        label = X.label(cell)
+        record = fields(cell)
+        record["id"] = ids[cell]
+        record["label"] = list(label.e)
+        record["boundary"] = [
+            [ids[face], sign, list((label // X.label(face)).e)]
+            for face, sign in X.topo_boundary(cell)
+        ]
+        cells.append(record)
+    return cells
+
+
+def ek_complex_to_json(X):
+    def fields(key):
         cell = X.cells[key]
-        label = X.label(key)
-        cells.append(
-            {
-                "id": ids[key],
-                "dim": cell.dim,
-                "gen": cell.source,
-                "alpha": list(cell.alpha),
-                "simplices": [list(s.vertices) for s in cell.simplices],
-                "orientations": list(cell.eps),
-                "label": list(label.e),
-                "boundary": [
-                    [ids[t], sign, list((label // X.label(t)).e)]
-                    for t, sign in X.topo_boundary(key)
-                ],
-            }
-        )
+        return {
+            "dim": cell.dim,
+            "gen": cell.source,
+            "alpha": list(cell.alpha),
+            "simplices": [list(s.vertices) for s in cell.simplices],
+            "orientations": list(cell.eps),
+        }
+
+    ordered = sorted(X.cells, key=lambda key: (len(key[1]), key))
     return _dump(
         {
             "n": X.ideal.n,
@@ -116,31 +123,16 @@ def ek_complex_to_json(X):
             "vertices": {
                 str(j): list(e) for j, e in X.vertex_coordinates().items()
             },
-            "cells": cells,
+            "cells": _cells_json(X, ordered, fields),
         }
     )
 
 
 def hom_complex_to_json(X, ideal):
-    ids = {}
-    ordered = [cell for cell, _, _ in X.cells_with_labels()]
-    for i, cell in enumerate(ordered):
-        ids[cell] = i
-    cells = []
-    for cell in ordered:
-        label = X.label(cell)
-        cells.append(
-            {
-                "id": ids[cell],
-                "dim": sum(len(b) for b in cell) - len(cell),
-                "blocks": [list(b) for b in cell],
-                "label": list(label.e),
-                "boundary": [
-                    [ids[face], sign, list((label // X.label(face)).e)]
-                    for face, sign in X.topo_boundary(cell)
-                ],
-            }
-        )
+    dims = {cell: dim for cell, dim, _ in X.cells_with_labels()}
+    cells = _cells_json(
+        X, list(dims), lambda cell: {"dim": dims[cell], "blocks": [list(b) for b in cell]}
+    )
     return _dump({"n": ideal.n, "f_vector": list(X.f_vector()), "cells": cells})
 
 
@@ -167,7 +159,8 @@ def betti_to_json(table):
 
 def _project_coords(coords):
     """Drop coordinates constant across all points, then keep the first
-    three (padding with zeros)."""
+    three (padding with zeros).  With more than three varying
+    coordinates, distinct points can project onto one."""
     if not coords:
         return [], []
     n = len(next(iter(coords.values())))

@@ -6,6 +6,7 @@ from cellres.chain import (
     LabeledChainComplex,
     Symbol,
     UNIT,
+    _homogeneous,
     check_dd_zero,
     check_minimal,
     compare_up_to_degree_signs,
@@ -171,6 +172,35 @@ def test_check_dd_zero_detects_flip(running):
     ok, witness = check_dd_zero(cx)
     assert not ok and witness is not None
 
+
+
+def _one_entry(sign, coeff, col_degree):
+    """R <- R(-col_degree) on three variables, one degree-1 entry."""
+    one = Monomial.one(3)
+    return LabeledChainComplex(
+        3, [[UNIT], [(1,)]], [[one], [col_degree]], [{}, {(0, 0): (sign, coeff)}]
+    )
+
+
+def test_validate_accepts_homogeneous_entry():
+    x1 = Monomial.variable(1, 3)
+    assert _one_entry(-1, x1, x1).validate()
+
+
+def test_validate_rejects_short_exponent_vectors():
+    # (1, 0) * (0, 0, 0) == (1, 0) if the vectors were zipped
+    cx = _one_entry(1, Monomial((1, 0)), Monomial((1, 0)))
+    with pytest.raises(ValueError, match=r"entry \(0,0\) in degree 1 is inhomogeneous"):
+        cx.validate()
+    assert not _homogeneous(cx, 1)  # the test check_dd_zero uses
+
+
+def test_validate_rejects_bad_sign_and_inhomogeneous_entry():
+    x1, x2 = Monomial.variable(1, 3), Monomial.variable(2, 3)
+    with pytest.raises(ValueError, match=r"sign 2 at degree 1"):
+        _one_entry(2, x1, x1).validate()
+    with pytest.raises(ValueError, match=r"entry \(0,0\) in degree 1 is inhomogeneous"):
+        _one_entry(1, x2, x1).validate()
 
 def test_compare_up_to_degree_signs(running):
     a = ht_resolution(running)

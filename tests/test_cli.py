@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -130,6 +131,20 @@ def test_complex_hom_output_is_unchanged(capsys, text, name, fmt):
     assert out == (OUTPUTS / ("complex_hom_%s.%s" % (name, fmt))).read_text()
 
 
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["complex", "--method", "ek", RUNNING], "complex_ek_running.json"),
+        (["complex", "--method", "ek", EXAMPLE1], "complex_ek_example1.json"),
+        (["resolve", "--method", "taylor", RUNNING], "resolve_taylor_running.json"),
+    ],
+)
+def test_json_output_is_unchanged(capsys, argv, name):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == (OUTPUTS / name).read_text()
+
 def test_betti_csv(capsys):
     code, out, _ = run_cli(["betti", "x1, x2"], capsys)
     assert code == 0
@@ -197,6 +212,37 @@ def test_gen_corpus_output(capsys, tmp_path):
     lines = out_path.read_text().splitlines()
     assert all(json.loads(ln)["kind"] in {"stable", "cointerval", "example"} for ln in lines)
 
+
+
+# sha256 of the gen-corpus stdout; the corpus is sampled by stride in the
+# tests, so its order is part of the contract
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        ([], "06ab91bc52718101ed85993dd6cd9df53567cd7ee219b484780d9e3ee2444839"),
+        (
+            "--stable-n 2 --stable-deg 2 --cointerval-d 1 --cointerval-n 1".split(),
+            "8addabe020fbc668a4fe5de3ad984da4eca06fab73fbbbf394f1716bac688b6e",
+        ),
+        (
+            "--cointerval-d 2 --cointerval-n 5".split(),
+            "48358e6005ea1a7c2676607bc5e1bbb95db133b9037fad63175bf530baac9367",
+        ),
+        (
+            "--cointerval-d 3 --cointerval-n 5".split(),
+            "fe96b1b133ba953a7edf5a8cd4d4b79d028553c5f7e77922e9e6dbad5a46ad20",
+        ),
+        # d is capped at 3, so this is the default corpus again
+        (
+            "--cointerval-d 4 --cointerval-n 6".split(),
+            "06ab91bc52718101ed85993dd6cd9df53567cd7ee219b484780d9e3ee2444839",
+        ),
+    ],
+)
+def test_gen_corpus_bytes_are_pinned(capsys, flags, digest):
+    code, out, _ = run_cli(["gen-corpus"] + flags, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 def test_dgraph_file_input(capsys, tmp_path):
     path = tmp_path / "graph.txt"

@@ -1,6 +1,7 @@
 """Spec-level invariants exercised over corpus samples and a seeded random
 stream; the full-corpus sweeps live in the acceptance suite."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -8,12 +9,14 @@ import pytest
 from cellres.betti import multigraded_betti
 from cellres.chain import check_dd_zero, ht_resolution, mapping_cone, ChainMap, LabeledChainComplex
 from cellres.cointerval import (
+    DGraph,
     build_hom_complex,
     dgraph_of_ideal,
     is_cointerval,
     partition_A,
 )
 from cellres.corpus import (
+    _cointerval_edge_sets,
     borel_closure,
     cointerval_corpus,
     gen_corpus,
@@ -51,6 +54,23 @@ def test_cointerval_corpus_has_lex_linear_quotients():
     for item in cointerval_corpus(max_d=2, max_n=5):
         assert item.ideal.has_linear_quotients(), item.name
 
+
+
+def test_cointerval_walker_is_complete():
+    # the walk against a brute-force filter through the recursive definition
+    for d in (1, 2, 3):
+        for n in range(6):
+            universe = tuple(range(1, n + 1))
+            pool = list(combinations(universe, d))
+            accepted = set()
+            for mask in range(1 << len(pool)):
+                edges = frozenset(e for i, e in enumerate(pool) if mask >> i & 1)
+                if is_cointerval(DGraph.from_edges(d, edges, vertices=universe)):
+                    accepted.add(edges)
+            walked = _cointerval_edge_sets(d, universe)
+            assert len(walked) == len(set(walked)), (d, n)
+            assert set(walked) == accepted, (d, n)
+            assert frozenset() in accepted
 
 def test_complete_graph_in_corpus():
     items = cointerval_corpus(max_d=2, max_n=3)
