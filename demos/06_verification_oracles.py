@@ -3,8 +3,7 @@
 The Taylor complex resolves every monomial ideal, so its multidegree
 strands compute Betti numbers; and a labeled complex supports a
 resolution iff all its lcm-lattice strands are acyclic.  Everything runs
-over Q (integer elimination); GF(p) only ever short-cuts in the sound
-direction.
+over Q, by integer elimination; no other field is used.
 
 Run:  python3 demos/06_verification_oracles.py
 """

@@ -8,9 +8,7 @@ package is compared against.
 
 A labeled complex X supports a resolution of R/I iff for every b in the
 lcm lattice the subcomplex of cells whose label divides b has vanishing
-reduced homology.  Homology is checked over Q; a GF(p) run is used first
-unless prime=None, which is sound in the only direction it is trusted:
-zero homology mod p forces zero homology over Q.
+reduced homology.  Homology is computed over Q, exactly.
 """
 
 from bisect import bisect_right
@@ -19,7 +17,7 @@ from itertools import combinations
 
 from .chain import cell_chain_complex
 from .errors import NonMonotoneLabels, TooManyGenerators
-from .exact import DEFAULT_PRIME, ChainData, check_prime, homology_ranks, is_exact
+from .exact import ChainData, homology_ranks, is_exact
 from .monomial import Monomial
 
 TAYLOR_BOUND = 16
@@ -138,7 +136,7 @@ def _strands(labels, lattice):
     return strands
 
 
-def check_cellular_resolution(X, ideal, prime=DEFAULT_PRIME):
+def check_cellular_resolution(X, ideal):
     """Does the labeled complex X support a resolution of R/I?
 
     Checks that the 0-cells are labeled exactly by the generators, that
@@ -147,11 +145,8 @@ def check_cellular_resolution(X, ideal, prime=DEFAULT_PRIME):
     homology.  Returns (ok, failing multidegree or None).
 
     Distinct lattice points selecting the same cell set share one homology
-    computation.  `prime` is passed to is_exact: a GF(prime) prefilter, or
-    exact Q only when None.
+    computation.
     """
-    if prime is not None:
-        check_prime(prime)
     if getattr(X, "strands_are_full_simplices", False):
         # Every strand is the full simplex on the generators dividing b
         # (lcm(S) | b iff every member of S divides b), hence acyclic.
@@ -196,7 +191,7 @@ def check_cellular_resolution(X, ideal, prime=DEFAULT_PRIME):
         strand = chain.restrict(
             [aug] + [key for key, bit in zip(keys, bin(member)[:1:-1]) if bit == "1"]
         )
-        ok, _ = is_exact(strand, prime=prime)
+        ok, _ = is_exact(strand)
         if not ok:
             return False, strands[member]
     return True, None

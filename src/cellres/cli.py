@@ -2,8 +2,8 @@
 
 Subcommands: check, resolve, complex, betti, enumerate-rules, verify,
 gen-corpus.  Exit codes: 0 success, 1 a verified property failed, 2 bad
-input.  The GF(p) pre-filter prime is overridden by RESOLVE_PRIME; pass
---no-prefilter to force pure rational arithmetic.
+input.  Every acyclicity check is decided over Q with exact integer
+arithmetic.
 """
 
 import argparse
@@ -30,10 +30,9 @@ from .cointerval import (
     is_cointerval,
     parse_dgraph,
 )
-from .corpus import gen_corpus
+from .corpus import MAX_COINTERVAL_D, gen_corpus
 from .ekcells import build_ek_cw, cellular_chain_complex
 from .errors import CellresError, InputError
-from .exact import DEFAULT_PRIME, check_prime
 from .ideals import OrderedIdeal, check_regularity, parse_ideal
 from .monomial import Monomial
 from .rules import rule_family
@@ -85,23 +84,6 @@ def _write(out, text):
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _prime(args):
-    """The GF(p) prefilter prime, or None for exact Q arithmetic only."""
-    if getattr(args, "no_prefilter", False):
-        return None
-    env = os.environ.get("RESOLVE_PRIME")
-    if not env:
-        return DEFAULT_PRIME
-    try:
-        p = int(env)
-    except ValueError:
-        raise InputError("RESOLVE_PRIME=%r is not an integer" % env) from None
-    check_prime(p)
-    if p <= 1 << 20:
-        print("warning: RESOLVE_PRIME should exceed 2^20", file=sys.stderr)
-    return p
 
 
 def _cointerval_state(ideal):
@@ -185,7 +167,6 @@ def cmd_resolve(args):
 
 def cmd_complex(args):
     ideal = load_ideal(args.input)
-    prime = _prime(args)
     if args.method == "ek":
         X = build_ek_cw(ideal)
         payload = (
@@ -201,7 +182,7 @@ def cmd_complex(args):
             if args.format == "json"
             else export.hom_complex_to_off(X, ideal)
         )
-    ok, failing = betti_mod.check_cellular_resolution(X, ideal, prime=prime)
+    ok, failing = betti_mod.check_cellular_resolution(X, ideal)
     if not ok:
         print("acyclicity failed at multidegree %s" % failing, file=sys.stderr)
         return EXIT_PROPERTY
@@ -243,7 +224,6 @@ def cmd_enumerate(args):
 
 def cmd_verify(args):
     ideal = load_ideal(args.input)
-    prime = _prime(args)
     checks = []
 
     def record(name, ok):
@@ -273,7 +253,7 @@ def cmd_verify(args):
         cellular = cellular_chain_complex(X)
         ok, _ = compare_up_to_degree_signs(cellular, alg)
         record("cellular = algebraic", ok)
-        ok, failing = betti_mod.check_cellular_resolution(X, ideal, prime=prime)
+        ok, failing = betti_mod.check_cellular_resolution(X, ideal)
         record("cell complex strands acyclic", ok)
         if ideal.k <= betti_mod.TAYLOR_BOUND:
             oracle = betti_mod.multigraded_betti(ideal)
@@ -296,17 +276,19 @@ def cmd_verify(args):
         H = build_hom_complex(dgraph_of_ideal(ideal), ideal.n)
         ok, _ = compare_up_to_degree_signs(hom_chain_complex(H, ideal), hom)
         record("hom cellular = algebraic", ok)
-        ok, _ = betti_mod.check_cellular_resolution(H, ideal, prime=prime)
+        ok, _ = betti_mod.check_cellular_resolution(H, ideal)
         record("hom strands acyclic", ok)
     if ideal.k <= betti_mod.TAYLOR_BOUND:
         ok, _ = betti_mod.check_cellular_resolution(
-            betti_mod.TaylorSupport(ideal), ideal, prime=prime
+            betti_mod.TaylorSupport(ideal), ideal
         )
         record("Taylor strands acyclic", ok)
     return EXIT_OK if all(ok for _, ok in checks) else EXIT_PROPERTY
 
 
 def cmd_gen_corpus(args):
+    if args.cointerval_d > MAX_COINTERVAL_D:
+        print("note: --cointerval-d capped at %d" % MAX_COINTERVAL_D, file=sys.stderr)
     items = gen_corpus(
         max_n=args.stable_n,
         max_deg=args.stable_deg,
@@ -348,7 +330,6 @@ def build_parser():
     x.add_argument("--method", choices=["ek", "hom"], default="ek")
     x.add_argument("--format", choices=["json", "off"], default="json")
     x.add_argument("--out", default="-")
-    x.add_argument("--no-prefilter", action="store_true")
     x.set_defaults(func=cmd_complex)
 
     b = sub.add_parser("betti", help="multigraded Betti numbers (Taylor strands)")
@@ -365,14 +346,13 @@ def build_parser():
 
     v = sub.add_parser("verify", help="run every applicable verification")
     v.add_argument("input")
-    v.add_argument("--no-prefilter", action="store_true")
     v.set_defaults(func=cmd_verify)
 
     g = sub.add_parser("gen-corpus", help="emit the deterministic test corpus")
     g.add_argument("--out", default="-")
     g.add_argument("--stable-n", type=int, default=4)
     g.add_argument("--stable-deg", type=int, default=3)
-    g.add_argument("--cointerval-d", type=int, default=3)
+    g.add_argument("--cointerval-d", type=int, default=MAX_COINTERVAL_D)
     g.add_argument("--cointerval-n", type=int, default=6)
     g.set_defaults(func=cmd_gen_corpus)
     return p

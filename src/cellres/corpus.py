@@ -169,18 +169,22 @@ def _cointerval_edge_sets(d, universe):
     return results
 
 
-def cointerval_corpus(max_d=3, max_n=6):
-    """Every cointerval d-graph edge ideal with d <= min(max_d, 3) on
-    [max_n]: 1-graphs by size, 2-graphs in bitmask order, 3-graphs in
-    walk order.  The order is part of the corpus: tests sample it by
-    stride.
+# Cointerval d-graphs are listed for d up to this; a larger max_d is capped.
+MAX_COINTERVAL_D = 3
+
+
+def cointerval_corpus(max_d=MAX_COINTERVAL_D, max_n=6):
+    """Every cointerval d-graph edge ideal with d <= min(max_d,
+    MAX_COINTERVAL_D) on [max_n]: 1-graphs by size, 2-graphs in bitmask
+    order, 3-graphs in walk order.  The order is part of the corpus: tests
+    sample it by stride.
 
     Each instance is passed back through the recursive definition as a
     guard against enumeration bugs.
     """
     universe = tuple(range(1, max_n + 1))
     graphs = []
-    for d in range(1, min(max_d, 3) + 1):
+    for d in range(1, min(max_d, MAX_COINTERVAL_D) + 1):
         edge_sets = _cointerval_edge_sets(d, universe)
         if d == 2:
             edge_sets.sort(key=_mask_key(2, universe))
@@ -237,7 +241,7 @@ def example_corpus():
     ]
 
 
-def gen_corpus(max_n=4, max_deg=3, max_d=3, cointerval_n=6):
+def gen_corpus(max_n=4, max_deg=3, max_d=MAX_COINTERVAL_D, cointerval_n=6):
     """The full deterministic corpus: stable closures, cointerval edge
     ideals, and the worked examples."""
     return stable_corpus(max_n, max_deg) + cointerval_corpus(max_d, cointerval_n) + example_corpus()

@@ -1,71 +1,20 @@
 """Exact linear algebra over the integers and homology of chain complexes.
 
 No floating point anywhere: ranks over Q are computed by fraction-free
-(Bareiss) elimination on integer matrices.  is_exact first tries GF(p),
-used strictly as a sound pre-filter; prime=None skips it.
+(Bareiss) elimination on integer matrices, the only arithmetic used.
 
 The homology engine works on an abstract chain complex given by cells
 (grouped by integer degree) and integer boundary coefficients.  It first
 splits off acyclic pairs (a cell with a unique coface, incidence +-1);
 this "collapse" phase is homology-preserving over every field, creates no
 fill-in, and usually empties the complex entirely.  Whatever core remains
-is handed to the dense rank routines.
+is ranked densely over Q.
 """
 
 import copy
-import logging
 from collections import defaultdict, deque
-from functools import lru_cache
 
-from .errors import InputError, VerificationError
-
-log = logging.getLogger("cellres")
-
-# Smallest prime above 2**20; large enough that accidental rank drops
-# modulo p are rare.  Override via RESOLVE_PRIME in the CLI.
-DEFAULT_PRIME = 1048583
-
-# Miller-Rabin with these bases decides primality for every n < 3.3e24,
-# so for every modulus accepted here (below 2**64).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-PRIME_LIMIT = 1 << 64
-
-
-@lru_cache(maxsize=64)
-def _is_prime(n):
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def check_prime(p):
-    """Return p if it is a prime below 2**64; raise InputError otherwise.
-
-    The GF(p) routines invert by Fermat's little theorem, so a composite
-    modulus would overstate ranks and could certify a non-exact complex.
-    """
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise InputError("prime must be an integer, got %r" % (p,))
-    if not 2 <= p < PRIME_LIMIT or not _is_prime(p):
-        raise InputError("%d is not a prime below 2^64" % p)
-    return p
+from .errors import VerificationError
 
 
 def bareiss_rank(rows):
@@ -96,41 +45,6 @@ def bareiss_rank(rows):
             for c in range(col, ncols):
                 mr[c] = (mr[c] * p - f * top[c]) // prev
         prev = p
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
-def rank_mod_p(rows, p):
-    """Rank of an integer matrix over GF(p); p must be prime."""
-    check_prime(p)
-    M = [[int(x) % p for x in r] for r in rows]
-    if not M or not M[0]:
-        return 0
-    nrows, ncols = len(M), len(M[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if M[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        inv = pow(M[row][col], p - 2, p)
-        top = M[row]
-        for r in range(row + 1, nrows):
-            f = M[r][col]
-            if f:
-                mr = M[r]
-                fi = f * inv % p
-                for c in range(col, ncols):
-                    if top[c]:
-                        mr[c] = (mr[c] - fi * top[c]) % p
         rank += 1
         row += 1
         if row == nrows:
@@ -267,12 +181,17 @@ def _core_matrices(chain, alive):
     return by_deg, mats
 
 
-def _core_homology(by_deg, mats, prime):
-    """{degree: dim H_d} of the core, over Q (prime=None) or GF(prime)."""
-    rank = {
-        d: bareiss_rank(rows) if prime is None else rank_mod_p(rows, prime)
-        for d, rows in mats.items()
-    }
+def homology_ranks(chain):
+    """{degree: dim H_d} over Q, for every degree with nonzero homology.
+
+    The collapse phase needs no arithmetic; only the residual core is
+    ranked, by Bareiss elimination.
+    """
+    alive, _ = _collapse(chain)
+    if not alive:
+        return {}
+    by_deg, mats = _core_matrices(chain, alive)
+    rank = {d: bareiss_rank(rows) for d, rows in mats.items()}
     h = {}
     for d, cs in by_deg.items():
         hd = len(cs) - rank.get(d, 0) - rank.get(d + 1, 0)
@@ -281,40 +200,8 @@ def _core_homology(by_deg, mats, prime):
     return h
 
 
-def homology_ranks(chain, prime=None):
-    """Dimensions of H_d for every degree, over Q (prime=None) or GF(prime).
-
-    The collapse phase is field-independent; only the residual core needs
-    actual rank computations.
-    """
-    if prime is not None:
-        check_prime(prime)
-    alive, _ = _collapse(chain)
-    return _core_homology(*_core_matrices(chain, alive), prime)
-
-
-def is_exact(chain, prime=DEFAULT_PRIME):
-    """True iff the chain complex has zero homology in every degree.
-
-    With a prime, homology is first computed over GF(prime): zero homology
-    mod p certifies zero homology over Q.  A nonzero mod-p answer, or
-    prime=None, triggers the exact computation over Q; if Q says "exact"
-    after GF(prime) did not, the discrepancy (p-torsion) is logged and the
-    Q verdict stands.
-    """
-    if prime is not None:
-        check_prime(prime)
-    alive, _ = _collapse(chain)
-    if not alive:
-        return True, {}
-    by_deg, mats = _core_matrices(chain, alive)
-    if prime is not None:
-        h_p = _core_homology(by_deg, mats, prime)
-        if not h_p:
-            return True, {}
-    h_q = _core_homology(by_deg, mats, None)
-    if not h_q and prime is not None:
-        log.warning(
-            "GF(%d) saw homology %r but Q is exact; keeping Q verdict", prime, h_p
-        )
-    return not h_q, h_q
+def is_exact(chain):
+    """(True iff the chain complex has zero homology in every degree over
+    Q, the homology_ranks dict)."""
+    h = homology_ranks(chain)
+    return not h, h

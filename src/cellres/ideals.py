@@ -50,18 +50,19 @@ class OrderedIdeal:
                 )
             if g.is_one():
                 raise MalformedMonomial("the unit monomial cannot be a generator")
-        seen = set()
-        for g in gens:
-            if g in seen:
+        position = {}
+        for j, g in enumerate(gens, start=1):
+            if g in position:
                 raise DuplicateGenerator(str(g))
-            seen.add(g)
+            position[g] = j
+        # generators are now pairwise unequal, so identity tells them apart
         for g in gens:
             for h in gens:
-                if g != h and g.divides(h):
+                if g is not h and g.divides(h):
                     raise NonMinimalGenerators("%s divides %s" % (g, h))
         self.n = n
         self.gens = gens
-        self._position = {g: j for j, g in enumerate(gens, start=1)}
+        self._position = position
         self._colons = {}
         self._set_table = None
         self._b_table = None

@@ -25,7 +25,7 @@ from cellres.cointerval import build_hom_complex, homcone_resolution
 from cellres.corpus import gen_corpus
 from cellres.ekcells import build_ek_cw
 from cellres.errors import NonMonotoneLabels, TooManyGenerators
-from cellres.exact import ChainData, bareiss_rank, homology_ranks, rank_mod_p
+from cellres.exact import ChainData, bareiss_rank, homology_ranks, is_exact
 from cellres.ideals import parse_ideal
 from cellres.monomial import Monomial, lcm_of, parse_monomial
 
@@ -36,7 +36,6 @@ from cellres.monomial import Monomial, lcm_of, parse_monomial
 def test_ranks_basic():
     identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert bareiss_rank(identity) == 3
-    assert rank_mod_p(identity, 1048583) == 3
     assert bareiss_rank([[0, 0], [0, 0]]) == 0
     assert bareiss_rank([]) == 0
 
@@ -49,12 +48,11 @@ def test_rank_hollow_triangle_boundary():
         [0, 1, 1],
     ]
     assert bareiss_rank(d1) == 2
-    assert rank_mod_p(d1, 1048583) == 2
 
 
 def test_rank_mod_p_can_drop_but_q_wins():
+    # rank 1 modulo 2 and modulo 3; over Q the rank stays full
     M = [[2, 0], [0, 3]]
-    assert rank_mod_p(M, 3) == 1
     assert bareiss_rank(M) == 2
 
 
@@ -68,20 +66,11 @@ def test_homology_of_circle():
     assert h == {0: 1, 1: 1}
 
 
-def test_prefilter_never_overrules_q(caplog):
-    # multiplication by 2 is exact over Q but not over GF(2); the mod-p
-    # verdict must be re-derived over Q and the discrepancy logged
-    import logging
-
-    from cellres.exact import is_exact
-
+def test_multiplication_by_two_is_exact_over_q():
+    # not exact over GF(2); the collapse cannot pair f with e, so the core
+    # is ranked over Q
     chain = ChainData({1: ["e"], 2: ["f"]}, {"f": {"e": 2}})
-    with caplog.at_level(logging.WARNING, logger="cellres"):
-        ok, _ = is_exact(chain, prime=2)
-    assert ok
-    assert any("GF(2)" in rec.getMessage() for rec in caplog.records)
-    ok, _ = is_exact(chain, prime=None)
-    assert ok
+    assert is_exact(chain) == (True, {})
 
 
 # -- Taylor complex -----------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 
 from cellres import cli
 from cellres.cli import main
-from cellres.exact import DEFAULT_PRIME
 
 RUNNING = "x1*x2, x1*x3, x1*x5, x2*x3, x2*x5, x3*x5, x4*x5"
 EXAMPLE1 = "x1*x3*x4, x1*x3*x5, x1*x2*x4, x1*x4*x5, x2*x3*x4, x2*x3*x5"
@@ -185,9 +184,21 @@ def test_verify_running(capsys):
 
 
 def test_verify_no_prefilter(capsys):
-    code, out, _ = run_cli(["verify", "--no-prefilter", EXAMPLE1], capsys)
+    # exact Q is the only arithmetic: verify needs no flag for it, and the
+    # old --no-prefilter flag is an unknown argument of verify and complex
+    code, out, _ = run_cli(["verify", EXAMPLE1], capsys)
     assert code == 0
     assert "FAIL" not in out
+    for command in ("verify", "complex"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cellres.cli", command, "--no-prefilter", "x1, x2"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "unrecognized arguments: --no-prefilter" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_gen_corpus_output(capsys, tmp_path):
@@ -244,6 +255,18 @@ def test_gen_corpus_bytes_are_pinned(capsys, flags, digest):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+
+def test_gen_corpus_says_when_d_is_capped(capsys):
+    small = "--stable-n 2 --stable-deg 2 --cointerval-n 4".split()
+    code, out3, err3 = run_cli(["gen-corpus", "--cointerval-d", "3"] + small, capsys)
+    assert code == 0
+    assert "capped" not in err3
+    code, out4, err4 = run_cli(["gen-corpus", "--cointerval-d", "4"] + small, capsys)
+    assert code == 0
+    assert err4 == "note: --cointerval-d capped at 3\n" + err3
+    assert out4 == out3
+
+
 def test_dgraph_file_input(capsys, tmp_path):
     path = tmp_path / "graph.txt"
     path.write_text("2 5\n1 2\n1 3\n1 5\n2 3\n2 5\n3 5\n4 5\n")
@@ -257,25 +280,6 @@ def test_json_ideal_input(capsys):
     code, out, _ = run_cli(["check", blob], capsys)
     assert code == 0
     assert "linear quotients: yes" in out
-
-
-def test_resolve_prime_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("RESOLVE_PRIME", "1048589")
-    code, out, _ = run_cli(["verify", "x1*x2, x1*x3, x2*x3"], capsys)
-    assert code == 0 and "FAIL" not in out
-
-
-def test_prime_is_one_value(capsys, monkeypatch):
-    # --no-prefilter means exact Q and never reads RESOLVE_PRIME
-    monkeypatch.setenv("RESOLVE_PRIME", "abc")
-    args = cli._parser().parse_args(["verify", "--no-prefilter", RUNNING])
-    assert cli._prime(args) is None
-    code, out, err = run_cli(["verify", "--no-prefilter", RUNNING], capsys)
-    assert code == 0 and "FAIL" not in out and err == ""
-    monkeypatch.setenv("RESOLVE_PRIME", "1048589")
-    assert cli._prime(cli._parser().parse_args(["verify", RUNNING])) == 1048589
-    monkeypatch.delenv("RESOLVE_PRIME")
-    assert cli._prime(cli._parser().parse_args(["verify", RUNNING])) == DEFAULT_PRIME
 
 
 def test_determinism_byte_identical(tmp_path):

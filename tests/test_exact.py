@@ -1,5 +1,5 @@
-"""Prime validation for the GF(p) prefilter and the collapse's dd = 0
-guard."""
+"""Homology over Q: the collapse settles every strand the corpus reaches,
+the core is ranked exactly, and the collapse's dd = 0 guard holds."""
 
 import os
 import subprocess
@@ -7,16 +7,14 @@ import sys
 
 import pytest
 
+from cellres import exact
 from cellres.betti import LabeledCellComplex, check_cellular_resolution
-from cellres.errors import InputError, VerificationError
-from cellres.exact import (
-    ChainData,
-    check_prime,
-    homology_ranks,
-    is_exact,
-    rank_mod_p,
-)
-from cellres.ideals import parse_ideal
+from cellres.cointerval import build_hom_complex, dgraph_of_ideal
+from cellres.corpus import gen_corpus
+from cellres.ekcells import build_ek_cw
+from cellres.errors import VerificationError
+from cellres.exact import ChainData, homology_ranks, is_exact
+from cellres.ideals import check_regularity, parse_ideal
 from cellres.monomial import parse_monomial
 
 
@@ -28,47 +26,13 @@ def _two_cell_complex():
     )
 
 
-@pytest.mark.parametrize(
-    "p", [2, 3, 1048583, 1048589, 2**31 - 1, 2**61 - 1, 18446744073709551557]
-)
-def test_check_prime_accepts_primes(p):
-    assert check_prime(p) == p
-
-
-@pytest.mark.parametrize(
-    "p",
-    [
-        0,
-        1,
-        -7,
-        4,
-        15,
-        561,  # Carmichael number
-        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
-        2**64 + 13,  # prime, but above the certified range
-        "7",
-        7.0,
-        True,
-    ],
-)
-def test_check_prime_rejects(p):
-    with pytest.raises(InputError):
-        check_prime(p)
-
-
-def test_composite_prime_cannot_certify_exactness():
+def test_two_cell_complex_is_not_exact_over_q():
     chain = _two_cell_complex()
     assert is_exact(chain) == (False, {0: 1, 1: 1})
     assert homology_ranks(chain) == {0: 1, 1: 1}
-    with pytest.raises(InputError):
-        is_exact(chain, prime=15)
-    with pytest.raises(InputError):
-        homology_ranks(chain, prime=15)
-    with pytest.raises(InputError):
-        rank_mod_p([[3, 6], [5, 10]], 15)
 
 
-def test_check_cellular_resolution_rejects_composite_prime():
+def test_check_cellular_resolution_on_a_segment():
     ideal = parse_ideal("x1, x2")
     X = LabeledCellComplex(
         {
@@ -78,13 +42,36 @@ def test_check_cellular_resolution_rejects_composite_prime():
         },
         {"e": [("a", 1), ("b", -1)]},
     )
-    assert check_cellular_resolution(X, ideal, prime=1048583) == (True, None)
-    with pytest.raises(InputError):
-        check_cellular_resolution(X, ideal, prime=15)
+    assert check_cellular_resolution(X, ideal) == (True, None)
+
+
+def test_collapse_settles_every_corpus_strand(monkeypatch):
+    """The EK complex of every 7th regular corpus ideal and the hom complex
+    of every 7th cointerval one are certified by the collapse alone: no
+    strand leaves a core to rank."""
+
+    def no_core(rows):
+        raise AssertionError("a strand reached the dense rank")
+
+    monkeypatch.setattr(exact, "bareiss_rank", no_core)
+    checked = {"ek": 0, "hom": 0}
+    for item in gen_corpus()[::7]:
+        ideal = item.ideal
+        if check_regularity(ideal).regular:
+            assert check_cellular_resolution(build_ek_cw(ideal), ideal) == (True, None)
+            checked["ek"] += 1
+        if item.tags.get("cointerval"):
+            H = build_hom_complex(dgraph_of_ideal(ideal), ideal.n)
+            assert check_cellular_resolution(H, ideal) == (True, None)
+            checked["hom"] += 1
+    assert checked == {"ek": 288, "hom": 561}
 
 
 def _cli(args, env_prime):
-    env = dict(os.environ, RESOLVE_PRIME=env_prime)
+    env = dict(os.environ)
+    env.pop("RESOLVE_PRIME", None)
+    if env_prime is not None:
+        env["RESOLVE_PRIME"] = env_prime
     return subprocess.run(
         [sys.executable, "-m", "cellres.cli"] + args,
         capture_output=True,
@@ -93,13 +80,16 @@ def _cli(args, env_prime):
     )
 
 
-@pytest.mark.parametrize("value", ["15", "abc"])
-def test_cli_bad_resolve_prime_is_an_input_error(value):
+@pytest.mark.parametrize("value", ["15", "abc", "1048589"])
+def test_cli_ignores_resolve_prime(value):
+    """RESOLVE_PRIME is not read: whatever it holds, the output is the
+    unset run's."""
     for args in (["verify", "x1*x2, x1*x3, x2*x3"], ["complex", "x1, x2"]):
+        unset = _cli(args, None)
         proc = _cli(args, value)
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "input error" in proc.stderr
+        assert proc.returncode == unset.returncode == 0, proc.stderr
+        assert proc.stdout == unset.stdout
+        assert proc.stderr == unset.stderr == ""
 
 
 _NON_COMPLEX = """

@@ -44,6 +44,19 @@ def test_parse_rejects_duplicates_and_junk():
         parse_ideal("")
 
 
+def test_duplicates_are_found_before_non_minimal_pairs():
+    # x1 divides x1*x2 earlier in the list than x3 repeats
+    with pytest.raises(DuplicateGenerator, match="^x3$"):
+        parse_ideal("x1, x1*x2, x3, x3")
+    m = parse_monomial("x1*x2", n=2)
+    with pytest.raises(DuplicateGenerator, match="^x1\\*x2$"):
+        OrderedIdeal(2, [m, m])
+    with pytest.raises(NonMinimalGenerators, match="^x1 divides x1\\*x2$"):
+        parse_ideal("x1*x2, x3, x1")
+    ideal = parse_ideal("x2*x3, x1, x3^2")
+    assert [ideal.index_of(g) for g in ideal.gens] == [1, 2, 3]
+
+
 def test_minimalize():
     ms = [parse_monomial(s, n=3) for s in ["x1*x2", "x1", "x2*x3", "x1*x3"]]
     out = minimalize(ms)

@@ -23,7 +23,6 @@ from cellres.cointerval import (
     edge_ideal,
     is_cointerval,
 )
-from cellres import exact
 from cellres.corpus import cointerval_corpus, example_corpus, gen_corpus, stable_corpus
 from cellres.ekcells import _simplicial_chain_data, build_ek_cw
 from cellres.errors import NonMonotoneLabels, VerificationError
@@ -170,7 +169,6 @@ def test_hollow_triangle_goes_through_the_core():
     strand = chain.restrict(["-", "v12", "v13", "v23", "e1", "e2", "e3"])
     assert _collapse(strand) == ([0, 1, 2, 3, 4, 5, 6], 0)
     assert is_exact(strand) == (False, {1: 1})
-    assert is_exact(strand, prime=None) == (False, {1: 1})
     # without the third edge the strand is a path, and collapses away
     path = chain.restrict(["-", "v12", "v13", "v23", "e1", "e2"])
     assert _collapse(path) == ([], 6)
@@ -257,13 +255,12 @@ def test_homology_ranks_match_dense_reference(facets):
     }
     want = _dense_homology(dict(cells_by_deg), boundary)
     assert homology_ranks(chain) == want
-    assert homology_ranks(chain, prime=1048583) == want
     assert is_exact(chain) == (not want, want)
 
 
-def test_is_exact_without_prime_is_exact_q_only(complexes, monkeypatch):
-    """prime=None runs Q alone and equals homology_ranks; the default
-    GF(p) prefilter reaches the same verdict on every strand."""
+def test_is_exact_without_prime_is_exact_q_only(complexes):
+    """is_exact is (not h, h) for h = homology_ranks on every strand of a
+    corpus sample and on simplicial complexes, some not exact."""
     chains = []
     for _, X, ideal in complexes:
         cells = list(X.cells_with_labels())
@@ -271,17 +268,10 @@ def test_is_exact_without_prime_is_exact_q_only(complexes, monkeypatch):
         strands = _strands([label.e for _, _, label in cells], lcm_lattice(ideal))
         chains += [_strand_chain(cells, boundaries, member) for member in strands]
     chains += [_simplicial_chain_data(facets) for facets in _facet_families()]
-    with_prime = [is_exact(x)[0] for x in chains]
-
-    def no_gf_p(rows, p):
-        raise AssertionError("GF(p) rank asked for with prime=None")
-
-    monkeypatch.setattr(exact, "rank_mod_p", no_gf_p)
     nonexact = 0
-    for x, ok in zip(chains, with_prime):
+    for x in chains:
         h = homology_ranks(x)
-        assert is_exact(x, prime=None) == (not h, h)
-        assert ok == (not h)
+        assert is_exact(x) == (not h, h)
         nonexact += bool(h)
     assert nonexact > 5
 
