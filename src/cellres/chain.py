@@ -13,7 +13,7 @@ validate() and d o d = 0 is checked, never assumed.
 
 from collections import defaultdict
 from itertools import combinations
-from operator import add
+from operator import add, sub
 from typing import NamedTuple
 
 from .errors import NonCommutingChainMap, NotLinearQuotients, NotRegular
@@ -346,7 +346,12 @@ class TableRule:
     variable contributes no rule term to the differential, and the glued
     cells use only the chain orders that apply the larger variable of an
     absorbing pair first.  The table is shared, not copied.
+
+    `resolution` is the rule's symbol-basis complex once a caller has
+    built and checked it (enumerate_regular_rules does), else None.
     """
+
+    resolution = None
 
     def __init__(self, ideal, table, absorbing):
         self.ideal = ideal
@@ -394,69 +399,70 @@ class BRule(TableRule):
 
 
 def symbol_basis(ideal):
-    """Symbols (m; alpha), alpha a subset of set(m), graded by |alpha| + 1.
+    """Symbols (m; alpha), alpha a subset of set(m), graded by |alpha| + 1,
+    with their multidegrees m * x_alpha.
 
     Degree 0 is the ring itself (UNIT).
     """
     table = ideal.set_table()
     top = 1 + max((len(s) for s in table), default=0)
+    exponents = [g.e for g in ideal.gens]
     basis = [[UNIT]]
     mdeg = [[Monomial.one(ideal.n)]]
     for i in range(1, top + 1):
-        level = []
-        for j in range(1, ideal.k + 1):
-            for alpha in combinations(table[j - 1], i - 1):
+        level, degrees = [], []
+        for j, (sj, e) in enumerate(zip(table, exponents), start=1):
+            for alpha in combinations(sj, i - 1):
                 level.append(Symbol(j, alpha))
+                up = list(e)
+                for t in alpha:
+                    up[t - 1] += 1
+                degrees.append(Monomial._raw(tuple(up)))
         basis.append(level)
-        mdeg.append(
-            [
-                ideal.gen(s.gen) * Monomial.from_support(s.alpha, ideal.n)
-                for s in level
-            ]
-        )
+        mdeg.append(degrees)
     return basis, mdeg
 
 
-def symbol_differential(ideal, rule, sym):
-    """Differential of one symbol under a decomposition rule.
+def resolution_from_rule(ideal, rule):
+    """The full symbol-basis complex with the rule-driven differential.
 
     d(m; {}) = m.  For alpha = (j_1 < ... < j_p):
         d(m;alpha) = sum_i (-1)^i x_{j_i} (m; alpha - j_i)
                    - sum_{j_i in tset} (-1)^i (x_{j_i} m / m_g) (m_g; alpha - j_i)
     with m_g = rule(x_{j_i} m); a rule term whose target (m_g; alpha - j_i)
-    is not a symbol (alpha - j_i not inside set(m_g)) is dropped.
-
-    Returns {Symbol: (sign, coeff)}.
+    is not a symbol (alpha - j_i not inside set(m_g)) is dropped.  Each
+    column lists its entries in that order, i ascending.
     """
-    j, alpha = sym.gen, sym.alpha
-    mj = ideal.gen(j)
-    if not alpha:
-        return {UNIT: (1, mj)}
-    table = ideal.set_table()
-    out = {}
-    tset = set(rule.tset(j, alpha))
-    for i, t in enumerate(alpha, start=1):
-        rest = tuple(x for x in alpha if x != t)
-        sign = 1 if i % 2 == 0 else -1
-        out[Symbol(j, rest)] = (sign, Monomial.variable(t, ideal.n))
-        if t in tset:
-            g = rule.apply(j, t)
-            if set(rest) <= set(table[g - 1]):
-                coeff = mj.times_var(t) // ideal.gen(g)
-                out[Symbol(g, rest)] = (-sign, coeff)
-    return out
-
-
-def resolution_from_rule(ideal, rule):
-    """The full symbol-basis complex with the rule-driven differential."""
     basis, mdeg = symbol_basis(ideal)
+    gens = ideal.gens
+    variables = [Monomial.variable(t, ideal.n) for t in range(1, ideal.n + 1)]
+    sets = [frozenset(s) for s in ideal.set_table()]
     diff = [dict() for _ in basis]
-    for i in range(1, len(basis)):
-        idx_lower = {s: p for p, s in enumerate(basis[i - 1])}
-        for c, sym in enumerate(basis[i]):
-            for target, (sign, coeff) in symbol_differential(ideal, rule, sym).items():
-                diff[i][(idx_lower[target], c)] = (sign, coeff)
+    diff[1] = {(0, c): (1, gens[j - 1]) for c, (j, _) in enumerate(basis[1])}
+    for i in range(2, len(basis)):
+        # Symbols hash and compare as plain (gen, alpha) tuples
+        rows = {sym: r for r, sym in enumerate(basis[i - 1])}
+        d = diff[i]
+        for c, (j, alpha) in enumerate(basis[i]):
+            tset = rule.tset(j, alpha)
+            for p, t in enumerate(alpha):
+                rest = alpha[:p] + alpha[p + 1 :]
+                sign = 1 if p % 2 else -1
+                d[(rows[(j, rest)], c)] = (sign, variables[t - 1])
+                if t in tset:
+                    g = rule.apply(j, t)
+                    if sets[g - 1].issuperset(rest):
+                        d[(rows[(g, rest)], c)] = (-sign, _rule_coefficient(gens, j, t, g))
     return LabeledChainComplex(ideal.n, basis, mdeg, diff)
+
+
+def _rule_coefficient(gens, j, t, g):
+    """x_t m_j / m_g, on exponent tuples."""
+    q = list(map(sub, gens[j - 1].e, gens[g - 1].e))
+    q[t - 1] += 1
+    if min(q) < 0:
+        raise ValueError("%s does not divide %s" % (gens[g - 1], gens[j - 1].times_var(t)))
+    return Monomial._raw(tuple(q))
 
 
 def ht_resolution(ideal):

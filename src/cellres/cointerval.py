@@ -240,10 +240,8 @@ def _enumerate_hom_cells(graph):
                 cell = tuple(
                     tuple(subset[bounds[i] : bounds[i + 1]]) for i in range(d)
                 )
-                if all(
-                    tuple(sorted(choice)) in graph.edges
-                    for choice in product(*cell)
-                ):
+                # blocks are increasing runs, so every choice is sorted
+                if all(choice in graph.edges for choice in product(*cell)):
                     cells.append(cell)
     return sorted(cells)
 
@@ -277,12 +275,17 @@ def symbol_of_face(ideal, cell):
     """(m; alpha) for a cell: m is the product of the block maxima and
     alpha collects everything below them."""
     maxima = tuple(max(block) for block in cell)
-    m = Monomial.from_support(maxima, ideal.n)
-    j = ideal.index_of(m)
+    e = [0] * ideal.n
+    for v in maxima:
+        if 0 < v <= ideal.n:
+            e[v - 1] = 1
+    j = ideal.exponent_index.get(tuple(e))
     if j is None:
         raise SymbolNotInComplex("block maxima %s are not a generator" % (maxima,))
-    alpha = tuple(sorted(v for block in cell for v in block if v != max(block)))
-    if not set(alpha) <= set(ideal.set_of(j)):
+    alpha = tuple(
+        sorted(v for block, top in zip(cell, maxima) for v in block if v != top)
+    )
+    if not set(ideal.set_of(j)).issuperset(alpha):
         raise SymbolNotInComplex(
             "alpha %s escapes set(m_%d); not a resolution cell" % (alpha, j)
         )
@@ -323,18 +326,18 @@ def partition_A(ideal, j):
     lex-cointerval theory promises.
     """
     m = ideal.gen(j)
-    supp = m.support()
-    gens = set(ideal.gens)
+    index = ideal.exponent_index
     prev = 0
     blocks = []
-    for i_ell in supp:
+    for i_ell in m.support():
         block = []
+        swapped = list(m.e)
+        swapped[i_ell - 1] -= 1
         for a in range(prev + 1, i_ell):
-            swapped = (m // Monomial.variable(i_ell, ideal.n)) * Monomial.variable(
-                a, ideal.n
-            )
-            if swapped in gens:
+            swapped[a - 1] += 1
+            if tuple(swapped) in index:
                 block.append(a)
+            swapped[a - 1] -= 1
         blocks.append(tuple(block))
         prev = i_ell
     flat = tuple(sorted(a for b in blocks for a in b))
@@ -366,9 +369,17 @@ def decomp_c(ideal, m, i):
         raise NotInSet("%s is not a generator" % str(m))
     if i not in ideal.set_of(j):
         raise NotInSet("%d is not in set(%s)" % (i, str(m)))
-    above = [s for s in m.support() if s >= i]
-    jk = min(above)
-    return m.times_var(i) // Monomial.variable(jk, ideal.n)
+    return Monomial._raw(_c_exponents(m.e, i))
+
+
+def _c_exponents(e, i):
+    """Exponents of x_i m / x_{j_k} for the monomial m with exponents e,
+    j_k the smallest support element of m with i <= j_k."""
+    jk = min(s for s in range(i, len(e) + 1) if e[s - 1])
+    c = list(e)
+    c[i - 1] += 1
+    c[jk - 1] -= 1
+    return tuple(c)
 
 
 class CRule(TableRule):
@@ -379,14 +390,15 @@ class CRule(TableRule):
 
     def __init__(self, ideal):
         table = {}
-        for j in range(1, ideal.k + 1):
-            m = ideal.gen(j)
-            for t in ideal.set_of(j):
-                target = decomp_c(ideal, m, t)
-                g = ideal.index_of(target)
+        index = ideal.exponent_index
+        for j, (m, sj) in enumerate(zip(ideal.gens, ideal.set_table()), start=1):
+            for t in sj:
+                target = _c_exponents(m.e, t)
+                g = index.get(target)
                 if g is None:
                     raise NotCointerval(
-                        "c(x_%d m_%d) = %s is not a generator" % (t, j, str(target))
+                        "c(x_%d m_%d) = %s is not a generator"
+                        % (t, j, Monomial._raw(target))
                     )
                 table[(j, t)] = g
         absorbing = [

@@ -37,7 +37,12 @@ def minimalize(monomials):
 
 
 class OrderedIdeal:
-    """A monomial ideal with a fixed order on its minimal generators."""
+    """A monomial ideal with a fixed order on its minimal generators.
+
+    `exponent_index` maps each generator's exponent tuple to its 1-based
+    index; it is the one generator lookup, read but never changed by the
+    builders that compute generators as exponent tuples.
+    """
 
     def __init__(self, n, gens):
         gens = tuple(g if isinstance(g, Monomial) else Monomial(g) for g in gens)
@@ -50,19 +55,21 @@ class OrderedIdeal:
                 )
             if g.is_one():
                 raise MalformedMonomial("the unit monomial cannot be a generator")
-        position = {}
+        index = {}
         for j, g in enumerate(gens, start=1):
-            if g in position:
+            if g.e in index:
                 raise DuplicateGenerator(str(g))
-            position[g] = j
-        # generators are now pairwise unequal, so identity tells them apart
-        for g in gens:
-            for h in gens:
-                if g is not h and g.divides(h):
+            index[g.e] = j
+        # generators are now pairwise unequal, and of two distinct
+        # monomials only one of smaller degree can divide the other
+        degrees = [g.degree() for g in gens]
+        for g, dg in zip(gens, degrees):
+            for h, dh in zip(gens, degrees):
+                if dg < dh and g.divides(h):
                     raise NonMinimalGenerators("%s divides %s" % (g, h))
         self.n = n
         self.gens = gens
-        self._position = position
+        self.exponent_index = index
         self._colons = {}
         self._set_table = None
         self._b_table = None
@@ -79,7 +86,7 @@ class OrderedIdeal:
 
     def index_of(self, m):
         """1-based index of a generator equal to m, or None."""
-        return self._position.get(m)
+        return self.exponent_index.get(m.e)
 
     def reordered(self, order):
         """New OrderedIdeal with generators permuted by `order` (1-based)."""

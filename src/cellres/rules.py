@@ -76,7 +76,8 @@ def enumerate_regular_rules(ideal, bound=100000):
     Entries are searched depth-first by (generator, variable); the
     pairwise commute-or-absorb law is enforced as soon as all four table
     entries it mentions are fixed, and completed tables are kept only if
-    the differential they induce squares to zero.
+    the differential they induce squares to zero and is minimal.  Each
+    kept rule carries that checked complex as its `resolution`.
     """
     table = ideal.set_table()
     slots = []
@@ -116,6 +117,7 @@ def enumerate_regular_rules(ideal, bound=100000):
             cx = resolution_from_rule(ideal, rule)
             ok, _ = check_dd_zero(cx)
             if ok and check_minimal(cx):
+                rule.resolution = cx
                 out.append(rule)
             return
         (j, t), cands = slots[pos]
@@ -134,10 +136,12 @@ def enumerate_regular_rules(ideal, bound=100000):
 def complex_for_rule(ideal, rule):
     """Run the full geometric pipeline with the rule in place of the
     canonical one and verify the cellular complex against the algebraic
-    differential."""
+    differential, the rule's own `resolution` when it carries one."""
     X = build_ek_cw(ideal, rule)
     cellular = cellular_chain_complex(X)
-    algebraic = resolution_from_rule(ideal, rule)
+    algebraic = rule.resolution
+    if algebraic is None or rule.ideal != ideal:
+        algebraic = resolution_from_rule(ideal, rule)
     from .chain import compare_up_to_degree_signs
 
     ok, why = compare_up_to_degree_signs(cellular, algebraic)

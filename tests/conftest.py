@@ -1,6 +1,15 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from cellres.ideals import parse_ideal
+
+# pytest's `pythonpath` setting (pyproject.toml) reaches only this
+# process; the CLI and -O subprocesses some tests start must import
+# cellres from the same checkout, with or without PYTHONPATH set.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 # Six squarefree degree-3 generators in five variables; has linear
 # quotients in this order, regular b, not stable, not cointerval.
