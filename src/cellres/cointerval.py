@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
-from .chain import Symbol, TableRule, resolution_from_rule, symbol_complex
+from .chain import (
+    Symbol,
+    TableRule,
+    compare_up_to_degree_signs,
+    resolution_from_rule,
+    symbol_complex,
+)
+from .ekcells import build_ek_cw, cellular_chain_complex
 from .errors import (
     InputError,
     NotCointerval,
@@ -271,20 +278,38 @@ def hom_boundary(cell):
 # -- faces <-> symbols -----------------------------------------------------
 
 
+def _not_a_cell(cell, n):
+    return SymbolNotInComplex(
+        "%s is not a cell: blocks must be nonempty and strictly "
+        "increasing inside 1..%d" % (cell, n)
+    )
+
+
 def symbol_of_face(ideal, cell):
     """(m; alpha) for a cell: m is the product of the block maxima and
-    alpha collects everything below them."""
-    maxima = tuple(max(block) for block in cell)
-    e = [0] * ideal.n
-    for v in maxima:
-        if 0 < v <= ideal.n:
-            e[v - 1] = 1
+    alpha collects everything below them.
+
+    A cell's blocks are nonempty and, concatenated, strictly increasing
+    inside 1..n; anything else raises SymbolNotInComplex.
+    """
+    n = ideal.n
+    e = [0] * n
+    alpha = []
+    top = 0
+    for block in cell:
+        if not block:
+            raise _not_a_cell(cell, n)
+        for v in block:
+            if not top < v <= n:
+                raise _not_a_cell(cell, n)
+            top = v
+        e[top - 1] = 1
+        alpha += block[:-1]
     j = ideal.exponent_index.get(tuple(e))
     if j is None:
+        maxima = tuple(block[-1] for block in cell)
         raise SymbolNotInComplex("block maxima %s are not a generator" % (maxima,))
-    alpha = tuple(
-        sorted(v for block, top in zip(cell, maxima) for v in block if v != top)
-    )
+    alpha = tuple(alpha)
     if not set(ideal.set_of(j)).issuperset(alpha):
         raise SymbolNotInComplex(
             "alpha %s escapes set(m_%d); not a resolution cell" % (alpha, j)
@@ -315,7 +340,7 @@ def face_of_symbol(ideal, j, alpha):
     return tuple(blocks)
 
 
-# -- the A-partition, T(alpha), and the decomposition function c ----------
+# -- the A-partition and the decomposition function c --------------------
 
 
 def partition_A(ideal, j):
@@ -349,18 +374,6 @@ def partition_A(ideal, j):
     return tuple(blocks)
 
 
-def compute_T(ideal, j, alpha):
-    """Blockwise maxima of alpha; blocks missing from alpha contribute
-    nothing."""
-    alpha = set(alpha)
-    out = []
-    for block in partition_A(ideal, j):
-        hit = alpha & set(block)
-        if hit:
-            out.append(max(hit))
-    return tuple(sorted(out))
-
-
 def decomp_c(ideal, m, i):
     """c(x_i m) = x_i m / x_{j_k} where j_k is the smallest support element
     of m with i <= j_k."""
@@ -385,8 +398,8 @@ def _c_exponents(e, i):
 class CRule(TableRule):
     """Decomposition rule for lex-ordered cointerval edge ideals: the
     table of c, with every pair inside one A-block absorbing, so tset
-    keeps the blockwise maxima of alpha and the glued cells list larger
-    same-block elements first."""
+    keeps the blockwise maxima of alpha (the paper's T(alpha)) and the
+    glued cells list larger same-block elements first."""
 
     def __init__(self, ideal):
         table = {}
@@ -420,25 +433,6 @@ def homcone_resolution(ideal):
     return resolution_from_rule(ideal, CRule(ideal))
 
 
-def admissible_perm_cells(rule, j, alpha):
-    """The glued cell of (m_j, alpha) built from the c-chains of `rule`, a
-    CRule, over the admissible permutations; cross-checked against the
-    product cell."""
-    from .ekcells import build_cell
-
-    ideal = rule.ideal
-    cell = build_cell(ideal, j, alpha, rule)
-    want = {
-        ideal.index_of(Monomial.from_support(e, ideal.n))
-        for e in product(*face_of_symbol(ideal, j, alpha))
-    }
-    if cell.vertex_set() != want:
-        raise VerificationError(
-            "c-chains of (m_%d, %s) do not span the product cell" % (j, alpha)
-        )
-    return cell
-
-
 def hom_chain_complex(X, ideal):
     """The labeled chain complex of the homomorphism complex, written on
     the symbol basis through the face <-> symbol bijection and normalized
@@ -448,3 +442,27 @@ def hom_chain_complex(X, ideal):
 
 def build_hom_complex(graph, n=None):
     return HomComplex(graph, n)
+
+
+def c_realizes_hom(ideal):
+    """(True, None) if rule c realizes the homomorphism complex of a
+    lex-ordered cointerval edge ideal, else (False, reason): the complex
+    glued from CRule and the hom complex have equal symbol bases and
+    boundaries up to one sign per degree, and the cell of (m_j; alpha)
+    spans the product vertices of face_of_symbol(ideal, j, alpha)."""
+    graph = _require_lex_cointerval(ideal)
+    X = build_ek_cw(ideal, CRule(ideal))
+    H = hom_chain_complex(HomComplex(graph, ideal.n), ideal)
+    ok, why = compare_up_to_degree_signs(cellular_chain_complex(X), H)
+    if not ok:
+        return False, why
+    for (j, alpha), cell in X.cells.items():
+        face = face_of_symbol(ideal, j, alpha)
+        want = {
+            ideal.exponent_index.get(Monomial.from_support(e, ideal.n).e)
+            for e in product(*face)
+        }
+        if cell.vertex_set() != want:
+            why = "cell (m_%d; %s) does not span the product cell %s"
+            return False, why % (j, alpha, face)
+    return True, None

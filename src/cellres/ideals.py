@@ -22,6 +22,10 @@ from .errors import (
 from .monomial import Monomial, parse_monomial
 
 
+# linear_quotient_failure not yet computed; None means linear quotients
+_UNCHECKED = object()
+
+
 def minimalize(monomials):
     """Minimal elements of a set of monomials under divisibility.
 
@@ -71,6 +75,7 @@ class OrderedIdeal:
         self.gens = gens
         self.exponent_index = index
         self._colons = {}
+        self._failure = _UNCHECKED
         self._set_table = None
         self._b_table = None
 
@@ -115,12 +120,16 @@ class OrderedIdeal:
 
     def linear_quotient_failure(self):
         """None if the order has linear quotients, else (j, witness monomial)
-        for the smallest j whose colon has a non-variable minimal generator."""
-        for j in range(1, self.k + 1):
-            for q in sorted(self._colon(j)):
-                if q.degree() != 1:
-                    return j, q
-        return None
+        for the smallest j whose colon has a non-variable minimal generator.
+        Computed once per ideal and kept."""
+        if self._failure is _UNCHECKED:
+            self._failure = None
+            for j in range(1, self.k + 1):
+                bad = [q for q in self._colon(j) if q.degree() != 1]
+                if bad:
+                    self._failure = j, min(bad)
+                    break
+        return self._failure
 
     def set_table(self):
         """set(m_j) for every j, as a tuple of sorted variable-index tuples.

@@ -21,6 +21,7 @@ from .chain import (
     TableRule,
     check_dd_zero,
     check_minimal,
+    compare_up_to_degree_signs,
     resolution_from_rule,
 )
 from .ekcells import build_ek_cw, cellular_chain_complex
@@ -78,6 +79,10 @@ def enumerate_regular_rules(ideal, bound=100000):
     entries it mentions are fixed, and completed tables are kept only if
     the differential they induce squares to zero and is minimal.  Each
     kept rule carries that checked complex as its `resolution`.
+
+    Despite the name, regularity (set(g) a subset of set(m_j) for every
+    entry (j, t) -> g) is not one of the admission tests, so irregular
+    tables are admitted too.
     """
     table = ideal.set_table()
     slots = []
@@ -142,8 +147,6 @@ def complex_for_rule(ideal, rule):
     algebraic = rule.resolution
     if algebraic is None or rule.ideal != ideal:
         algebraic = resolution_from_rule(ideal, rule)
-    from .chain import compare_up_to_degree_signs
-
     ok, why = compare_up_to_degree_signs(cellular, algebraic)
     if not ok:
         raise MismatchWithAlgebraicDifferential(str(why))

@@ -2,7 +2,9 @@ from itertools import combinations
 
 import pytest
 
+from cellres import cointerval
 from cellres.chain import (
+    BRule,
     Symbol,
     check_dd_zero,
     check_minimal,
@@ -12,10 +14,9 @@ from cellres.chain import (
 from cellres.cointerval import (
     CRule,
     DGraph,
-    admissible_perm_cells,
     build_hom_complex,
+    c_realizes_hom,
     cointerval_discrepancy,
-    compute_T,
     decomp_c,
     dgraph_of_ideal,
     edge_ideal,
@@ -31,9 +32,16 @@ from cellres.cointerval import (
     symbol_of_face,
     v_layer,
 )
+from cellres.corpus import gen_corpus
+from cellres.ekcells import build_ek_cw
 from cellres.errors import NotCointerval, NotInSet, SymbolNotInComplex
 from cellres.ideals import parse_ideal
 from cellres.monomial import Monomial, parse_monomial
+
+
+@pytest.fixture(scope="module")
+def cointerval_items():
+    return [item for item in gen_corpus() if item.tags.get("cointerval")]
 
 
 def running_graph():
@@ -185,19 +193,52 @@ def test_face_of_symbol_rejects(running):
         face_of_symbol(running, 1, (3,))
 
 
+@pytest.mark.parametrize(
+    "cell",
+    [
+        ((1,), (2,), (9,)),  # a third block, and 9 outside 1..5
+        ((1,), (2, 2)),  # 2 repeated
+        ((2,), (1,)),  # blocks out of order
+        ((), (1,)),  # an empty block
+    ],
+)
+def test_symbol_of_face_rejects_non_cells(running, cell):
+    with pytest.raises(SymbolNotInComplex) as err:
+        symbol_of_face(running, cell)
+    assert str(err.value) == (
+        "%s is not a cell: blocks must be nonempty and strictly increasing "
+        "inside 1..5" % (cell,)
+    )
+
+
 # -- A-partition, T, c --------------------------------------------------------
 
 
 def test_partition_A_running(running):
+    tset = CRule(running).tset
     j6 = running.index_of(parse_monomial("x3*x5", n=5))
     assert partition_A(running, j6) == ((1, 2), ())
-    assert compute_T(running, j6, (1, 2)) == (2,)
+    assert tset(j6, (1, 2)) == (2,)
     j5 = running.index_of(parse_monomial("x2*x5", n=5))
     assert partition_A(running, j5) == ((1,), (3,))
-    assert compute_T(running, j5, (1, 3)) == (1, 3)
+    assert tset(j5, (1, 3)) == (1, 3)
     j7 = running.index_of(parse_monomial("x4*x5", n=5))
     assert partition_A(running, j7) == ((1, 2, 3), ())
-    assert compute_T(running, j7, (1, 2, 3)) == (3,)
+    assert tset(j7, (1, 2, 3)) == (3,)
+
+
+def test_crule_tset_is_blockwise_maxima(cointerval_items):
+    # T(alpha): the largest element of alpha in each A-block it meets
+    for item in cointerval_items[::7]:
+        ideal = item.ideal
+        rule = CRule(ideal)
+        for j in range(1, ideal.k + 1):
+            blocks = partition_A(ideal, j)
+            for size in range(len(ideal.set_of(j)) + 1):
+                for alpha in combinations(ideal.set_of(j), size):
+                    hits = [set(b) & set(alpha) for b in blocks]
+                    want = tuple(sorted(max(h) for h in hits if h))
+                    assert tuple(rule.tset(j, alpha)) == want, (item.name, j, alpha)
 
 
 def test_decomp_c_values(running):
@@ -288,9 +329,9 @@ def test_hom_chain_complex_matches_homcone(running):
     assert ok, signs
 
 
-def test_admissible_perm_cells_top(running):
+def test_c_rule_top_cell(running):
     j7 = running.index_of(parse_monomial("x4*x5", n=5))
-    cell = admissible_perm_cells(CRule(running), j7, (1, 2, 3))
+    cell = build_ek_cw(running, CRule(running)).cells[(j7, (1, 2, 3))]
     # single descending chain: the tetrahedron on x4x5, x3x5, x2x5, x1x5
     assert len(cell.simplices) == 1
     assert cell.vertex_set() == {
@@ -299,12 +340,39 @@ def test_admissible_perm_cells_top(running):
     }
 
 
-def test_admissible_perm_cells_exhaustive(running):
-    rule = CRule(running)
-    for j in range(1, running.k + 1):
-        for size in range(len(running.set_of(j)) + 1):
-            for alpha in combinations(running.set_of(j), size):
-                admissible_perm_cells(rule, j, alpha)
+def test_c_realizes_hom_running(running):
+    assert c_realizes_hom(running) == (True, None)
+
+
+def test_c_realizes_hom_on_cointerval_corpus_sample(cointerval_items):
+    for item in cointerval_items[::7]:
+        assert c_realizes_hom(item.ideal) == (True, None), item.name
+
+
+def test_c_realizes_hom_rejects_rule_b(monkeypatch, running):
+    monkeypatch.setattr(cointerval, "CRule", BRule)
+    assert c_realizes_hom(running) == (False, "supports differ in degree 2")
+
+
+def test_c_realizes_hom_checks_cell_vertices(monkeypatch, running):
+    # the same faces with the two blocks' vertices shifted: the glued
+    # cells no longer span the product vertices
+    real = cointerval.face_of_symbol
+
+    def shifted(ideal, j, alpha):
+        return tuple(tuple(v + 1 for v in block) for block in real(ideal, j, alpha))
+
+    monkeypatch.setattr(cointerval, "face_of_symbol", shifted)
+    ok, why = c_realizes_hom(running)
+    assert not ok
+    assert why.startswith("cell (m_1; ()) does not span the product cell")
+
+
+def test_c_realizes_hom_requires_cointerval(example1):
+    with pytest.raises(NotCointerval):
+        c_realizes_hom(example1)
+    with pytest.raises(NotCointerval):
+        c_realizes_hom(parse_ideal("x1*x2, x3*x4"))
 
 
 def test_homcone_is_an_iterated_cone(running):

@@ -127,6 +127,24 @@ def test_linear_quotient_failure():
     assert witness == parse_monomial("x1*x2", n=4)
 
 
+@pytest.mark.parametrize("text", ["x1*x2, x1*x3, x2*x3", "x1*x2, x3*x4"])
+def test_linear_quotient_failure_is_computed_once(monkeypatch, text):
+    ideal = parse_ideal(text)
+    first = ideal.linear_quotient_failure()
+    calls = []
+    colon = ideal._colon
+
+    def counted(j):
+        calls.append(j)
+        return colon(j)
+
+    monkeypatch.setattr(ideal, "_colon", counted)
+    for _ in range(3):
+        assert ideal.has_linear_quotients() is (first is None)
+        assert ideal.linear_quotient_failure() == first
+    assert calls == []
+
+
 def test_find_order_recovers_certificate(example1):
     shuffled = OrderedIdeal(5, list(reversed(example1.gens)))
     assert shuffled.linear_quotient_failure() is not None or True
