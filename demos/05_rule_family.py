@@ -12,18 +12,14 @@ Run:  python3 demos/05_rule_family.py
 from cellres.chain import BRule
 from cellres.cointerval import CRule, build_hom_complex, dgraph_of_ideal
 from cellres.ideals import parse_ideal
-from cellres.rules import (
-    combinatorial_type,
-    rule_family,
-    rule_from_function,
-)
+from cellres.rules import combinatorial_type, rule_family
 
 ideal = parse_ideal("x1*x2, x1*x3, x1*x5, x2*x3, x2*x5, x3*x5, x4*x5")
 enriched, types = rule_family(ideal)
 print("admitted rules: %d, distinct combinatorial types: %d" % (len(enriched), len(types)))
 
-b_key = rule_from_function(ideal, BRule(ideal)).key()
-c_key = rule_from_function(ideal, CRule(ideal)).key()
+b_key = BRule(ideal).key()
+c_key = CRule(ideal).key()
 for rule, X, fingerprint in enriched:
     marks = []
     if rule.key() == b_key:

@@ -13,7 +13,7 @@ reduced homology.  Homology is computed over Q, exactly.
 
 from bisect import bisect_right
 from collections import defaultdict
-from itertools import combinations
+from itertools import combinations, islice
 
 from .chain import cell_chain_complex
 from .errors import NonMonotoneLabels, TooManyGenerators
@@ -31,15 +31,13 @@ class TaylorSupport:
     lexicographically.  Every divisibility strand is the full simplex on
     the generators dividing b: lcm(S) | b iff each member divides b.  The
     strand checker uses that to certify acyclicity without eliminating
-    anything.
+    anything.  More than TAYLOR_BOUND generators raise TooManyGenerators.
     """
 
-    strands_are_full_simplices = True
-
-    def __init__(self, ideal, bound=TAYLOR_BOUND):
-        if ideal.k > bound:
+    def __init__(self, ideal):
+        if ideal.k > TAYLOR_BOUND:
             raise TooManyGenerators(
-                "%d generators exceed the bound %d" % (ideal.k, bound)
+                "%d generators exceed the bound %d" % (ideal.k, TAYLOR_BOUND)
             )
         self.ideal = ideal
         self._lcms = {(): Monomial.one(ideal.n)}
@@ -63,12 +61,12 @@ class TaylorSupport:
         return [(key[:i] + key[i + 1 :], -1 if i % 2 else 1) for i in range(len(key))]
 
 
-def taylor_complex(ideal, bound=TAYLOR_BOUND):
+def taylor_complex(ideal):
     """The Taylor complex as a labeled chain complex: face S in degree |S|.
 
     Resolves R/I; minimal only when no face's lcm equals a facet's.
     """
-    return cell_chain_complex(TaylorSupport(ideal, bound), ideal, tuple)
+    return cell_chain_complex(TaylorSupport(ideal), ideal, tuple)
 
 
 class LabeledCellComplex:
@@ -147,20 +145,14 @@ def check_cellular_resolution(X, ideal):
     Distinct lattice points selecting the same cell set share one homology
     computation.
     """
-    if getattr(X, "strands_are_full_simplices", False):
+    full_simplices = isinstance(X, TaylorSupport)
+    if full_simplices:
         # Every strand is the full simplex on the generators dividing b
         # (lcm(S) | b iff every member of S divides b), hence acyclic.
         # Only the vertex layer needs checking; it is emitted first.
-        vertex_labels = []
-        for _, dim, label in X.cells_with_labels():
-            if dim > 0:
-                break
-            vertex_labels.append(label.e)
-        gen_labels = sorted(g.e for g in ideal.gens)
-        if sorted(vertex_labels) != gen_labels:
-            return False, Monomial.one(ideal.n)
-        return True, None
-    cells = list(X.cells_with_labels())
+        cells = list(islice(X.cells_with_labels(), X.ideal.k))
+    else:
+        cells = list(X.cells_with_labels())
     labels = {key: label for key, _, label in cells}
     aug = ("",)  # the empty cell, in degree -1; cannot collide with cell keys
     cells_by_deg = defaultdict(list)
@@ -182,6 +174,8 @@ def check_cellular_resolution(X, ideal):
     gen_labels = sorted(g.e for g in ideal.gens)
     if vertex_labels != gen_labels:
         return False, Monomial.one(ideal.n)
+    if full_simplices:
+        return True, None
     # X augmented so homology is reduced; every strand is a restriction
     chain = ChainData(cells_by_deg, boundaries)
     keys = [key for key, _, _ in cells]
@@ -225,7 +219,7 @@ class BettiTable:
         return "BettiTable(totals=%s)" % (self.totals(),)
 
 
-def multigraded_betti(ideal, bound=TAYLOR_BOUND):
+def multigraded_betti(ideal):
     """Tor of R/I against the residue field, from the Taylor complex.
 
     Tensoring the Taylor resolution with k keeps, in multidegree b, the
@@ -233,7 +227,7 @@ def multigraded_betti(ideal, bound=TAYLOR_BOUND):
     generator only when the lcm is unchanged.  The homology of that strand
     is computed exactly over Q, bucket by bucket.
     """
-    X = TaylorSupport(ideal, bound)
+    X = TaylorSupport(ideal)
     buckets = defaultdict(list)
     for S, _, label in X.cells_with_labels():
         buckets[label].append(S)

@@ -180,7 +180,7 @@ def cmd_complex(args):
         payload = (
             export.hom_complex_to_json(X, ideal)
             if args.format == "json"
-            else export.hom_complex_to_off(X, ideal)
+            else export.hom_complex_to_off(X)
         )
     ok, failing = betti_mod.check_cellular_resolution(X, ideal)
     if not ok:

@@ -30,7 +30,7 @@ from .errors import (
     VerificationError,
 )
 from .ideals import OrderedIdeal
-from .monomial import Monomial
+from .monomial import Monomial, _check_variables
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,7 @@ def parse_dgraph(text):
         d, n = map(int, lines[0].split())
     except ValueError:
         raise InputError("bad header %r; expected 'd n'" % lines[0]) from None
+    _check_variables(n)
     edges = []
     for ln in lines[1:]:
         try:
@@ -319,11 +320,14 @@ def symbol_of_face(ideal, cell):
 
 def face_of_symbol(ideal, j, alpha):
     """Inverse of symbol_of_face: block ell is {i_ell} together with the
-    alpha elements strictly between i_{ell-1} and i_ell."""
+    alpha elements strictly between i_{ell-1} and i_ell.  alpha is a set."""
     m = ideal.gen(j)
     supp = m.support()
     alpha = tuple(sorted(alpha))
-    if not set(alpha) <= set(ideal.set_of(j)):
+    members = set(alpha)
+    if len(members) != len(alpha):
+        raise SymbolNotInComplex("alpha %s repeats an element" % (alpha,))
+    if not members <= set(ideal.set_of(j)):
         raise SymbolNotInComplex("alpha %s escapes set(m_%d)" % (alpha, j))
     prev = 0
     blocks = []
@@ -333,7 +337,7 @@ def face_of_symbol(ideal, j, alpha):
         used.update(block[:-1])
         blocks.append(block)
         prev = i_ell
-    if used != set(alpha):
+    if used != members:
         raise SymbolNotInComplex(
             "alpha %s does not fit the gaps of %s" % (alpha, str(m))
         )

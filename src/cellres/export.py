@@ -226,12 +226,10 @@ def ek_complex_to_off(X):
     return _off(kept, projected, faces)
 
 
-def hom_complex_to_off(X, ideal):
-    """OFF export of the vertex cells and polygonal 2-cells."""
-    verts = [cell for cell, dim, _ in X.cells_with_labels() if dim == 0]
-    coords = {
-        cell: ideal.gen(ideal.index_of(X.label(cell))).e for cell in verts
-    }
+def hom_complex_to_off(X):
+    """OFF export of the vertex cells, placed at their labels' exponents,
+    and polygonal 2-cells."""
+    coords = {cell: label.e for cell, dim, label in X.cells_with_labels() if dim == 0}
     kept, projected = _project_coords(coords)
     faces = []
     for cell, dim, _ in X.cells_with_labels():

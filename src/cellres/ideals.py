@@ -10,6 +10,7 @@ Generators and variables are 1-based everywhere.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import (
     DuplicateGenerator,
@@ -38,6 +39,27 @@ def minimalize(monomials):
             continue
         out.append(m)
     return out
+
+
+def _colon_gens(placed, m):
+    """Minimal generators of (placed) : m, the minimalization of
+    { g / gcd(g, m) : g in placed }, as a frozenset."""
+    return frozenset(minimalize([g // g.gcd(m) for g in placed]))
+
+
+def _pair_kind(table, j, s, t):
+    """'commute' | 'absorb' | None for s < t in set(m_j) under a bare rule
+    table, whose missing entries stay put; a pair that does both counts as
+    commuting."""
+    get = table.get
+    after_t = get((j, t), j)
+    after_s = get((j, s), j)
+    st = get((after_t, s), after_t)
+    if st == get((after_s, t), after_s):
+        return "commute"
+    if st == after_s:
+        return "absorb"
+    return None
 
 
 class OrderedIdeal:
@@ -113,9 +135,7 @@ class OrderedIdeal:
         """colon_by_generator(j), computed once per j and shared."""
         colon = self._colons.get(j)
         if colon is None:
-            mj = self.gens[j - 1]
-            quotients = [mi // mi.gcd(mj) for mi in self.gens[: j - 1]]
-            colon = self._colons[j] = frozenset(minimalize(quotients))
+            colon = self._colons[j] = _colon_gens(self.gens[: j - 1], self.gens[j - 1])
         return colon
 
     def linear_quotient_failure(self):
@@ -226,13 +246,6 @@ def parse_ideal(text, n=None):
 # -- linear quotient order search --------------------------------------
 
 
-def _prefix_ok(n, placed_gens, candidate):
-    """Is the colon of `candidate` by the ideal of `placed_gens` generated
-    by variables?  Depends only on the set of placed generators."""
-    quotients = [g // g.gcd(candidate) for g in placed_gens]
-    return all(q.degree() == 1 for q in minimalize(quotients))
-
-
 def find_linear_quotient_order(ideal):
     """Search for a permutation of the generators with linear quotients.
 
@@ -250,10 +263,11 @@ def find_linear_quotient_order(ideal):
         key = frozenset(used)
         if key in dead:
             return None
+        placed = [gens[i - 1] for i in order]
         for j in range(1, k + 1):
             if j in used:
                 continue
-            if _prefix_ok(ideal.n, [gens[i - 1] for i in order], gens[j - 1]):
+            if all(q.degree() == 1 for q in _colon_gens(placed, gens[j - 1])):
                 res = extend(order + [j], used | {j})
                 if res is not None:
                     return res
@@ -289,16 +303,14 @@ def check_regularity(ideal):
     b = ideal.b_table()
     witnesses = []
     star_witnesses = []
-    for j in range(1, ideal.k + 1):
-        sj = set(table[j - 1])
-        for t in table[j - 1]:
-            if not set(table[b[(j, t)] - 1]) <= sj:
+    for j, sj in enumerate(table, start=1):
+        members = set(sj)
+        for t in sj:
+            if not members.issuperset(table[b[(j, t)] - 1]):
                 witnesses.append((j, t))
-        for a_idx, s in enumerate(table[j - 1]):
-            for t in table[j - 1][a_idx + 1 :]:
-                bt, bs = b[(j, t)], b[(j, s)]
-                if b.get((bt, s), bt) != b.get((bs, t), bs):
-                    star_witnesses.append((j, s, t))
+        for s, t in combinations(sj, 2):
+            if _pair_kind(b, j, s, t) != "commute":
+                star_witnesses.append((j, s, t))
     return RegularityReport(
         regular=not witnesses,
         witnesses=witnesses,

@@ -12,6 +12,17 @@ from .errors import MalformedMonomial
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
+# The most variables an input may name, checked before anything of that
+# size is built; far above the n <= 17 of every corpus, bench and test input.
+MAX_VARIABLES = 1000
+
+
+def _check_variables(n):
+    if n > MAX_VARIABLES:
+        raise MalformedMonomial(
+            "%d variables exceed the bound %d" % (n, MAX_VARIABLES)
+        )
+
 
 class Monomial:
     """An exponent vector (a_1, ..., a_n), i.e. x1^a1 * ... * xn^an."""
@@ -132,10 +143,13 @@ def parse_monomial(text, n=None):
 
     When n is None the ambient size is inferred (max index seen); callers
     that parse several monomials should re-extend to a common n afterwards.
+    More than MAX_VARIABLES variables raise MalformedMonomial.
     """
     text = text.strip()
     if not text:
         raise MalformedMonomial("empty monomial")
+    if n is not None:
+        _check_variables(n)
     if text.startswith("["):
         if not text.endswith("]"):
             raise MalformedMonomial("unterminated exponent tuple: %r" % text)
@@ -146,6 +160,7 @@ def parse_monomial(text, n=None):
             raise MalformedMonomial("bad exponent tuple: %r" % text) from None
         if any(a < 0 for a in exps):
             raise MalformedMonomial("negative exponent in %r" % text)
+        _check_variables(len(exps))
         m = Monomial(exps)
         return m if n is None else m.extended(n)
     if text == "1":
@@ -161,6 +176,7 @@ def parse_monomial(text, n=None):
             raise MalformedMonomial("variable index must be >= 1: %r" % factor)
         exps[idx] = exps.get(idx, 0) + int(match.group(2) or 1)
     size = n if n is not None else max(exps)
+    _check_variables(size)
     if max(exps) > size:
         raise MalformedMonomial("variable x%d exceeds ambient n=%d" % (max(exps), size))
     return Monomial(tuple(exps.get(i, 0) for i in range(1, size + 1)))

@@ -30,23 +30,8 @@ from .errors import (
     SearchSpaceTooLarge,
     VerificationError,
 )
+from .ideals import _pair_kind
 from .poset import complex_fingerprint
-
-
-def _pair_kind(table, j, s, t):
-    """'commute' | 'absorb' | None for s < t in set(m_j) under a bare
-    table; a pair that does both counts as commuting."""
-
-    def step(g, v):
-        return table.get((g, v), g)
-
-    st = step(step(j, t), s)
-    ts = step(step(j, s), t)
-    if st == ts:
-        return "commute"
-    if st == step(j, s):
-        return "absorb"
-    return None
 
 
 def _table_rule(ideal, table):
@@ -59,16 +44,6 @@ def _table_rule(ideal, table):
         if _pair_kind(table, j, s, t) == "absorb"
     ]
     return TableRule(ideal, table, absorbing)
-
-
-def rule_from_function(ideal, rule):
-    """Tabulate a rule object (e.g. BRule or CRule) on its domain; the
-    absorbing pairs are derived from the table alone."""
-    table = {}
-    for j in range(1, ideal.k + 1):
-        for t in ideal.set_of(j):
-            table[(j, t)] = rule.apply(j, t)
-    return _table_rule(ideal, table)
 
 
 def enumerate_regular_rules(ideal, bound=100000):

@@ -294,11 +294,9 @@ def test_criterion_8_rule_family():
     t0 = time.monotonic()
     running = parse_ideal(RUNNING)
     enriched, types = rule_family(running)
-    from cellres.rules import rule_from_function
-
     fp = {rule.key(): f for rule, _, f in enriched}
-    b_fp = fp[rule_from_function(running, BRule(running)).key()]
-    c_fp = fp[rule_from_function(running, CRule(running)).key()]
+    b_fp = fp[BRule(running).key()]
+    c_fp = fp[CRule(running).key()]
     H = build_hom_complex(dgraph_of_ideal(running), running.n)
     ok = len(types) >= 2 and b_fp != c_fp
     ok = ok and c_fp == combinatorial_type(H)

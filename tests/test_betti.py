@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from cellres import betti
 from cellres.betti import (
     BettiTable,
     LabeledCellComplex,
@@ -98,12 +99,28 @@ def test_taylor_single_generator():
     assert cx.ranks() == (1, 1)
 
 
-def test_taylor_bound():
-    ideal = parse_ideal(", ".join("x%d" % i for i in range(1, 6)))
+def test_taylor_bound(monkeypatch):
+    # stand-ins record every face build, so a builder past the bound is
+    # seen to refuse before its first face, and one at the bound to start
+    built = []
+
+    def no_faces(X):
+        built.append(X.ideal.k)
+        return iter(())
+
+    monkeypatch.setattr(TaylorSupport, "cells_with_labels", no_faces)
+    monkeypatch.setattr(betti, "cell_chain_complex", lambda X, *_: no_faces(X))
+
+    def maximal(k):
+        return parse_ideal(", ".join("x%d" % i for i in range(1, k + 1)))
+
     for build in (taylor_complex, TaylorSupport, multigraded_betti):
-        with pytest.raises(TooManyGenerators, match="^5 generators exceed the bound 4"):
-            build(ideal, bound=4)
-        build(ideal, bound=5)
+        seen = len(built)
+        with pytest.raises(TooManyGenerators, match="^17 generators exceed the bound 16"):
+            build(maximal(17))
+        assert len(built) == seen
+        build(maximal(16))
+    assert built == [16, 16]  # taylor_complex and multigraded_betti
 
 
 # -- multigraded Betti --------------------------------------------------------
@@ -163,11 +180,15 @@ def test_taylor_strands_pass(running, example1):
         assert ok, witness
 
 
-def test_taylor_generic_path_matches_fast_path(running):
+def test_taylor_generic_path_matches_fast_path(running, example1):
     support = TaylorSupport(running)
-    support.strands_are_full_simplices = False
-    ok, witness = check_cellular_resolution(support, running)
-    assert ok, witness
+    cells = {key: (dim, label) for key, dim, label in support.cells_with_labels()}
+    boundary = {key: support.topo_boundary(key) for key in cells}
+    copy = LabeledCellComplex(cells, boundary)
+    for X in (support, copy):
+        assert check_cellular_resolution(X, running) == (True, None)
+        # the vertices carry another ideal's generators
+        assert check_cellular_resolution(X, example1) == (False, Monomial.one(5))
 
 
 def test_ek_and_hom_strands_pass(running, example1):

@@ -201,6 +201,31 @@ def test_verify_no_prefilter(capsys):
         assert "Traceback" not in proc.stderr
 
 
+# Without the variable bound each input would build a 10^8-entry tuple or
+# range; the child caps its own address space, so that fails fast instead.
+CAPPED_CLI = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+    "from cellres.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("text", ["x1*x1*x99999999", "2 100000000\n1 2"])
+def test_too_many_variables_exit_2(text):
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, "check", text],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("input error: ")
+    assert "variables exceed the bound 1000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_gen_corpus_output(capsys, tmp_path):
     out_path = tmp_path / "corpus.jsonl"
     code, _, _ = run_cli(

@@ -193,6 +193,14 @@ def test_face_of_symbol_rejects(running):
         face_of_symbol(running, 1, (3,))
 
 
+def test_face_of_symbol_rejects_repeated_elements(running):
+    doubled = [(j, (a, a)) for j in range(1, running.k + 1) for a in running.set_of(j)]
+    assert len(doubled) == 11
+    for j, alpha in doubled:
+        with pytest.raises(SymbolNotInComplex, match="repeats an element"):
+            face_of_symbol(running, j, alpha)
+
+
 @pytest.mark.parametrize(
     "cell",
     [

@@ -65,7 +65,7 @@ def test_ek_off_tetrahedron(maximal4):
 
 def test_hom_off_runs(running):
     X = build_hom_complex(dgraph_of_ideal(running), running.n)
-    off = hom_complex_to_off(X, running)
+    off = hom_complex_to_off(X)
     assert off.startswith("OFF\n")
 
 

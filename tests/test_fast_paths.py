@@ -12,7 +12,7 @@ from cellres.corpus import gen_corpus
 from cellres.ekcells import build_ek_cw, ch_simplex
 from cellres.ideals import check_regularity, parse_ideal
 from cellres.monomial import Monomial
-from cellres.rules import rule_from_function
+from cellres.rules import _table_rule
 
 MAX_ALPHA = 6  # keeps the |alpha|! reference loop small
 
@@ -68,11 +68,12 @@ def _same_block(rule):
 def _rules_of(item):
     """(rule, pair constraint) for every rule that applies to the item."""
     ideal = item.ideal
-    table = rule_from_function(ideal, BRule(ideal))
-    out = [(BRule(ideal), None), (table, _absorbing(table))]
+    b = BRule(ideal)
+    table = _table_rule(ideal, dict(b.table))
+    out = [(b, None), (table, _absorbing(table))]
     if item.tags.get("cointerval"):
         c = CRule(ideal)
-        ctable = rule_from_function(ideal, CRule(ideal))
+        ctable = _table_rule(ideal, dict(c.table))
         out += [(c, _same_block(c)), (ctable, _absorbing(ctable))]
     return out
 

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cellres.errors import MalformedMonomial
-from cellres.monomial import Monomial, lcm_of, parse_monomial
+from cellres.cointerval import parse_dgraph
+from cellres.errors import InputError, MalformedMonomial
+from cellres.monomial import MAX_VARIABLES, Monomial, lcm_of, parse_monomial
 
 exponents = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=6)
 
@@ -24,6 +25,21 @@ def test_parse_tuple_form():
 def test_parse_rejects(bad):
     with pytest.raises(MalformedMonomial):
         parse_monomial(bad)
+
+
+def test_variable_bound_at_parse_time():
+    assert MAX_VARIABLES == 1000
+    assert parse_monomial("x1*x1000").n == 1000
+    assert parse_monomial("[%s]" % ",".join(["1"] * 1000)).n == 1000
+    assert parse_monomial("x1", n=1000).n == 1000
+    assert len(parse_dgraph("2 1000\n1 1000").vertices) == 1000
+    too_many = "^1001 variables exceed the bound 1000$"
+    zeros = "[%s]" % ",".join(["0"] * 1001)
+    for text, n in (("x1*x1001", None), (zeros, None), ("x1", 1001), ("1", 1001)):
+        with pytest.raises(MalformedMonomial, match=too_many):
+            parse_monomial(text, n)
+    with pytest.raises(InputError, match=too_many):
+        parse_dgraph("2 1001\n1 2")
 
 
 def test_divides_quotient_lcm():

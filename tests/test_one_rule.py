@@ -32,7 +32,7 @@ from cellres.errors import NotCointerval, VerificationError
 from cellres.ideals import RegularityReport, check_regularity, parse_ideal
 from cellres.monomial import Monomial
 from cellres import rules
-from cellres.rules import enumerate_regular_rules, rule_from_function
+from cellres.rules import _table_rule, enumerate_regular_rules
 
 
 @pytest.fixture(scope="module")
@@ -174,12 +174,17 @@ def test_crule_matches_old(sample):
 def test_tabulated_rules_match_old_tables(sample):
     for item in sample:
         ideal = item.ideal
-        olds = [OldBRule(ideal)]
+        pairs = [(BRule(ideal), OldBRule(ideal))]
         if item.tags.get("cointerval"):
-            olds.append(OldCRule(ideal))
-        for old in olds:
-            table = rule_from_function(ideal, old)
-            reference = OldTableRule(ideal, table.table)
+            pairs.append((CRule(ideal), OldCRule(ideal)))
+        for rule, old in pairs:
+            table = _table_rule(ideal, dict(rule.table))
+            tabulated = {
+                (j, t): old.apply(j, t)
+                for j in range(1, ideal.k + 1)
+                for t in ideal.set_of(j)
+            }
+            reference = OldTableRule(ideal, tabulated)
             assert table.key() == tuple(sorted(reference.table.items()))
             _assert_same_rule(ideal, table, reference, item.name)
 

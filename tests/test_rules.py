@@ -11,8 +11,8 @@ from cellres.rules import (
     complex_for_rule,
     combinatorial_type,
     enumerate_regular_rules,
+    _table_rule,
     rule_family,
-    rule_from_function,
 )
 
 
@@ -35,8 +35,8 @@ def test_poset_fingerprint_distinguishes():
 def test_b_and_c_rules_are_enumerated(running):
     rules = enumerate_regular_rules(running)
     keys = {rule.key() for rule in rules}
-    assert rule_from_function(running, BRule(running)).key() in keys
-    assert rule_from_function(running, CRule(running)).key() in keys
+    assert BRule(running).key() in keys
+    assert CRule(running).key() in keys
 
 
 def test_enumeration_maximal_ideal(maximal4):
@@ -58,8 +58,8 @@ def test_enumeration_bound():
 def test_family_contains_both_types(running):
     enriched, types = rule_family(running)
     assert len(types) >= 2
-    b_key = rule_from_function(running, BRule(running)).key()
-    c_key = rule_from_function(running, CRule(running)).key()
+    b_key = BRule(running).key()
+    c_key = CRule(running).key()
     fp = {}
     for rule, X, fingerprint in enriched:
         fp[rule.key()] = fingerprint
@@ -79,7 +79,7 @@ def test_every_enumerated_rule_verifies(running):
 def test_c_complex_is_hom_complex_type(running):
     from cellres.cointerval import build_hom_complex, dgraph_of_ideal
 
-    c_table = rule_from_function(running, CRule(running))
+    c_table = _table_rule(running, dict(CRule(running).table))
     Xc = complex_for_rule(running, c_table)
     H = build_hom_complex(dgraph_of_ideal(running))
     assert combinatorial_type(Xc) == combinatorial_type(H)
