@@ -34,7 +34,7 @@ from .corpus import MAX_COINTERVAL_D, gen_corpus
 from .ekcells import build_ek_cw, cellular_chain_complex
 from .errors import CellresError, InputError
 from .ideals import OrderedIdeal, check_regularity, parse_ideal
-from .monomial import Monomial
+from .monomial import Monomial, _check_variables
 from .rules import rule_family
 
 EXIT_OK = 0
@@ -67,9 +67,9 @@ def load_ideal(raw):
     if stripped.startswith("{"):
         try:
             data = json.loads(stripped)
-            return OrderedIdeal(
-                int(data["n"]), [Monomial(e) for e in data["gens"]]
-            )
+            n = int(data["n"])
+            _check_variables(n)
+            return OrderedIdeal(n, [Monomial(e) for e in data["gens"]])
         except (KeyError, TypeError, ValueError) as e:
             raise InputError("bad JSON ideal: %s" % e) from None
     if _looks_like_dgraph(stripped):

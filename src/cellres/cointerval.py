@@ -194,7 +194,8 @@ class HomComplex:
 
     A cell is stored as a tuple of sorted vertex tuples; its dimension is
     the total size minus d and its label the squarefree monomial on the
-    union of the blocks.
+    union of the blocks.  Labels and boundaries are computed once per
+    cell; a boundary is kept as a tuple, so no caller can change it.
     """
 
     def __init__(self, graph, n=None):
@@ -207,6 +208,7 @@ class HomComplex:
         for cells in self.by_dim.values():
             cells.sort()
         self._labels = {}
+        self._faces = {}
 
     def f_vector(self):
         top = max(self.by_dim)
@@ -215,8 +217,11 @@ class HomComplex:
     def label(self, cell):
         label = self._labels.get(cell)
         if label is None:
-            support = [v for block in cell for v in block]
-            label = self._labels[cell] = Monomial.from_support(support, self.n)
+            e = [0] * self.n
+            for block in cell:
+                for v in block:
+                    e[v - 1] = 1
+            label = self._labels[cell] = Monomial._raw(tuple(e))
         return label
 
     def cells_with_labels(self):
@@ -225,7 +230,10 @@ class HomComplex:
                 yield cell, dim, self.label(cell)
 
     def topo_boundary(self, cell):
-        return hom_boundary(cell)
+        faces = self._faces.get(cell)
+        if faces is None:
+            faces = self._faces[cell] = tuple(hom_boundary(cell))
+        return faces
 
 
 def _cell_dim(cell):

@@ -434,6 +434,7 @@ def cell_is_ball(cell):
     chains has trivial reduced homology; every codimension-one face lies
     in at most two top simplices; the boundary faces (those in exactly
     one) form a pseudomanifold with the reduced homology of a sphere.
+    A cell made of a single p-simplex is a ball outright and skips them.
     """
     from .exact import homology_ranks
 
@@ -443,6 +444,8 @@ def cell_is_ball(cell):
         return len(tops) == 1
     if any(len(t) != p + 1 for t in tops):
         return False
+    if len(tops) == 1:
+        return True  # a p-simplex is a p-ball
     if homology_ranks(_simplicial_chain_data(tops)):
         return False
     counts = {}

@@ -11,7 +11,6 @@ fill-in, and usually empties the complex entirely.  Whatever core remains
 is ranked densely over Q.
 """
 
-import copy
 from collections import defaultdict, deque
 
 from .errors import VerificationError
@@ -105,7 +104,8 @@ class ChainData:
         members = {index[c] for c in cells}
         if not set().union(*[faces[i] for i in members]) <= members:
             raise VerificationError("subcomplex is not closed under faces")
-        sub = copy.copy(self)
+        sub = ChainData.__new__(ChainData)
+        sub.deg, sub.index, sub.faces = self.deg, self.index, self.faces
         sub.members = sorted(members)
         return sub
 

@@ -137,6 +137,15 @@ class Monomial:
         return "Monomial(%r)" % (self.e,)
 
 
+def _factor_int(digits, factor):
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise MalformedMonomial(
+            "number too long in a factor of %d characters" % len(factor)
+        ) from None
+
+
 def parse_monomial(text, n=None):
     """Parse one monomial in the grammar ``x<i>[^k]`` factors joined by ``*``,
     or a bracketed exponent tuple like ``[1,0,2]``.
@@ -171,10 +180,10 @@ def parse_monomial(text, n=None):
         match = _FACTOR_RE.match(factor)
         if not match:
             raise MalformedMonomial("bad factor %r in %r" % (factor, text))
-        idx = int(match.group(1))
+        idx = _factor_int(match.group(1), factor)
         if idx < 1:
             raise MalformedMonomial("variable index must be >= 1: %r" % factor)
-        exps[idx] = exps.get(idx, 0) + int(match.group(2) or 1)
+        exps[idx] = exps.get(idx, 0) + _factor_int(match.group(2) or "1", factor)
     size = n if n is not None else max(exps)
     _check_variables(size)
     if max(exps) > size:

@@ -226,6 +226,33 @@ def test_too_many_variables_exit_2(text):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "text", ["x1*x" + "1" * 5000, "x1*x2^" + "1" * 5000]
+)
+def test_overlong_index_or_exponent_exit_2(text):
+    # more digits than int() converts by default
+    proc = subprocess.run(
+        [sys.executable, "-m", "cellres.cli", "check", text],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("input error: number too long")
+    assert "Traceback" not in proc.stderr
+
+
+def test_json_ideal_variable_bound_exit_2(capsys):
+    gens = [[1] + [0] * 1999]
+    code, out, err = run_cli(["check", json.dumps({"n": 2000, "gens": gens})], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: 2000 variables exceed the bound 1000")
+    gens = [[1] + [0] * 999]
+    code, _, _ = run_cli(["check", json.dumps({"n": 1000, "gens": gens})], capsys)
+    assert code == 0
+
+
 def test_gen_corpus_output(capsys, tmp_path):
     out_path = tmp_path / "corpus.jsonl"
     code, _, _ = run_cli(

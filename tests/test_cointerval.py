@@ -188,6 +188,18 @@ def test_hom_labels_are_cached():
         assert X.label(cell) is label
 
 
+def test_hom_memo_matches_references(cointerval_items):
+    for item in cointerval_items[::7]:
+        H = build_hom_complex(dgraph_of_ideal(item.ideal), item.ideal.n)
+        for cell in H.cells:
+            faces = H.topo_boundary(cell)
+            assert isinstance(faces, tuple)
+            assert list(faces) == hom_boundary(cell), (item.name, cell)
+            assert H.topo_boundary(cell) is faces
+            support = [v for block in cell for v in block]
+            assert H.label(cell) == Monomial.from_support(support, H.n)
+
+
 def test_face_of_symbol_rejects(running):
     with pytest.raises(SymbolNotInComplex):
         face_of_symbol(running, 1, (3,))

@@ -25,7 +25,8 @@ from cellres.corpus import (
     random_linear_quotient_ideals,
     stable_corpus,
 )
-from cellres.ekcells import build_ek_cw, cell_is_ball
+from cellres.ekcells import _simplicial_chain_data, build_ek_cw, cell_is_ball
+from cellres.exact import homology_ranks
 from cellres.ideals import check_regularity, minimalize
 from cellres.monomial import parse_monomial
 
@@ -161,6 +162,31 @@ def test_low_dimensional_cells_are_balls(sample):
         for cell in X.cells.values():
             if cell.dim <= 3:
                 assert cell_is_ball(cell), (item.name, cell.key)
+
+
+def test_one_simplex_cells_pass_the_general_certificate(sample):
+    # cell_is_ball accepts a lone simplex outright; the full certificate
+    # must agree: an acyclic cell whose p-faces each lie in it once and
+    # span a homology (p-1)-sphere in which each ridge lies twice
+    seen = 0
+    for item in sample:
+        ideal = item.ideal
+        if not check_regularity(ideal).regular:
+            continue
+        for cell in build_ek_cw(ideal).cells.values():
+            p = cell.dim
+            if not 1 <= p <= 3 or len(cell.simplices) != 1:
+                continue
+            top = tuple(sorted(cell.simplices[0].vertices))
+            assert len(top) == p + 1, (item.name, cell.key)
+            assert homology_ranks(_simplicial_chain_data([top])) == {}
+            bfacets = list(combinations(top, p))
+            assert homology_ranks(_simplicial_chain_data(bfacets)) == {p - 1: 1}
+            ridges = [r for f in bfacets for r in combinations(f, p - 1)]
+            assert all(ridges.count(r) == 2 for r in ridges)
+            assert cell_is_ball(cell)
+            seen += 1
+    assert seen
 
 
 def test_random_stream_is_deterministic():

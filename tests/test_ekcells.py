@@ -10,6 +10,8 @@ from cellres.chain import (
     ht_resolution,
 )
 from cellres.ekcells import (
+    GlueCell,
+    SimplexChain,
     affinely_independent,
     build_cell,
     build_ek_cw,
@@ -321,3 +323,22 @@ def test_cells_are_balls(example1, running, maximal4):
         for cell in X.cells.values():
             if cell.dim <= 3:
                 assert cell_is_ball(cell), cell.key
+
+
+def _glued(dim, *vertex_tuples):
+    alpha = tuple(range(1, dim + 1))
+    chains = tuple(SimplexChain(1, alpha, alpha, v, False) for v in vertex_tuples)
+    return GlueCell(1, alpha, chains, (1,) * len(chains), ())
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        _glued(2, (1, 2, 3), (1, 4, 5)),  # two triangles on one vertex
+        _glued(2, (1, 2, 3), (1, 2, 4), (1, 2, 5)),  # three on one edge
+        _glued(1, (1, 2), (3, 4)),  # two disjoint edges
+        _glued(2, (1, 2, 2)),  # one simplex with a repeated vertex
+    ],
+)
+def test_cell_is_ball_negative_controls(cell):
+    assert not cell_is_ball(cell)
