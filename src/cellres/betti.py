@@ -142,8 +142,11 @@ def check_cellular_resolution(X, ideal):
     lcm lattice the subcomplex of labels dividing b has zero reduced
     homology.  Returns (ok, failing multidegree or None).
 
-    Distinct lattice points selecting the same cell set share one homology
-    computation.
+    X is augmented by an empty cell, number 0 of one ChainData; cell
+    number c + 1 is bit c of a strand's member mask, so each strand is
+    `restrict(member << 1 | 1)` of it.  Distinct lattice points selecting
+    the same cell set share one homology computation, and the lattice is
+    built once per ideal.
     """
     full_simplices = isinstance(X, TaylorSupport)
     if full_simplices:
@@ -178,14 +181,14 @@ def check_cellular_resolution(X, ideal):
         return True, None
     # X augmented so homology is reduced; every strand is a restriction
     chain = ChainData(cells_by_deg, boundaries)
-    keys = [key for key, _, _ in cells]
-    strands = _strands([label.e for _, _, label in cells], lcm_lattice(ideal))
+    if ideal._lattice is None:
+        # kept as a tuple: no caller can change what later checks read
+        ideal._lattice = tuple(lcm_lattice(ideal))
+    # cell keys in ChainData number order; number 0 is the empty cell
+    numbered = [key for keys in cells_by_deg.values() for key in keys]
+    strands = _strands([labels[key].e for key in numbered[1:]], ideal._lattice)
     for member in sorted(strands, key=lambda m: (m.bit_count(), str(strands[m]))):
-        # bits least significant first; cells past the top bit are not members
-        strand = chain.restrict(
-            [aug] + [key for key, bit in zip(keys, bin(member)[:1:-1]) if bit == "1"]
-        )
-        ok, _ = is_exact(strand)
+        ok, _ = is_exact(chain.restrict(member << 1 | 1))
         if not ok:
             return False, strands[member]
     return True, None

@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .cointerval import DGraph, edge_ideal, is_cointerval
-from .ideals import OrderedIdeal, check_regularity, find_linear_quotient_order, minimalize
+from .ideals import (
+    OrderedIdeal,
+    check_regularity,
+    find_linear_quotient_order,
+    minimalize,
+    parse_ideal,
+)
 from .monomial import Monomial
 
 EXAMPLE1_GENS = ["x1*x3*x4", "x1*x3*x5", "x1*x2*x4", "x1*x4*x5", "x2*x3*x4", "x2*x3*x5"]
@@ -211,8 +217,6 @@ def cointerval_corpus(max_d=MAX_COINTERVAL_D, max_n=6):
 
 
 def example_corpus():
-    from .ideals import parse_ideal
-
     ex1 = parse_ideal(", ".join(EXAMPLE1_GENS))
     run = parse_ideal(", ".join(RUNNING_GENS))
     return [

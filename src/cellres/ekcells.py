@@ -30,7 +30,7 @@ from .errors import (
     OrientationClash,
     VerificationError,
 )
-from .exact import bareiss_rank
+from .exact import ChainData, bareiss_rank, homology_ranks
 from .monomial import Monomial, lcm_of
 
 
@@ -403,8 +403,6 @@ def cellular_chain_complex(X):
 def _simplicial_chain_data(facet_sets):
     """ChainData of the simplicial complex generated by the given facets,
     with an augmentation cell so homology is reduced."""
-    from .exact import ChainData
-
     faces = set()
     for fs in facet_sets:
         fs = tuple(sorted(fs))
@@ -436,8 +434,6 @@ def cell_is_ball(cell):
     one) form a pseudomanifold with the reduced homology of a sphere.
     A cell made of a single p-simplex is a ball outright and skips them.
     """
-    from .exact import homology_ranks
-
     p = cell.dim
     tops = [frozenset(s.vertices) for s in cell.simplices]
     if p == 0:

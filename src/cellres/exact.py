@@ -63,9 +63,10 @@ class ChainData:
 
     Cells are numbered in the order given: `index` maps a cell id to its
     number i, `deg[i]` is the cell's degree and `faces[i]` its boundary as
-    {face number: coefficient}.  A complex may be a restriction of a
-    larger one (`restrict`); it then shares those tables and `members`
-    lists the numbers of its own cells in increasing order.
+    {face number: coefficient}.  A set of cells is a bitmask of their
+    numbers, bit i for cell i.  A complex may be a restriction of a larger
+    one (`restrict`); it then shares those tables and `members` lists the
+    numbers of its own cells in increasing order.
     """
 
     def __init__(self, cells_by_deg, boundary):
@@ -95,18 +96,40 @@ class ChainData:
         self.index = index
         self.faces = faces
         self.members = range(len(deg))
+        self._face_masks = None
 
-    def restrict(self, cells):
-        """The subcomplex on the given cell ids, sharing this complex's
-        numbering.  Raises VerificationError unless every face of a listed
-        cell is listed too."""
-        index, faces = self.index, self.faces
-        members = {index[c] for c in cells}
-        if not set().union(*[faces[i] for i in members]) <= members:
+    def restrict(self, mask):
+        """The subcomplex on the cells whose numbers are the set bits of
+        `mask`, sharing this complex's numbering.  Raises
+        VerificationError unless every face of a member is a member too.
+
+        Costs time in the number of members: the members are read off the
+        set bits, top bit first, and closure is the OR of their face masks
+        (one per cell, built on the first restriction and shared by every
+        restriction).
+        """
+        if mask >> len(self.deg):
+            raise ValueError("mask %#x names cells outside the complex" % mask)
+        face_masks = self._face_masks
+        if face_masks is None:
+            face_masks = self._face_masks = [
+                sum(1 << f for f in fs) for fs in self.faces
+            ]
+        members = []
+        closure = 0
+        rest = mask
+        while rest:
+            c = rest.bit_length() - 1
+            members.append(c)
+            closure |= face_masks[c]
+            rest ^= 1 << c
+        members.reverse()
+        if closure & ~mask:
             raise VerificationError("subcomplex is not closed under faces")
         sub = ChainData.__new__(ChainData)
         sub.deg, sub.index, sub.faces = self.deg, self.index, self.faces
-        sub.members = sorted(members)
+        sub._face_masks = face_masks
+        sub.members = members
         return sub
 
 

@@ -100,6 +100,7 @@ class OrderedIdeal:
         self._failure = _UNCHECKED
         self._set_table = None
         self._b_table = None
+        self._lattice = None  # betti's lcm lattice, built on first use
 
     @property
     def k(self):

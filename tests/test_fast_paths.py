@@ -5,12 +5,25 @@ from itertools import combinations, permutations
 
 import pytest
 
-from cellres.betti import _strands, lcm_lattice
+from cellres import betti
+from cellres.betti import (
+    LabeledCellComplex,
+    _strands,
+    check_cellular_resolution,
+    lcm_lattice,
+)
 from cellres.chain import BRule, chain_orders
-from cellres.cointerval import CRule, partition_A
+from cellres.cointerval import (
+    CRule,
+    DGraph,
+    build_hom_complex,
+    dgraph_of_ideal,
+    edge_ideal,
+    partition_A,
+)
 from cellres.corpus import gen_corpus
 from cellres.ekcells import build_ek_cw, ch_simplex
-from cellres.ideals import check_regularity, parse_ideal
+from cellres.ideals import OrderedIdeal, check_regularity, parse_ideal
 from cellres.monomial import Monomial
 from cellres.rules import _table_rule
 
@@ -130,6 +143,48 @@ def test_lcm_lattice_matches_pairwise_closure(sample):
     for item in sample:
         assert lcm_lattice(item.ideal) == _pairwise_closure(item.ideal), item.name
     ideal = parse_ideal("x1^2*x2, x1*x2^3, x2*x3^2, x3^4")
+    assert lcm_lattice(ideal) == _pairwise_closure(ideal)
+
+
+def _complete_2graph(n):
+    return edge_ideal(DGraph.from_edges(2, list(combinations(range(1, n + 1), 2))), n=n)
+
+
+def test_ek_and_hom_checks_build_one_lattice(monkeypatch):
+    built = []
+
+    def counted(ideal):
+        built.append(ideal)
+        return lcm_lattice(ideal)
+
+    monkeypatch.setattr(betti, "lcm_lattice", counted)
+    ideal = _complete_2graph(5)
+    H = build_hom_complex(dgraph_of_ideal(ideal), ideal.n)
+    assert check_cellular_resolution(build_ek_cw(ideal), ideal) == (True, None)
+    assert check_cellular_resolution(H, ideal) == (True, None)
+    assert built == [ideal]
+    # an equal ideal is another object, with a lattice of its own
+    assert check_cellular_resolution(H, OrderedIdeal(ideal.n, ideal.gens)) == (True, None)
+    assert len(built) == 2
+
+
+def test_kept_lattice_is_out_of_callers_reach():
+    ideal = _complete_2graph(5)
+    X = build_ek_cw(ideal)
+    top = max(X.cells, key=lambda key: (len(key[1]), key))
+    cells = {key: (dim, label) for key, dim, label in X.cells_with_labels() if key != top}
+    Y = LabeledCellComplex(cells, {key: X.topo_boundary(key) for key in cells})
+    want = check_cellular_resolution(Y, OrderedIdeal(ideal.n, ideal.gens))
+    assert not want[0]
+    # a returned lattice cut down before the first check, and after it
+    lattice = lcm_lattice(ideal)
+    del lattice[:-1]
+    assert check_cellular_resolution(Y, ideal) == want
+    lattice = lcm_lattice(ideal)
+    assert lattice == _pairwise_closure(ideal)
+    lattice.clear()
+    assert check_cellular_resolution(Y, ideal) == want
+    assert check_cellular_resolution(X, ideal) == (True, None)
     assert lcm_lattice(ideal) == _pairwise_closure(ideal)
 
 

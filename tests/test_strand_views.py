@@ -132,6 +132,36 @@ def test_strand_views_match_per_strand_rebuild(complexes):
     assert failures >= kinds["labeled-minus-top"] > 5
 
 
+def _ladder_complexes():
+    """EK and hom complexes of the complete 2-graph on [7] and of the
+    maximal ideal in 7 variables, where a strand is a small part of the
+    complex."""
+    K2 = DGraph.from_edges(2, list(combinations(range(1, 8), 2)))
+    for name, ideal in (
+        ("K2_7", edge_ideal(K2, n=7)),
+        ("max7", parse_ideal(", ".join("x%d" % i for i in range(1, 8)))),
+    ):
+        yield name + "/ek", build_ek_cw(ideal), ideal
+        yield name + "/hom", build_hom_complex(dgraph_of_ideal(ideal), ideal.n), ideal
+
+
+def test_ladder_strands_match_per_strand_rebuild():
+    failing = set()
+    for name, X, ideal in _ladder_complexes():
+        assert check_cellular_resolution(X, ideal) == (True, None), name
+        assert _reference_check(X, ideal) == (True, None), name
+        # without a top cell some strand fails; both find the same one
+        cells = list(X.cells_with_labels())
+        top = max(cells, key=lambda cell: (cell[1], cell[0]))[0]
+        Y = _as_labeled(X, [top])
+        got = check_cellular_resolution(Y, ideal)
+        assert got == _reference_check(Y, ideal), name
+        assert not got[0], name
+        failing.add(got[1])
+    # the removed cell's label, x1*...*x7 in every one of the four
+    assert failing == {Monomial((1,) * 7)}
+
+
 def _hollow_triangle():
     lab = lambda s: parse_monomial(s, n=3)
     top = lab("x1*x2*x3")
@@ -166,11 +196,11 @@ def test_hollow_triangle_goes_through_the_core():
             **{key: dict(X.topo_boundary(key)) for key in ("e1", "e2", "e3")},
         },
     )
-    strand = chain.restrict(["-", "v12", "v13", "v23", "e1", "e2", "e3"])
+    strand = chain.restrict(0b1111111)
     assert _collapse(strand) == ([0, 1, 2, 3, 4, 5, 6], 0)
     assert is_exact(strand) == (False, {1: 1})
-    # without the third edge the strand is a path, and collapses away
-    path = chain.restrict(["-", "v12", "v13", "v23", "e1", "e2"])
+    # without the third edge (cell 6) the strand is a path, and collapses away
+    path = chain.restrict(0b0111111)
     assert _collapse(path) == ([], 6)
     assert is_exact(path) == (True, {})
 
@@ -206,21 +236,58 @@ def test_strand_check_refuses_dd_nonzero(flags):
 
 
 def test_restrict_requires_closure_under_faces():
+    # numbered a = 0, b = 1, e = 2, t = 3; bit i of a mask is cell i
     chain = ChainData(
         {0: ["a", "b"], 1: ["e"], 2: ["t"]},
         {"e": {"a": 1, "b": -1}, "t": {"e": 0}},
     )
     with pytest.raises(VerificationError):
-        chain.restrict(["a", "e"])
+        chain.restrict(0b101)  # a, e
     with pytest.raises(VerificationError):
-        chain.restrict(["e"])
-    sub = chain.restrict(["b", "a", "e", "a"])
+        chain.restrict(0b100)  # e
+    sub = chain.restrict(0b111)
     assert sub.members == [0, 1, 2]
     assert homology_ranks(sub) == {0: 1}
     # a zero coefficient is no face, so t alone is closed
-    assert homology_ranks(chain.restrict(["t"])) == {2: 1}
+    assert homology_ranks(chain.restrict(0b1000)) == {2: 1}
     # a restriction of a restriction shares the same numbering
-    assert chain.restrict(["a"]).restrict(["a"]).members == [0]
+    assert chain.restrict(0b1).restrict(0b1).members == [0]
+    assert chain.restrict(0).members == []
+    for outside in (0b10000, -1):
+        with pytest.raises(ValueError):
+            chain.restrict(outside)
+
+
+def _two_vertices():
+    """Cells and boundary of an edge e from v1 to v2 labeled for the
+    ideal (x1, x2)."""
+    lab = lambda s: parse_monomial(s, n=2)
+    cells = {"v1": (0, lab("x1")), "v2": (0, lab("x2")), "e": (1, lab("x1*x2"))}
+    return cells, {"e": [("v1", 1), ("v2", -1)]}, parse_ideal("x1, x2")
+
+
+def test_zero_coefficient_face_is_no_face_in_a_strand_check():
+    cells, boundary, ideal = _two_vertices()
+    top = parse_monomial("x1*x2", n=2)
+    # f lists both vertices with coefficient 0, so it is a cycle: H_1 of the
+    # top strand is Q
+    cells["f"] = (1, top)
+    boundary["f"] = [("v1", 0), ("v2", 0)]
+    X = LabeledCellComplex(cells, boundary)
+    assert check_cellular_resolution(X, ideal) == (False, top)
+    # g bounds f; e listed with coefficient 0 is not a face of g, so dd = 0
+    cells["g"] = (2, top)
+    boundary["g"] = [("f", 1), ("e", 0)]
+    X = LabeledCellComplex(cells, boundary)
+    assert check_cellular_resolution(X, ideal) == (True, None)
+
+
+def test_face_two_degrees_down_is_refused_in_a_strand_check():
+    cells, boundary, ideal = _two_vertices()
+    cells["t"] = (2, parse_monomial("x1*x2", n=2))
+    boundary["t"] = [("v1", 1)]
+    with pytest.raises(ValueError, match="not one degree lower"):
+        check_cellular_resolution(LabeledCellComplex(cells, boundary), ideal)
 
 
 def _facet_families():
