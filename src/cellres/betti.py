@@ -17,7 +17,7 @@ from itertools import combinations, islice
 
 from .chain import cell_chain_complex
 from .errors import NonMonotoneLabels, TooManyGenerators
-from .exact import ChainData, homology_ranks, is_exact
+from .exact import ChainData, homology_ranks, is_exact, require_dd_zero
 from .monomial import Monomial
 
 TAYLOR_BOUND = 16
@@ -70,24 +70,39 @@ def taylor_complex(ideal):
 
 
 class LabeledCellComplex:
-    """Ad-hoc labeled complex from explicit cells and boundaries; handy for
-    negative controls and external data."""
+    """A labeled cell complex: each cell has a dimension, a monomial label
+    and a signed boundary, all stored once.
+
+    cells: {key: (dim, Monomial)}; boundary: {key: [(face, sign)]}, a
+    missing key meaning no faces.  `by_dim` lists the keys per dimension,
+    dimensions ascending and keys sorted within each, and every reader
+    (cells_with_labels, f_vector, the writers in export) follows it.  A
+    boundary is kept as a tuple, so no caller can change it.
+    """
 
     def __init__(self, cells, boundary):
-        # cells: {key: (dim, Monomial)}, boundary: {key: [(face, sign)]}
-        self.cells = dict(cells)
-        self.boundary = {k: list(v) for k, v in boundary.items()}
+        self._labels = {}
+        by_dim = {}
+        for key, (dim, label) in cells.items():
+            self._labels[key] = label
+            by_dim.setdefault(dim, []).append(key)
+        self.by_dim = {dim: sorted(by_dim[dim]) for dim in sorted(by_dim)}
+        self.boundary = {key: tuple(boundary.get(key, ())) for key in cells}
 
     def label(self, key):
-        return self.cells[key][1]
+        return self._labels[key]
 
     def cells_with_labels(self):
-        for key in sorted(self.cells):
-            dim, label = self.cells[key]
-            yield key, dim, label
+        for dim, keys in self.by_dim.items():
+            for key in keys:
+                yield key, dim, self._labels[key]
 
     def topo_boundary(self, key):
-        return self.boundary.get(key, [])
+        return self.boundary[key]
+
+    def f_vector(self):
+        top = max(self.by_dim)
+        return tuple(len(self.by_dim.get(i, ())) for i in range(top + 1))
 
 
 def lcm_lattice(ideal):
@@ -138,8 +153,9 @@ def check_cellular_resolution(X, ideal):
     """Does the labeled complex X support a resolution of R/I?
 
     Checks that the 0-cells are labeled exactly by the generators, that
-    labels are monotone under the boundary, and that for every b in the
-    lcm lattice the subcomplex of labels dividing b has zero reduced
+    labels are monotone under the boundary, that the boundary squares to
+    zero (else VerificationError), and that for every b in the lcm
+    lattice the subcomplex of labels dividing b has zero reduced
     homology.  Returns (ok, failing multidegree or None).
 
     X is augmented by an empty cell, number 0 of one ChainData; cell
@@ -179,8 +195,10 @@ def check_cellular_resolution(X, ideal):
         return False, Monomial.one(ideal.n)
     if full_simplices:
         return True, None
-    # X augmented so homology is reduced; every strand is a restriction
+    # X augmented so homology is reduced; every strand is a restriction,
+    # so dd = 0 on the whole complex covers every strand
     chain = ChainData(cells_by_deg, boundaries)
+    require_dd_zero(chain)
     if ideal._lattice is None:
         # kept as a tuple: no caller can change what later checks read
         ideal._lattice = tuple(lcm_lattice(ideal))

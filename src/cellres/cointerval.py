@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
+from .betti import LabeledCellComplex
 from .chain import (
     Symbol,
     TableRule,
@@ -189,55 +190,28 @@ def _require_lex_cointerval(ideal):
 # -- the homomorphism complex --------------------------------------------
 
 
-class HomComplex:
+class HomComplex(LabeledCellComplex):
     """Cells (s_1 < ... < s_d) with every product vertex an edge.
 
     A cell is stored as a tuple of sorted vertex tuples; its dimension is
     the total size minus d and its label the squarefree monomial on the
-    union of the blocks.  Labels and boundaries are computed once per
-    cell; a boundary is kept as a tuple, so no caller can change it.
+    union of the blocks.  `cells` lists every cell, sorted.
     """
 
     def __init__(self, graph, n=None):
         self.graph = graph
         self.n = n or max(graph.vertices)
         self.cells = _enumerate_hom_cells(graph)
-        self.by_dim = {}
+        labeled, boundary = {}, {}
         for cell in self.cells:
-            self.by_dim.setdefault(_cell_dim(cell), []).append(cell)
-        for cells in self.by_dim.values():
-            cells.sort()
-        self._labels = {}
-        self._faces = {}
-
-    def f_vector(self):
-        top = max(self.by_dim)
-        return tuple(len(self.by_dim.get(i, ())) for i in range(top + 1))
-
-    def label(self, cell):
-        label = self._labels.get(cell)
-        if label is None:
             e = [0] * self.n
             for block in cell:
                 for v in block:
                     e[v - 1] = 1
-            label = self._labels[cell] = Monomial._raw(tuple(e))
-        return label
-
-    def cells_with_labels(self):
-        for dim in sorted(self.by_dim):
-            for cell in self.by_dim[dim]:
-                yield cell, dim, self.label(cell)
-
-    def topo_boundary(self, cell):
-        faces = self._faces.get(cell)
-        if faces is None:
-            faces = self._faces[cell] = tuple(hom_boundary(cell))
-        return faces
-
-
-def _cell_dim(cell):
-    return sum(len(block) for block in cell) - len(cell)
+            dim = sum(map(len, cell)) - len(cell)
+            labeled[cell] = (dim, Monomial._raw(tuple(e)))
+            boundary[cell] = hom_boundary(cell)
+        super().__init__(labeled, boundary)
 
 
 def _enumerate_hom_cells(graph):

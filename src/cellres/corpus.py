@@ -10,7 +10,7 @@ ideals backs the property suite.
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .cointerval import DGraph, edge_ideal, is_cointerval
 from .ideals import (
@@ -80,8 +80,6 @@ def _ordered(n, gens):
 
 
 def _seed_monomials(n, max_deg):
-    from itertools import combinations_with_replacement
-
     for deg in range(1, max_deg + 1):
         for vs in combinations_with_replacement(range(1, n + 1), deg):
             e = [0] * n

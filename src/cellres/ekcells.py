@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
+from .betti import LabeledCellComplex
 from .chain import BRule, Symbol, symbol_complex
 from .errors import (
     AlphaNotInSet,
@@ -311,38 +312,19 @@ def cell_label(ideal, j, alpha):
     return ideal.gen(j) * Monomial.from_support(alpha, ideal.n)
 
 
-class CWComplexEK:
+class CWComplexEK(LabeledCellComplex):
     """The regular CW complex carrying the mapping-cone resolution.
 
-    Cells are keyed by (generator index, alpha); the label of a cell is
-    m * x_alpha, which is verified to equal the lcm of its vertex labels.
-    A face's coefficient is the ratio of the two labels, which makes the
-    labeled cellular complex multigraded-homogeneous.
+    Cells are keyed by (generator index, alpha), of dimension |alpha|; the
+    label of a cell is m * x_alpha, which is verified to equal the lcm of
+    its vertex labels.  A face's coefficient is the ratio of the two
+    labels, which makes the labeled cellular complex multigraded-homogeneous.
     """
 
-    def __init__(self, ideal, rule, cells, boundary, labels):
+    def __init__(self, ideal, cells, boundary, labels):
+        super().__init__({key: (len(key[1]), labels[key]) for key in cells}, boundary)
         self.ideal = ideal
-        self.rule = rule
         self.cells = cells  # {(j, alpha): GlueCell}
-        self.boundary = boundary  # {key: [(key', sign)]}
-        self._labels = labels  # {key: cell_label}
-
-    def f_vector(self):
-        top = max(len(a) for (_, a) in self.cells)
-        fv = [0] * (top + 1)
-        for (_, alpha) in self.cells:
-            fv[len(alpha)] += 1
-        return tuple(fv)
-
-    def label(self, key):
-        return self._labels[key]
-
-    def cells_with_labels(self):
-        for key in sorted(self.cells):
-            yield key, len(key[1]), self.label(key)
-
-    def topo_boundary(self, key):
-        return self.boundary.get(key, [])
 
     def vertex_coordinates(self):
         """Exponent vectors of the generators, keyed by generator index."""
@@ -354,7 +336,7 @@ def build_ek_cw(ideal, rule=None):
 
     Verifies, cell by cell: orientation coherence, the lcm property of the
     labels, and monotonicity of labels under the boundary.  The global
-    d o d = 0 of the labeled complex is checked by cellular_chain_complex.
+    d o d = 0 of the labeled complex is checked by check_cellular_resolution.
     """
     rule = rule or BRule(ideal)
     table = ideal.set_table()
@@ -387,7 +369,7 @@ def build_ek_cw(ideal, rule=None):
                     "unit coefficient between U%s and U%s" % (key, target)
                 )
         boundary[key] = entries
-    return CWComplexEK(ideal, rule, cache, boundary, labels)
+    return CWComplexEK(ideal, cache, boundary, labels)
 
 
 def cellular_chain_complex(X):

@@ -133,15 +133,29 @@ class ChainData:
         return sub
 
 
+def require_dd_zero(chain):
+    """Raise VerificationError unless the boundary of every boundary in
+    the complex is zero, summed exactly over the integers."""
+    faces = chain.faces
+    for c in chain.members:
+        dd = {}
+        for f, v in faces[c].items():
+            for g, w in faces[f].items():
+                dd[g] = dd.get(g, 0) + v * w
+        if any(dd.values()):
+            raise VerificationError("the boundary of a boundary is not zero")
+
+
 def _collapse(chain):
     """Split off acyclic (face, coface) pairs with unit incidence.
 
     Returns (numbers of the remaining cells, removed count).  A cell's live
     cofaces are tracked as their count and the XOR of their numbers, so
     the only coface of a free face is read off directly.  Requires dd = 0,
-    which is checked on the fly: when a face's unique coface is removed,
-    nothing above may still be attached to that coface, else
-    VerificationError.
+    which is checked here only in part: when a face's unique coface is
+    removed, nothing above may still be attached to that coface, else
+    VerificationError.  A pair whose dd != 0 reaches no such coface is
+    removed unnoticed; require_dd_zero is the full check.
     """
     faces, members = chain.faces, chain.members
     count = [0] * len(faces)

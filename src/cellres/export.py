@@ -6,6 +6,7 @@ sorted keys and every list is explicitly ordered.
 """
 
 import json
+from itertools import product
 from json.encoder import encode_basestring_ascii
 
 from .chain import Symbol
@@ -85,16 +86,16 @@ def complex_to_json(cx):
     )
 
 
-def _cells_json(X, ordered, fields):
-    """Cell records numbered in the given order: fields(cell) plus id,
-    label and boundary as [face id, sign, exponents of label // face
-    label]."""
-    ids = {cell: i for i, cell in enumerate(ordered)}
+def _cells_json(X, fields):
+    """Cell records numbered in the complex's cell order: fields(cell)
+    plus id, dim, label and boundary as [face id, sign, exponents of
+    label // face label]."""
+    ids = {}
     cells = []
-    for cell in ordered:
-        label = X.label(cell)
+    for cell, dim, label in X.cells_with_labels():
         record = fields(cell)
-        record["id"] = ids[cell]
+        record["id"] = ids[cell] = len(ids)
+        record["dim"] = dim
         record["label"] = list(label.e)
         record["boundary"] = [
             [ids[face], sign, list((label // X.label(face)).e)]
@@ -108,14 +109,12 @@ def ek_complex_to_json(X):
     def fields(key):
         cell = X.cells[key]
         return {
-            "dim": cell.dim,
             "gen": cell.source,
             "alpha": list(cell.alpha),
             "simplices": [list(s.vertices) for s in cell.simplices],
             "orientations": list(cell.eps),
         }
 
-    ordered = sorted(X.cells, key=lambda key: (len(key[1]), key))
     return _dump(
         {
             "n": X.ideal.n,
@@ -123,16 +122,13 @@ def ek_complex_to_json(X):
             "vertices": {
                 str(j): list(e) for j, e in X.vertex_coordinates().items()
             },
-            "cells": _cells_json(X, ordered, fields),
+            "cells": _cells_json(X, fields),
         }
     )
 
 
 def hom_complex_to_json(X, ideal):
-    dims = {cell: dim for cell, dim, _ in X.cells_with_labels()}
-    cells = _cells_json(
-        X, list(dims), lambda cell: {"dim": dims[cell], "blocks": [list(b) for b in cell]}
-    )
+    cells = _cells_json(X, lambda cell: {"blocks": [list(b) for b in cell]})
     return _dump({"n": ideal.n, "f_vector": list(X.f_vector()), "cells": cells})
 
 
@@ -218,31 +214,27 @@ def _off(kept, projected, faces):
 def ek_complex_to_off(X):
     """OFF export of the vertex set and the 2-cell triangles."""
     kept, projected = _project_coords(X.vertex_coordinates())
-    faces = []
-    for key in sorted(X.cells, key=lambda key: (len(key[1]), key)):
-        cell = X.cells[key]
-        if cell.dim == 2:
-            faces.extend(s.vertices for s in cell.simplices)
+    faces = [
+        s.vertices for key in X.by_dim.get(2, ()) for s in X.cells[key].simplices
+    ]
     return _off(kept, projected, faces)
 
 
 def hom_complex_to_off(X):
     """OFF export of the vertex cells, placed at their labels' exponents,
     and polygonal 2-cells."""
-    coords = {cell: label.e for cell, dim, label in X.cells_with_labels() if dim == 0}
-    kept, projected = _project_coords(coords)
-    faces = []
-    for cell, dim, _ in X.cells_with_labels():
-        if dim == 2:
-            edges = [tuple(_endpoints(edge)) for edge, _ in X.topo_boundary(cell)]
-            faces.append(_polygon_cycle(edges))
+    kept, projected = _project_coords(
+        {cell: X.label(cell).e for cell in X.by_dim.get(0, ())}
+    )
+    faces = [
+        _polygon_cycle(_endpoints(edge) for edge, _ in X.topo_boundary(cell))
+        for cell in X.by_dim.get(2, ())
+    ]
     return _off(kept, projected, faces)
 
 
 def _endpoints(cell):
     """The vertex cells (tuples of singleton blocks) of a cell."""
-    from itertools import product
-
     return [tuple((v,) for v in choice) for choice in product(*cell)]
 
 

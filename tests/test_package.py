@@ -1,4 +1,8 @@
-"""The package's public names: every export resolves."""
+"""The package's public names: every export resolves; every import sits
+at the top of its module."""
+
+import ast
+from pathlib import Path
 
 import cellres
 
@@ -85,3 +89,15 @@ def test_star_import_binds_exactly_the_exports():
     exec("from cellres import *", namespace)
     namespace.pop("__builtins__")
     assert set(namespace) == set(cellres.__all__)
+
+
+def test_no_imports_inside_functions():
+    found = []
+    for path in sorted(Path(cellres.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for node in ast.walk(func):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        found.append("%s:%d" % (path.name, node.lineno))
+    assert not found

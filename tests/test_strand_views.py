@@ -371,3 +371,12 @@ def test_gen_corpus_matches_brute_force_2graphs():
     )
     assert [(i.name, i.ideal.n, i.ideal.gens) for i in gen_corpus()] == reference
     assert len(two) > 100
+
+
+def test_edge_with_one_endpoint_is_refused():
+    # d(e) = v1 and d(v1) = the empty cell, so dd(e) != 0; the collapse
+    # pairs v2 with the empty cell and e with v1 without noticing
+    cells, _, ideal = _two_vertices()
+    X = LabeledCellComplex(cells, {"e": [("v1", 1)]})
+    with pytest.raises(VerificationError, match="boundary of a boundary"):
+        check_cellular_resolution(X, ideal)
