@@ -27,7 +27,6 @@ from .cointerval import (
     edge_ideal,
     hom_chain_complex,
     homcone_resolution,
-    is_cointerval,
     parse_dgraph,
 )
 from .corpus import MAX_COINTERVAL_D, gen_corpus
@@ -43,11 +42,15 @@ EXIT_INPUT = 2
 
 
 def _read_input(raw):
-    if raw == "-":
-        return sys.stdin.read()
-    if os.path.exists(raw):
-        with open(raw, "r", encoding="utf-8") as fh:
-            return fh.read()
+    try:
+        if raw == "-":
+            return sys.stdin.read()
+        if os.path.exists(raw):
+            with open(raw, "r", encoding="utf-8") as fh:
+                return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        source = "stdin" if raw == "-" else raw
+        raise InputError("cannot read %s: %s" % (source, e)) from None
     return raw
 
 
@@ -59,6 +62,13 @@ def _looks_like_dgraph(text):
     return len(head) == 2 and all(p.isdigit() for p in head)
 
 
+def _json_int(x):
+    """x itself if it is a JSON integer; true, 1.0 and "1" are refused."""
+    if type(x) is not int:
+        raise InputError("bad JSON ideal: %s is not an integer" % json.dumps(x))
+    return x
+
+
 def load_ideal(raw):
     """Inline text, a file path, JSON {"n":..,"gens":[[..]]}, or a d-graph
     file with a "d n" header."""
@@ -67,10 +77,12 @@ def load_ideal(raw):
     if stripped.startswith("{"):
         try:
             data = json.loads(stripped)
-            n = int(data["n"])
+            n = _json_int(data["n"])
             _check_variables(n)
-            return OrderedIdeal(n, [Monomial(e) for e in data["gens"]])
-        except (KeyError, TypeError, ValueError) as e:
+            return OrderedIdeal(
+                n, [Monomial([_json_int(a) for a in e]) for e in data["gens"]]
+            )
+        except (KeyError, TypeError, ValueError, RecursionError) as e:
             raise InputError("bad JSON ideal: %s" % e) from None
     if _looks_like_dgraph(stripped):
         graph = parse_dgraph(stripped)
@@ -81,9 +93,12 @@ def load_ideal(raw):
 def _write(out, text):
     if out in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as e:
+        raise InputError("cannot write %s: %s" % (out, e)) from None
 
 
 def _cointerval_state(ideal):
@@ -93,7 +108,8 @@ def _cointerval_state(ideal):
         graph = dgraph_of_ideal(ideal)
     except InputError:
         return None, None
-    return is_cointerval(graph), cointerval_discrepancy(graph)
+    disc = cointerval_discrepancy(graph)
+    return disc["recursive"], disc
 
 
 def cmd_check(args):
@@ -124,7 +140,7 @@ def cmd_check(args):
         lines.append("cointerval: n/a (not a uniform squarefree edge ideal)")
     else:
         lines.append("cointerval: %s" % ("yes" if verdict else "no"))
-        if disc and not disc["agree"]:
+        if not disc["agree"]:
             lines.append(
                 "cointerval exchange reading: %s (disagrees with the recursive "
                 "definition; recursive verdict is authoritative)"
@@ -264,7 +280,7 @@ def cmd_verify(args):
     verdict, disc = _cointerval_state(ideal)
     if verdict is not None:
         print("cointerval (recursive): %s" % ("yes" if verdict else "no"))
-        if disc and not disc["agree"]:
+        if not disc["agree"]:
             print(
                 "note: exchange reading disagrees (says %s); recursive "
                 "definition is authoritative" % ("yes" if disc["exchange"] else "no")

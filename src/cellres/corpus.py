@@ -50,28 +50,6 @@ def borel_closure(seed):
     return seen
 
 
-def is_stable_ideal(ideal):
-    gens = list(ideal.gens)
-    for m in gens:
-        top = max(m.support())
-        for i in range(1, top):
-            swapped = m.times_var(i) // Monomial.variable(top, ideal.n)
-            if not any(g.divides(swapped) for g in gens):
-                return False
-    return True
-
-
-def is_strongly_stable_ideal(ideal):
-    gens = list(ideal.gens)
-    for m in gens:
-        for j in m.support():
-            for i in range(1, j):
-                swapped = m.times_var(i) // Monomial.variable(j, ideal.n)
-                if not any(g.divides(swapped) for g in gens):
-                    return False
-    return True
-
-
 def _ordered(n, gens):
     """Generators sorted with the lex-largest exponent vector first; that
     order gives linear quotients on the whole corpus and is re-verified

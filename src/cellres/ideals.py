@@ -123,17 +123,13 @@ class OrderedIdeal:
     # -- colon ideals and set(m_j) -------------------------------------
 
     def colon_by_generator(self, j):
-        """Minimal generators of (m_1,..,m_{j-1}) : m_j.
+        """Minimal generators of (m_1,..,m_{j-1}) : m_j, as a frozenset.
 
-        Computed as the minimalization of { m_i / gcd(m_i, m_j) : i < j }.
-        Empty for j = 1.
+        Computed once per j, as the minimalization of
+        { m_i / gcd(m_i, m_j) : i < j }, and shared.  Empty for j = 1.
         """
         if not 1 <= j <= self.k:
             raise IndexOutOfRange(j)
-        return set(self._colon(j))
-
-    def _colon(self, j):
-        """colon_by_generator(j), computed once per j and shared."""
         colon = self._colons.get(j)
         if colon is None:
             colon = self._colons[j] = _colon_gens(self.gens[: j - 1], self.gens[j - 1])
@@ -146,7 +142,7 @@ class OrderedIdeal:
         if self._failure is _UNCHECKED:
             self._failure = None
             for j in range(1, self.k + 1):
-                bad = [q for q in self._colon(j) if q.degree() != 1]
+                bad = [q for q in self.colon_by_generator(j) if q.degree() != 1]
                 if bad:
                     self._failure = j, min(bad)
                     break
@@ -164,7 +160,7 @@ class OrderedIdeal:
                     "colon at j=%d has non-variable generator %s" % failure
                 )
             self._set_table = tuple(
-                tuple(sorted(q.support()[0] for q in self._colon(j)))
+                tuple(sorted(q.support()[0] for q in self.colon_by_generator(j)))
                 for j in range(1, self.k + 1)
             )
         return self._set_table
@@ -187,9 +183,6 @@ class OrderedIdeal:
             if g.divides(m):
                 return j
         raise NotInIdeal(str(m))
-
-    def b_of(self, m):
-        return self.gens[self.decomp_b(m) - 1]
 
     def b_table(self):
         """{(j, t): index of b(x_t m_j)} for every t in set(m_j), computed

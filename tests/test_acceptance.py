@@ -35,7 +35,6 @@ from cellres.cointerval import (
     hom_chain_complex,
     homcone_resolution,
     is_cointerval,
-    is_squarefree_strongly_stable,
     symbol_of_face,
 )
 from cellres.corpus import gen_corpus, random_linear_quotient_ideals
@@ -54,6 +53,7 @@ from cellres.rules import (
     enumerate_regular_rules,
     rule_family,
 )
+from reference import is_squarefree_strongly_stable
 
 EXAMPLE1 = "x1*x3*x4, x1*x3*x5, x1*x2*x4, x1*x4*x5, x2*x3*x4, x2*x3*x5"
 RUNNING = "x1*x2, x1*x3, x1*x5, x2*x3, x2*x5, x3*x5, x4*x5"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -332,6 +333,75 @@ def test_json_ideal_input(capsys):
     code, out, _ = run_cli(["check", blob], capsys)
     assert code == 0
     assert "linear quotients: yes" in out
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        '{"n": 2, "gens": [[1.9, 0], [0, 1]]}',
+        '{"n": 2.7, "gens": [[1, 0], [0, 1]]}',
+        '{"n": "2", "gens": [[1, 0], [0, 1]]}',
+        '{"n": 2, "gens": [[true, 0], [0, 1]]}',
+        '{"n": 2, "gens": [[1, 0], [0, "1"]]}',
+    ],
+)
+def test_json_ideal_takes_only_integers_exit_2(capsys, blob):
+    code, out, err = run_cli(["check", blob], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: bad JSON ideal: ")
+    assert err.endswith(" is not an integer\n")
+
+
+def test_deeply_nested_json_exit_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": ' + "[" * 100000 + "]" * 100000 + ', "gens": []}')
+    code, out, err = run_cli(["check", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: bad JSON ideal: maximum recursion depth")
+
+
+def assert_one_input_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ")
+    assert err.count("\n") == 1
+
+
+def test_directory_input_exit_2(capsys, tmp_path):
+    code, out, err = run_cli(["check", str(tmp_path)], capsys)
+    assert_one_input_error_line(code, out, err)
+    assert "Is a directory" in err
+
+
+def test_non_utf8_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "ideal.txt"
+    path.write_bytes(b"x1*x2, \xff*x3\n")
+    code, out, err = run_cli(["check", str(path)], capsys)
+    assert_one_input_error_line(code, out, err)
+    assert "can't decode byte 0xff" in err
+
+
+def test_non_utf8_stdin_exit_2():
+    # strict decoding, as under a UTF-8 locale outside Python's UTF-8 mode
+    proc = subprocess.run(
+        [sys.executable, "-m", "cellres.cli", "check", "-"],
+        input=b"x1*x2, \xff*x3\n",
+        capture_output=True,
+        env=dict(os.environ, PYTHONIOENCODING="utf-8:strict"),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"input error: cannot read stdin: ")
+    assert b"Traceback" not in proc.stderr
+
+
+def test_unwritable_out_exit_2(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "cx.json"
+    code, out, err = run_cli(["resolve", "x1, x2", "--out", str(out_path)], capsys)
+    assert_one_input_error_line(code, out, err)
+    assert err.startswith("input error: cannot write %s: " % out_path)
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -2,6 +2,7 @@ import pytest
 
 from cellres.errors import (
     DuplicateGenerator,
+    IndexOutOfRange,
     MalformedMonomial,
     NonMinimalGenerators,
     NotInIdeal,
@@ -80,13 +81,23 @@ def test_colon_simple():
     assert ideal.colon_by_generator(2) == {Monomial.variable(2, 3)}
 
 
-def test_colon_is_a_fresh_set_each_call():
+def test_colon_is_immutable_and_the_memo_unchanged():
     ideal = parse_ideal("x1*x2, x1*x3")
     colon = ideal.colon_by_generator(2)
-    colon.add(Monomial.variable(1, 3))
-    assert ideal.colon_by_generator(2) == {Monomial.variable(2, 3)}
+    assert isinstance(colon, frozenset)
+    with pytest.raises(AttributeError):
+        colon.add(Monomial.variable(1, 3))
+    assert ideal.colon_by_generator(2) is colon
+    assert colon == {Monomial.variable(2, 3)}
     assert ideal.has_linear_quotients()
     assert ideal.set_table() == ((), (2,))
+
+
+def test_colon_range_checks_j():
+    ideal = parse_ideal("x1*x2, x1*x3")
+    for j in (0, 3):
+        with pytest.raises(IndexOutOfRange):
+            ideal.colon_by_generator(j)
 
 
 def test_index_of(example1):
@@ -132,13 +143,13 @@ def test_linear_quotient_failure_is_computed_once(monkeypatch, text):
     ideal = parse_ideal(text)
     first = ideal.linear_quotient_failure()
     calls = []
-    colon = ideal._colon
+    colon = ideal.colon_by_generator
 
     def counted(j):
         calls.append(j)
         return colon(j)
 
-    monkeypatch.setattr(ideal, "_colon", counted)
+    monkeypatch.setattr(ideal, "colon_by_generator", counted)
     for _ in range(3):
         assert ideal.has_linear_quotients() is (first is None)
         assert ideal.linear_quotient_failure() == first

@@ -33,6 +33,7 @@ from cellres.ideals import RegularityReport, check_regularity, parse_ideal
 from cellres.monomial import Monomial
 from cellres import rules
 from cellres.rules import _table_rule, enumerate_regular_rules
+from reference import b_of
 
 
 @pytest.fixture(scope="module")
@@ -260,8 +261,8 @@ def _old_check_regularity(ideal):
                 witnesses.append((j, t))
         for a_idx, s in enumerate(table[j - 1]):
             for t in table[j - 1][a_idx + 1 :]:
-                bt = ideal.b_of(mj.times_var(t))
-                bs = ideal.b_of(mj.times_var(s))
+                bt = b_of(ideal, mj.times_var(t))
+                bs = b_of(ideal, mj.times_var(s))
                 left = ideal.decomp_b(bt.times_var(s))
                 right = ideal.decomp_b(bs.times_var(t))
                 if left != right:

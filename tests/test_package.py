@@ -101,3 +101,44 @@ def test_no_imports_inside_functions():
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         found.append("%s:%d" % (path.name, node.lineno))
     assert not found
+
+
+def _names_used(tree):
+    """Names a syntax tree reads, as bare names, attributes or imports."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_public_definition_is_exported_or_used():
+    # a public module-level function or class of the package is in
+    # __all__ or used by the package, the demos or the bench; a name only
+    # the tests call belongs in the tests
+    package = Path(cellres.__file__).parent
+    repo = package.parents[1]
+    defined = []
+    used = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            names = _names_used(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(node.name)  # a recursive call is no use
+                if not node.name.startswith("_"):
+                    defined.append((path.name, node.name))
+            used |= names
+    for folder in ("demos", "bench"):
+        for path in sorted((repo / folder).glob("*.py")):
+            used |= _names_used(ast.parse(path.read_text(), filename=str(path)))
+    unused = [
+        "%s:%s" % (module, name)
+        for module, name in defined
+        if name not in cellres.__all__ and name not in used
+    ]
+    assert unused == []
