@@ -299,8 +299,9 @@ def mapping_cone(psi, relabel_shifted=None):
 
 
 def chain_orders(rule, j, alpha, conflict=None):
-    """Orders sigma of alpha whose chain j, rule(x_{s1} m_j), ... never
-    repeats a vertex and that respect the rule's pairwise order constraint.
+    """Pairs (sigma, vertices) for the orders sigma of alpha whose chain
+    vertices = (j, rule(x_{s1} m_j), ...) never repeats a vertex and that
+    respect the rule's pairwise order constraint.
 
     `conflict(s, t)` for s < t is true when s may not precede t.  The
     orders are built one variable at a time: a prefix whose last step
@@ -315,7 +316,7 @@ def chain_orders(rule, j, alpha, conflict=None):
 
     def extend():
         if len(sigma) == len(alpha):
-            yield tuple(sigma)
+            yield tuple(sigma), tuple(vertices)
             return
         last = vertices[-1]
         for t in alpha:
@@ -379,9 +380,9 @@ class TableRule:
         )
 
     def permutations(self, j, alpha):
-        """Chain orders glued into the cell of (m_j, alpha): those whose
-        chain is nondegenerate and that put the larger member of each
-        absorbing pair first."""
+        """Chain orders glued into the cell of (m_j, alpha), as chain_orders
+        pairs (sigma, vertices): those whose chain is nondegenerate and
+        that put the larger member of each absorbing pair first."""
         pairs = self._absorbing_at.get(j)
         conflict = (lambda s, t: (s, t) in pairs) if pairs else None
         return chain_orders(self, j, alpha, conflict)

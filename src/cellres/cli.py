@@ -42,16 +42,15 @@ EXIT_INPUT = 2
 
 
 def _read_input(raw):
+    """The text of stdin (raw == "-") or of the file raw names."""
     try:
         if raw == "-":
             return sys.stdin.read()
-        if os.path.exists(raw):
-            with open(raw, "r", encoding="utf-8") as fh:
-                return fh.read()
+        with open(raw, "r", encoding="utf-8") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as e:
         source = "stdin" if raw == "-" else raw
         raise InputError("cannot read %s: %s" % (source, e)) from None
-    return raw
 
 
 def _looks_like_dgraph(text):
@@ -70,9 +69,21 @@ def _json_int(x):
 
 
 def load_ideal(raw):
-    """Inline text, a file path, JSON {"n":..,"gens":[[..]]}, or a d-graph
-    file with a "d n" header."""
-    text = _read_input(raw)
+    """The ideal raw spells inline, else the one in the file raw names, or
+    on stdin for "-".  Inline text wins: raw is read as a file only when it
+    does not parse and names an existing path.  Either way the text is
+    monomials, JSON {"n":..,"gens":[[..]]}, or a d-graph with a "d n"
+    header."""
+    if raw != "-":
+        try:
+            return _parse_input(raw)
+        except InputError:
+            if not os.path.exists(raw):
+                raise
+    return _parse_input(_read_input(raw))
+
+
+def _parse_input(text):
     stripped = text.strip()
     if stripped.startswith("{"):
         try:
@@ -380,16 +391,36 @@ def _parser():
     return build_parser()
 
 
+def _drop_stdout():
+    """Point the process's stdout at os.devnull, so that the interpreter's
+    exit flush of what a full or closed stdout still holds stays quiet."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # an in-memory stdout has no fd
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as e:
-        print("input error: %s" % e, file=sys.stderr)
-        return EXIT_INPUT
-    except CellresError as e:
-        print("property failure: %s: %s" % (type(e).__name__, e), file=sys.stderr)
-        return EXIT_PROPERTY
+        try:
+            code = args.func(args)
+        except InputError as e:
+            print("input error: %s" % e, file=sys.stderr)
+            code = EXIT_INPUT
+        except CellresError as e:
+            print("property failure: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+            code = EXIT_PROPERTY
+        sys.stdout.flush()  # a full or closed stdout fails here, not at exit
+    except OSError as e:
+        # reading input and writing --out files raise InputError instead
+        _drop_stdout()
+        print("input error: cannot write stdout: %s" % e, file=sys.stderr)
+        code = EXIT_INPUT
+    return code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ order is recoverable from its vertex set; facet bookkeeping relies on
 this.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
@@ -165,11 +165,17 @@ def classify_facet(ideal, chain, dropped, rule=None):
 
 @dataclass
 class GlueCell:
+    """The cell U(m_source, alpha); eps_by_vertices is its sign per vertex tuple."""
+
     source: int
     alpha: tuple
     simplices: tuple  # nondegenerate SimplexChains
     eps: tuple  # orientation sign per simplex
     facets: tuple  # surviving (vertex tuple, coefficient, sigma, dropped)
+    eps_by_vertices: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.eps_by_vertices = {s.vertices: e for s, e in zip(self.simplices, self.eps)}
 
     @property
     def dim(self):
@@ -185,30 +191,24 @@ class GlueCell:
             out.update(s.vertices)
         return out
 
-    def chain_by_vertices(self):
-        return {s.vertices: (s, e) for s, e in zip(self.simplices, self.eps)}
-
 
 def build_cell(ideal, j, alpha, rule=None):
     """Glue the nondegenerate chain simplices for (m_j, alpha).
 
-    The rule yields exactly the admissible orders whose chains are
-    nondegenerate; each becomes a simplex with orientation eps(sigma).
-    Check that every facet shared by two simplices cancels while every
-    other facet survives with a unit coefficient.  The survivors make up
-    the geometric boundary.
+    alpha must lie inside set(m_j).  The rule yields exactly the
+    admissible nondegenerate orders, each with its chain's vertex tuple;
+    each becomes a simplex with orientation eps(sigma).  Check that every
+    facet shared by two simplices cancels while every other facet survives
+    with a unit coefficient.  The survivors make up the boundary.
     """
     rule = rule or BRule(ideal)
     alpha = tuple(sorted(alpha))
-    chains = []
-    for sigma in rule.permutations(j, alpha):
-        chain = ch_simplex(ideal, j, alpha, sigma, rule)
-        if chain.degenerate:
-            raise VerificationError(
-                "rule yielded the degenerate order %s for (m_%d, %s)"
-                % (sigma, j, alpha)
-            )
-        chains.append(chain)
+    if not set(alpha) <= set(ideal.set_of(j)):
+        raise AlphaNotInSet("%s not inside set(m_%d)" % (alpha, j))
+    chains = [
+        SimplexChain(j, alpha, sigma, vertices, degenerate=False)
+        for sigma, vertices in rule.permutations(j, alpha)
+    ]
     if not chains:
         raise VerificationError(
             "no nondegenerate chain for (m_%d, %s)" % (j, alpha)
@@ -216,18 +216,16 @@ def build_cell(ideal, j, alpha, rule=None):
     eps = tuple(orientation_sign(c.sigma) for c in chains)
 
     # oriented boundary, grouped by ordered facet tuple
-    acc = {}
     prov = {}
     for chain, sign in zip(chains, eps):
         verts = chain.vertices
         for i in range(len(verts)):
             facet = verts[:i] + verts[i + 1 :]
             coeff = sign * (1 if i % 2 == 0 else -1)
-            acc[facet] = acc.get(facet, 0) + coeff
             prov.setdefault(facet, []).append((chain.sigma, i, coeff))
     survivors = []
     for facet, occurrences in sorted(prov.items()):
-        total = acc[facet]
+        total = sum(coeff for _, _, coeff in occurrences)
         if len(occurrences) > 2:
             raise OrientationClash(
                 "facet %s lies in %d simplices of U(m_%d,%s)"
@@ -256,16 +254,16 @@ def build_cell(ideal, j, alpha, rule=None):
     )
 
 
-def _boundary_from_cell(ideal, cell, cell_cache):
+def _boundary_from_cell(cell, cell_cache):
     """Signed incidences of the codimension-one cells under a glued cell.
 
-    Each surviving facet is matched, as an ordered vertex chain, against a
-    simplex of the target cell it claims to lie in; full coverage of the
-    target's simplices and a consistent incidence sign are enforced.
+    Each surviving facet must name a key of `cell_cache`, which holds
+    exactly the cells (j, alpha inside set(m_j)), and be a vertex tuple in
+    that target's `eps_by_vertices`; full coverage of the target's
+    simplices and a consistent incidence sign are enforced.
     """
     if not cell.alpha:
         return []
-    table = ideal.set_table()
     hits = {}
     for facet, coeff, sigma, dropped in cell.facets:
         if dropped == 0:
@@ -274,7 +272,7 @@ def _boundary_from_cell(ideal, cell, cell_cache):
         else:
             t = sigma[dropped - 1]
             target = (cell.source, tuple(x for x in cell.alpha if x != t))
-        if not set(target[1]) <= set(table[target[0] - 1]):
+        if target not in cell_cache:
             raise VerificationError(
                 "facet %s wants the non-cell (m_%d, %s)" % (facet, target[0], target[1])
             )
@@ -282,17 +280,16 @@ def _boundary_from_cell(ideal, cell, cell_cache):
 
     out = []
     for target in sorted(hits):
-        chains = cell_cache[target].chain_by_vertices()
+        signs = cell_cache[target].eps_by_vertices
         seen = set()
         incidence = None
         for facet, coeff in hits[target]:
-            if facet not in chains:
+            if facet not in signs:
                 raise VerificationError(
                     "facet %s is not a chain of (m_%d, %s)"
                     % (facet, target[0], target[1])
                 )
-            _, e = chains[facet]
-            value = coeff * e
+            value = coeff * signs[facet]
             if incidence is None:
                 incidence = value
             elif incidence != value:
@@ -300,7 +297,7 @@ def _boundary_from_cell(ideal, cell, cell_cache):
                     "incoherent incidence of U%s under U%s" % (target, cell.key)
                 )
             seen.add(facet)
-        if seen != set(chains):
+        if seen != set(signs):
             raise VerificationError(
                 "boundary of U%s covers only part of U%s" % (cell.key, target)
             )
@@ -358,7 +355,7 @@ def build_ek_cw(ideal, rule=None):
             raise VerificationError(
                 "label of U%s is not the lcm of its vertices" % (key,)
             )
-        entries = _boundary_from_cell(ideal, cell, cache)
+        entries = _boundary_from_cell(cell, cache)
         for target, _ in entries:
             if not labels[target].divides(label):
                 raise VerificationError(

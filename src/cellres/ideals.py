@@ -9,6 +9,7 @@ dividing a monomial), and the regularity test on b.
 Generators and variables are 1-based everywhere.
 """
 
+import re
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -218,14 +219,20 @@ class OrderedIdeal:
         return hash((self.n, self.gens))
 
 
+# One generator on a line: a run of non-commas in which a closed bracket
+# tuple counts as one character, so the commas inside it do not split it.
+_GENERATOR_RE = re.compile(r"(?:\[[^\[\]]*\]|[^,])+")
+
+
 def parse_ideal(text, n=None):
     """Parse a comma- or newline-separated list of monomials.
 
     Each monomial is `x<i>` factors joined by `*` (an optional `^k` power is
-    accepted) or a bracketed exponent tuple.  The textual order is kept.
+    accepted) or a bracketed exponent tuple such as `[1,0,2]`, whose commas
+    separate exponents, not generators.  The textual order is kept.
     Raises MalformedMonomial / DuplicateGenerator / NonMinimalGenerators.
     """
-    pieces = [p for chunk in text.splitlines() for p in chunk.split(",")]
+    pieces = [p for line in text.splitlines() for p in _GENERATOR_RE.findall(line)]
     pieces = [p.strip() for p in pieces if p.strip()]
     if not pieces:
         raise MalformedMonomial("no generators given")

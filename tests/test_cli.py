@@ -404,6 +404,52 @@ def test_unwritable_out_exit_2(capsys, tmp_path):
     assert err.startswith("input error: cannot write %s: " % out_path)
 
 
+def test_inline_text_wins_over_a_same_named_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x1").write_text("x2*x3")
+    inline = run_cli(["betti", "x1"], capsys)
+    from_file = run_cli(["betti", "./x1"], capsys)
+    (tmp_path / "x1").unlink()
+    assert inline == run_cli(["betti", "x1"], capsys)
+    assert from_file == run_cli(["betti", "x2*x3"], capsys)
+    code, out, err = run_cli(["check", "."], capsys)
+    assert_one_input_error_line(code, out, err)
+    assert err.startswith("input error: cannot read .: ")
+
+
+def _cli_into(stdout_fd, *args):
+    """Run the CLI in a child whose stdout is stdout_fd; (code, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "cellres.cli", *args],
+        stdout=stdout_fd,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+    )
+    return proc.returncode, proc.stderr
+
+
+def test_full_stdout_exit_2():
+    with open("/dev/full", "w") as full:
+        code, err = _cli_into(full, "check", "x1")
+    assert code == 2
+    assert err.startswith("input error: cannot write stdout: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_closed_stdout_pipe_exit_2():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes
+    try:
+        code, err = _cli_into(write_end, "check", RUNNING)
+    finally:
+        os.close(write_end)
+    assert code == 2
+    assert err.startswith("input error: cannot write stdout: ")
+    assert "Broken pipe" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_determinism_byte_identical(tmp_path):
     cmd = [
         sys.executable,

@@ -181,6 +181,13 @@ def test_build_cell_quadrilateral(example1):
     assert len(cell.simplices) == 2
 
 
+def test_build_cell_refuses_alpha_outside_set(example1):
+    # refused before any order is walked, also where no order would survive
+    for j, alpha in ((1, (2,)), (5, (1, 3))):
+        with pytest.raises(AlphaNotInSet, match="not inside set"):
+            build_cell(example1, j, alpha)
+
+
 def test_build_cell_solid_3cell(running):
     j = gen_index(running, "x4*x5")
     cell = build_cell(running, j, (1, 2, 3))
@@ -285,8 +292,8 @@ def test_boundary_labels_must_properly_divide(running, monkeypatch):
     original = ekcells._boundary_from_cell
 
     def with_extra_face(extra):
-        def boundary(ideal, cell, cache):
-            out = original(ideal, cell, cache)
+        def boundary(cell, cache):
+            out = original(cell, cache)
             return out + [(extra(cell.key), 1)] if cell.alpha else out
 
         return boundary

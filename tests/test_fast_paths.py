@@ -101,12 +101,12 @@ def test_chain_orders_match_reference(sample):
                 for size in range(min(len(sj), MAX_ALPHA) + 1):
                     for alpha in combinations(sj, size):
                         want = _reference_orders(ideal, rule, j, alpha, bad)
-                        assert list(rule.permutations(j, alpha)) == want, (
-                            item.name,
-                            type(rule).__name__,
-                            j,
-                            alpha,
-                        )
+                        got = list(rule.permutations(j, alpha))
+                        where = (item.name, type(rule).__name__, j, alpha)
+                        assert [sigma for sigma, _ in got] == want, where
+                        for sigma, vertices in got:
+                            chain = ch_simplex(ideal, j, alpha, sigma, rule)
+                            assert vertices == chain.vertices, where
             compared.add(type(rule).__name__)
     assert compared == {"BRule", "TableRule", "CRule"}
 
@@ -116,10 +116,14 @@ def test_chain_orders_on_running_example(running):
     j = running.k  # x4*x5, set = (1, 2, 3)
     alpha = running.set_of(j)
     kept = [(1, 3, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
-    assert list(chain_orders(rule, j, alpha)) == kept
-    assert list(chain_orders(rule, j, alpha[::-1])) == kept
+    pairs = list(chain_orders(rule, j, alpha))
+    assert [sigma for sigma, _ in pairs] == kept
+    for sigma, vertices in pairs:
+        assert vertices == ch_simplex(running, j, alpha, sigma, rule).vertices
+    assert list(chain_orders(rule, j, alpha[::-1])) == pairs
     # a conflict on every pair leaves only the descending order
-    assert list(chain_orders(rule, j, alpha, lambda s, t: True)) == [(3, 2, 1)]
+    only = list(chain_orders(rule, j, alpha, lambda s, t: True))
+    assert [sigma for sigma, _ in only] == [(3, 2, 1)]
 
 
 def _pairwise_closure(ideal):

@@ -45,6 +45,17 @@ def test_parse_rejects_duplicates_and_junk():
         parse_ideal("")
 
 
+@pytest.mark.parametrize("text", ["[1,0], [0,1]", "[1,0]\n[0,1]"])
+def test_parse_keeps_bracket_tuples_whole(text):
+    assert parse_ideal(text) == parse_ideal("x1, x2")
+
+
+@pytest.mark.parametrize("text", ["[1,0", "[1,0], [0,1", "x1, 0]"])
+def test_parse_refuses_unbalanced_brackets(text):
+    with pytest.raises(MalformedMonomial):
+        parse_ideal(text)
+
+
 def test_duplicates_are_found_before_non_minimal_pairs():
     # x1 divides x1*x2 earlier in the list than x3 repeats
     with pytest.raises(DuplicateGenerator, match="^x3$"):
