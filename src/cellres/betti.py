@@ -60,6 +60,11 @@ class TaylorSupport:
             return []
         return [(key[:i] + key[i + 1 :], -1 if i % 2 else 1) for i in range(len(key))]
 
+    def coefficients(self, key):
+        """label // face label for each face, in topo_boundary order."""
+        label = self.label(key)
+        return [label // self.label(face) for face, _ in self.topo_boundary(key)]
+
 
 def taylor_complex(ideal):
     """The Taylor complex as a labeled chain complex: face S in degree |S|.
@@ -78,9 +83,14 @@ class LabeledCellComplex:
     dimensions ascending and keys sorted within each, and every reader
     (cells_with_labels, f_vector, the writers in export) follows it.  A
     boundary is kept as a tuple, so no caller can change it.
+
+    coefficients: {key: [Monomial]}, the incidence coefficient of each
+    face, aligned with the cell's boundary, as the builder of the complex
+    computed it.  Without that table (the default) a face's coefficient
+    is its cell's label divided by the face's label.
     """
 
-    def __init__(self, cells, boundary):
+    def __init__(self, cells, boundary, coefficients=None):
         self._labels = {}
         by_dim = {}
         for key, (dim, label) in cells.items():
@@ -88,6 +98,9 @@ class LabeledCellComplex:
             by_dim.setdefault(dim, []).append(key)
         self.by_dim = {dim: sorted(by_dim[dim]) for dim in sorted(by_dim)}
         self.boundary = {key: tuple(boundary.get(key, ())) for key in cells}
+        if coefficients is not None:
+            coefficients = {key: tuple(coefficients.get(key, ())) for key in cells}
+        self._coefficients = coefficients
 
     def label(self, key):
         return self._labels[key]
@@ -99,6 +112,13 @@ class LabeledCellComplex:
 
     def topo_boundary(self, key):
         return self.boundary[key]
+
+    def coefficients(self, key):
+        """The incidence coefficients of key's faces, in topo_boundary order."""
+        if self._coefficients is not None:
+            return self._coefficients[key]
+        label = self._labels[key]
+        return tuple(label // self._labels[face] for face, _ in self.boundary[key])
 
     def f_vector(self):
         top = max(self.by_dim)

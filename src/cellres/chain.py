@@ -432,7 +432,8 @@ def resolution_from_rule(ideal, rule):
                    - sum_{j_i in tset} (-1)^i (x_{j_i} m / m_g) (m_g; alpha - j_i)
     with m_g = rule(x_{j_i} m); a rule term whose target (m_g; alpha - j_i)
     is not a symbol (alpha - j_i not inside set(m_g)) is dropped.  Each
-    column lists its entries in that order, i ascending.
+    column lists its entries in that order, i ascending.  A rule
+    coefficient depends on (j, j_i) alone and is computed once per call.
     """
     basis, mdeg = symbol_basis(ideal)
     gens = ideal.gens
@@ -440,6 +441,7 @@ def resolution_from_rule(ideal, rule):
     sets = [frozenset(s) for s in ideal.set_table()]
     diff = [dict() for _ in basis]
     diff[1] = {(0, c): (1, gens[j - 1]) for c, (j, _) in enumerate(basis[1])}
+    coefficients = {}  # (j, t) -> x_t m_j / m_g
     for i in range(2, len(basis)):
         # Symbols hash and compare as plain (gen, alpha) tuples
         rows = {sym: r for r, sym in enumerate(basis[i - 1])}
@@ -453,7 +455,10 @@ def resolution_from_rule(ideal, rule):
                 if t in tset:
                     g = rule.apply(j, t)
                     if sets[g - 1].issuperset(rest):
-                        d[(rows[(g, rest)], c)] = (-sign, _rule_coefficient(gens, j, t, g))
+                        coeff = coefficients.get((j, t))
+                        if coeff is None:
+                            coeff = coefficients[(j, t)] = _rule_coefficient(gens, j, t, g)
+                        d[(rows[(g, rest)], c)] = (-sign, coeff)
     return LabeledChainComplex(ideal.n, basis, mdeg, diff)
 
 
@@ -549,11 +554,15 @@ def _sorted_symbol_complex(cx):
 def cell_chain_complex(X, ideal, name_of):
     """The labeled chain complex of a cell complex, as a resolution of R/I.
 
-    X offers cells_with_labels() -> (cell, dim, label) and
-    topo_boundary(cell) -> [(face, sign)]; name_of(cell) is the cell's
-    basis element.  Degree 0 is the ring; degree i >= 1 holds the cells of
-    dimension i-1 sorted by name.  A vertex maps to the ring by its label,
-    and a face enters with the coefficient label // face label.
+    X offers cells_with_labels() -> (cell, dim, label),
+    topo_boundary(cell) -> [(face, sign)] and coefficients(cell), the
+    faces' incidence coefficients in the same order; name_of(cell) is the
+    cell's basis element.  Degree 0 is the ring; degree i >= 1 holds the
+    cells of dimension i-1 sorted by name.  A vertex maps to the ring by
+    its label, and a face enters with the coefficient X gives it: the
+    stored table of a complex that has one, else label // face label
+    (betti.LabeledCellComplex.coefficients).  They are read, not checked
+    here.
     """
     labels, names, by_dim = {}, {}, {}
     for cell, dim, label in X.cells_with_labels():
@@ -572,8 +581,8 @@ def cell_chain_complex(X, ideal, name_of):
     for deg in range(2, top + 2):
         rows, entries = cx.index[deg - 1], cx.diff[deg]
         for col, cell in enumerate(levels[deg - 1]):
-            for face, sign in X.topo_boundary(cell):
-                entries[(rows[names[face]], col)] = (sign, labels[cell] // labels[face])
+            for (face, sign), coeff in zip(X.topo_boundary(cell), X.coefficients(cell)):
+                entries[(rows[names[face]], col)] = (sign, coeff)
     return cx
 
 

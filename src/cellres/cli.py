@@ -327,8 +327,19 @@ def cmd_gen_corpus(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write of help or usage to
+    stdout raises OSError, which argparse would drop; main reports it."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="cellres",
         description="Cellular mapping-cone resolutions of monomial ideals, "
         "verified with exact arithmetic.",
@@ -404,8 +415,13 @@ def _drop_stdout():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit:
+            # after help or usage: a full or closed stdout fails here
+            sys.stdout.flush()
+            raise
         try:
             code = args.func(args)
         except InputError as e:

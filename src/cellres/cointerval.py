@@ -192,14 +192,18 @@ class HomComplex(LabeledCellComplex):
 
     A cell is stored as a tuple of sorted vertex tuples; its dimension is
     the total size minus d and its label the squarefree monomial on the
-    union of the blocks.  `cells` lists every cell, sorted.
+    union of the blocks.  `cells` lists every cell, sorted.  The face
+    that removes the vertex v has the incidence coefficient x_v; the
+    complex stores it next to the face, one shared x_v per variable, in
+    the pass that builds the boundary.
     """
 
     def __init__(self, graph, n=None):
         self.graph = graph
         self.n = n or max(graph.vertices)
         self.cells = _enumerate_hom_cells(graph)
-        labeled, boundary = {}, {}
+        variables = [Monomial.variable(t, self.n) for t in range(1, self.n + 1)]
+        labeled, boundary, coefficients = {}, {}, {}
         for cell in self.cells:
             e = [0] * self.n
             for block in cell:
@@ -207,39 +211,49 @@ class HomComplex(LabeledCellComplex):
                     e[v - 1] = 1
             dim = sum(map(len, cell)) - len(cell)
             labeled[cell] = (dim, Monomial._raw(tuple(e)))
-            boundary[cell] = hom_boundary(cell)
-        super().__init__(labeled, boundary)
+            faces, coeffs = [], []
+            for face, sign, v in _hom_faces(cell):
+                faces.append((face, sign))
+                coeffs.append(variables[v - 1])
+            boundary[cell] = faces
+            coefficients[cell] = coeffs
+        super().__init__(labeled, boundary, coefficients)
 
 
 def _enumerate_hom_cells(graph):
-    """All blockwise increasing tuples whose products are edges.
+    """All blockwise increasing tuples whose products are edges, sorted.
 
-    A cell is a sorted vertex subset cut into d consecutive nonempty runs,
-    so enumeration is over (subset, composition) pairs.
+    The cells are grown one block at a time.  After s_1 < ... < s_l, the
+    next block draws on the vertices that extend every product choice of
+    s_1, ..., s_l to a prefix of an edge (to an edge, at the last block);
+    edges are increasing, so these lie above max(s_l).  Every nonempty
+    subset of them is a valid block, so the walk visits cells only.
     """
     d = graph.d
-    verts = sorted({v for e in graph.edges for v in e})
+    following = {}  # prefix of an edge -> the vertices that extend it
+    for e in graph.edges:
+        for ell in range(d):
+            following.setdefault(e[:ell], set()).add(e[ell])
     cells = []
-    for size in range(d, len(verts) + 1):
-        for subset in combinations(verts, size):
-            for cuts in combinations(range(1, size), d - 1):
-                bounds = (0,) + cuts + (size,)
-                cell = tuple(
-                    tuple(subset[bounds[i] : bounds[i + 1]]) for i in range(d)
-                )
-                # blocks are increasing runs, so every choice is sorted
-                if all(choice in graph.edges for choice in product(*cell)):
-                    cells.append(cell)
+
+    def grow(cell, choices):
+        pool = sorted(set.intersection(*[following[c] for c in choices]))
+        blocks = [b for size in range(1, len(pool) + 1) for b in combinations(pool, size)]
+        if len(cell) == d - 1:
+            cells.extend([cell + (b,) for b in blocks])
+        else:
+            for b in blocks:
+                grow(cell + (b,), [c + (v,) for c in choices for v in b])
+
+    if following:
+        grow((), [()])
     return sorted(cells)
 
 
-def hom_boundary(cell):
-    """Signed faces: remove one element from every block of size >= 2.
-
-    For the j-th element (1-based) of block ell the sign is
-    (-1)^(ell - 1 + j + |s_1| + ... + |s_{ell-1}|).
-    """
-    out = []
+def _hom_faces(cell):
+    """(face, sign, v) for every face of a cell: v is removed from a block
+    of size >= 2.  For the j-th element (1-based) of block ell the sign is
+    (-1)^(ell - 1 + j + |s_1| + ... + |s_{ell-1}|)."""
     offset = 0
     for ell, block in enumerate(cell, start=1):
         if len(block) >= 2:
@@ -249,10 +263,14 @@ def hom_boundary(cell):
                     + (tuple(u for u in block if u != v),)
                     + cell[ell:]
                 )
-                sign = -1 if (ell - 1 + j + offset) % 2 else 1
-                out.append((face, sign))
+                yield face, (-1 if (ell - 1 + j + offset) % 2 else 1), v
         offset += len(block)
-    return out
+
+
+def hom_boundary(cell):
+    """Signed faces: remove one element from every block of size >= 2,
+    with the signs of _hom_faces."""
+    return [(face, sign) for face, sign, _ in _hom_faces(cell)]
 
 
 # -- faces <-> symbols -----------------------------------------------------
@@ -299,24 +317,32 @@ def symbol_of_face(ideal, cell):
 
 def face_of_symbol(ideal, j, alpha):
     """Inverse of symbol_of_face: block ell is {i_ell} together with the
-    alpha elements strictly between i_{ell-1} and i_ell.  alpha is a set."""
+    alpha elements strictly between i_{ell-1} and i_ell.  alpha is a set.
+
+    One pass over the exponents of m_j, merged with the sorted alpha: an
+    alpha element above the support or on a support variable fits no gap.
+    """
     m = ideal.gen(j)
-    supp = m.support()
     alpha = tuple(sorted(alpha))
     members = set(alpha)
     if len(members) != len(alpha):
         raise SymbolNotInComplex("alpha %s repeats an element" % (alpha,))
-    if not members <= set(ideal.set_of(j)):
+    if not members.issubset(ideal.set_of(j)):
         raise SymbolNotInComplex("alpha %s escapes set(m_%d)" % (alpha, j))
-    prev = 0
-    blocks = []
-    used = set()
-    for i_ell in supp:
-        block = tuple(a for a in alpha if prev < a < i_ell) + (i_ell,)
-        used.update(block[:-1])
-        blocks.append(block)
-        prev = i_ell
-    if used != members:
+    blocks, block = [], []
+    rest = iter(alpha)
+    a = next(rest, None)
+    for v, x in enumerate(m.e, start=1):
+        if a == v:
+            if x:
+                break
+            block.append(a)
+            a = next(rest, None)
+        elif x:
+            block.append(v)
+            blocks.append(tuple(block))
+            block = []
+    if a is not None or block:
         raise SymbolNotInComplex(
             "alpha %s does not fit the gaps of %s" % (alpha, str(m))
         )

@@ -19,6 +19,7 @@ this.
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import sub
 from typing import NamedTuple
 
 from .betti import LabeledCellComplex
@@ -315,11 +316,14 @@ class CWComplexEK(LabeledCellComplex):
     Cells are keyed by (generator index, alpha), of dimension |alpha|; the
     label of a cell is m * x_alpha, which is verified to equal the lcm of
     its vertex labels.  A face's coefficient is the ratio of the two
-    labels, which makes the labeled cellular complex multigraded-homogeneous.
+    labels, which makes the labeled cellular complex multigraded-homogeneous;
+    build_ek_cw stores it with the boundary.
     """
 
-    def __init__(self, ideal, cells, boundary, labels):
-        super().__init__({key: (len(key[1]), labels[key]) for key in cells}, boundary)
+    def __init__(self, ideal, cells, boundary, labels, coefficients):
+        super().__init__(
+            {key: (len(key[1]), labels[key]) for key in cells}, boundary, coefficients
+        )
         self.ideal = ideal
         self.cells = cells  # {(j, alpha): GlueCell}
 
@@ -332,8 +336,10 @@ def build_ek_cw(ideal, rule=None):
     """Assemble every glued cell (m_j, alpha) with its boundary.
 
     Verifies, cell by cell: orientation coherence, the lcm property of the
-    labels, and monotonicity of labels under the boundary.  The global
-    d o d = 0 of the labeled complex is checked by check_cellular_resolution.
+    labels, and that each face's label properly divides the cell's.  The
+    quotient is the face's incidence coefficient and is stored with the
+    boundary, one Monomial per distinct quotient.  The global d o d = 0
+    of the labeled complex is checked by check_cellular_resolution.
     """
     rule = rule or BRule(ideal)
     table = ideal.set_table()
@@ -344,7 +350,7 @@ def build_ek_cw(ideal, rule=None):
             for alpha in combinations(table[j - 1], size):
                 cache[(j, alpha)] = build_cell(ideal, j, alpha, rule)
                 labels[(j, alpha)] = cell_label(ideal, j, alpha)
-    boundary = {}
+    boundary, coefficients, quotients = {}, {}, {}
     for key in sorted(cache):
         cell = cache[key]
         label = labels[key]
@@ -356,17 +362,24 @@ def build_ek_cw(ideal, rule=None):
                 "label of U%s is not the lcm of its vertices" % (key,)
             )
         entries = _boundary_from_cell(cell, cache)
+        coeffs = []
         for target, _ in entries:
-            if not labels[target].divides(label):
-                raise VerificationError(
-                    "label of U%s does not divide label of U%s" % (target, key)
-                )
-            if labels[target] == label:
-                raise VerificationError(
-                    "unit coefficient between U%s and U%s" % (key, target)
-                )
+            q = tuple(map(sub, label.e, labels[target].e))
+            coeff = quotients.get(q)
+            if coeff is None:  # a quotient seen before has passed these
+                if min(q) < 0:
+                    raise VerificationError(
+                        "label of U%s does not divide label of U%s" % (target, key)
+                    )
+                if not any(q):
+                    raise VerificationError(
+                        "unit coefficient between U%s and U%s" % (key, target)
+                    )
+                coeff = quotients[q] = Monomial._raw(q)
+            coeffs.append(coeff)
         boundary[key] = entries
-    return CWComplexEK(ideal, cache, boundary, labels)
+        coefficients[key] = coeffs
+    return CWComplexEK(ideal, cache, boundary, labels, coefficients)
 
 
 def cellular_chain_complex(X):

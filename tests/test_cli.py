@@ -417,7 +417,7 @@ def test_inline_text_wins_over_a_same_named_file(capsys, tmp_path, monkeypatch):
     assert err.startswith("input error: cannot read .: ")
 
 
-def _cli_into(stdout_fd, *args):
+def _cli_into(stdout_fd, *args, env=None):
     """Run the CLI in a child whose stdout is stdout_fd; (code, stderr)."""
     proc = subprocess.run(
         [sys.executable, "-m", "cellres.cli", *args],
@@ -425,6 +425,7 @@ def _cli_into(stdout_fd, *args):
         stderr=subprocess.PIPE,
         text=True,
         timeout=60,
+        env=env,
     )
     return proc.returncode, proc.stderr
 
@@ -448,6 +449,47 @@ def test_closed_stdout_pipe_exit_2():
     assert err.startswith("input error: cannot write stdout: ")
     assert "Broken pipe" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# argparse writes help itself and drops a failed write; with a buffered
+# stdout the bytes wait for a flush, unbuffered the write fails at once
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("args", [["--help"], ["resolve", "--help"]])
+def test_help_into_closed_stdout_pipe_exit_2(args, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        code, err = _cli_into(write_end, *args, env=env)
+    finally:
+        os.close(write_end)
+    assert code == 2
+    assert err.startswith("input error: cannot write stdout: ")
+    assert "Broken pipe" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_help_into_full_stdout_exit_2():
+    with open("/dev/full", "w") as full:
+        code, err = _cli_into(full, "--help")
+    assert code == 2
+    assert err.startswith("input error: cannot write stdout: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_help_and_usage_errors_keep_argparse_output_and_exit(capsys):
+    with pytest.raises(SystemExit) as help_exit:
+        main(["resolve", "--help"])
+    out = capsys.readouterr()
+    assert help_exit.value.code == 0
+    assert out.out.startswith("usage: cellres resolve [-h]") and out.err == ""
+    assert "--betti-csv BETTI_CSV" in out.out
+    with pytest.raises(SystemExit) as usage_exit:
+        main(["resolve"])
+    out = capsys.readouterr()
+    assert usage_exit.value.code == 2 and out.out == ""
+    assert out.err.startswith("usage: cellres resolve")
+    assert out.err.endswith("error: the following arguments are required: input\n")
 
 
 def test_determinism_byte_identical(tmp_path):

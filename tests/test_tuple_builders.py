@@ -4,9 +4,13 @@ minimality loop, symbol basis and rule differential, c, the A-blocks,
 the c-table, the hom cells and symbol_of_face."""
 
 import random
+from collections import Counter
 from itertools import combinations, product
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellres import rules
 from cellres.chain import (
@@ -21,6 +25,7 @@ from cellres.chain import (
 from cellres.cli import main
 from cellres.cointerval import (
     CRule,
+    DGraph,
     _enumerate_hom_cells,
     build_hom_complex,
     decomp_c,
@@ -40,6 +45,8 @@ from cellres.errors import (
 )
 from cellres.ideals import OrderedIdeal, parse_ideal
 from cellres.monomial import Monomial, parse_monomial
+
+import reference
 
 RUNNING = "x1*x2, x1*x3, x1*x5, x2*x3, x2*x5, x3*x5, x4*x5"
 
@@ -401,6 +408,32 @@ def test_hom_cells_and_bijection_match_old(corpus):
     assert cells > 10000
 
 
+def _small_graphs():
+    """Every nonempty 1-, 2- and 3-graph edge set on [5], cointerval or not."""
+    for d in (1, 2, 3):
+        possible = list(combinations(range(1, 6), d))
+        for size in range(1, len(possible) + 1):
+            for edges in combinations(possible, size):
+                yield DGraph.from_edges(d, edges)
+
+
+def test_pruned_hom_walk_matches_exhaustive_reference():
+    graphs = list(_small_graphs())
+    assert len(graphs) == 2077
+    graphs += [
+        DGraph.from_edges(d, combinations(range(1, n + 1), d))
+        for d, n in ((2, 8), (3, 7), (4, 9))
+    ]
+    for graph in graphs:
+        assert _enumerate_hom_cells(graph) == _old_hom_cells(graph), sorted(graph.edges)
+    # in a complete d-graph on [n] every subset of size s cut into d runs
+    # is a cell: sum over s of C(n, s) C(s - 1, d - 1) cells
+    for graph, n in zip(graphs[-3:], (8, 7, 9)):
+        d = graph.d
+        want = sum(comb(n, s) * comb(s - 1, d - 1) for s in range(d, n + 1))
+        assert len(_enumerate_hom_cells(graph)) == want
+
+
 def test_face_symbol_refusals_keep_type_and_message(running):
     cases = [
         (symbol_of_face, (running, ((1,), (4,)))),  # x1*x4 is not an edge
@@ -418,6 +451,60 @@ def test_face_symbol_refusals_keep_type_and_message(running):
         ("SymbolNotInComplex", "alpha (2,) does not fit the gaps of x1"),
         ("SymbolNotInComplex", "alpha (1,) does not fit the gaps of x1*x2"),
     ]
+
+
+# Ideals for face_of_symbol: squarefree (cointerval or not), non-squarefree
+# with a set(m_j) element on a support variable of m_j, a set(m_j) element
+# above the support of m_j, and no linear quotients at all.
+FACE_IDEALS = [
+    parse_ideal(text)
+    for text in (
+        RUNNING,
+        "x1*x3*x4, x1*x3*x5, x1*x2*x4, x1*x4*x5, x2*x3*x4, x2*x3*x5",
+        "x2*x3*x4, x2*x3*x5, x2*x3*x6, x2*x4*x5, x2*x4*x6, x3*x4*x5, x3*x4*x6",
+        "x1^3, x1^2*x2, x1*x2^2, x2^3",
+        "x1^2, x1*x2, x1*x3, x2^2, x2*x3, x3^2",
+        "x2, x1",
+        "x1*x2, x3*x4",
+    )
+]
+
+
+@st.composite
+def face_cases(draw):
+    """(ideal, j, alpha): alpha inside set(m_j), escaping it, repeating an
+    element, or hitting a support variable of m_j."""
+    ideal = draw(st.sampled_from(FACE_IDEALS))
+    j = draw(st.integers(1, ideal.k))
+    inside = ideal.set_of(j) if ideal.has_linear_quotients() else ()
+    alpha = draw(st.lists(st.sampled_from(inside), unique=True)) if inside else []
+    kind = draw(st.sampled_from(["inside", "escape", "repeat", "support"]))
+    if kind == "escape":
+        alpha.append(draw(st.integers(0, ideal.n + 1).filter(lambda a: a not in inside)))
+    elif kind == "repeat" and alpha:
+        alpha.append(draw(st.sampled_from(alpha)))
+    elif kind == "support":  # one in set(m_j) when m_j has one
+        support = ideal.gen(j).support()
+        alpha.append(draw(st.sampled_from([v for v in support if v in inside] or support)))
+    return ideal, j, draw(st.permutations(alpha))
+
+
+def test_face_of_symbol_keeps_every_answer_and_refusal():
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=600, deadline=None, database=None)
+    @given(face_cases())
+    def check(case):
+        got = _outcome(face_of_symbol, *case)
+        assert got == _outcome(reference.face_of_symbol, *case), case
+        if isinstance(got[0], tuple):
+            seen["cell"] += 1
+        else:  # a refusal, named by its message
+            seen[next((w for w in ("repeats", "escapes", "gaps") if w in got[1]), got[0])] += 1
+
+    check()
+    assert set(seen) == {"cell", "repeats", "escapes", "gaps", "NotLinearQuotients"}
+    assert min(seen.values()) >= 10, seen
 
 
 # -- one resolution per admitted rule -----------------------------------------
