@@ -39,18 +39,30 @@ class LabeledChainComplex:
 
     diff[i] maps (row, col) index pairs of F_{i-1} x F_i to (sign, coeff)
     with sign in {+1, -1} and coeff a Monomial.  diff[0] is empty.
+
+    The complex owns the lists and dicts it is handed: it keeps them, not
+    copies, and pads `diff` with empty degrees in place.  index[i] is the
+    one label -> position table of degree i, so a label repeated within a
+    degree, or a degree whose multidegrees and basis differ in length, is
+    refused with ValueError.
     """
 
     def __init__(self, n, basis, mdeg, diff):
         self.n = n
-        self.basis = [list(b) for b in basis]
-        self.mdeg = [list(m) for m in mdeg]
-        self.diff = [dict(d) for d in diff]
-        while len(self.diff) < len(self.basis):
-            self.diff.append({})
-        self.index = [
-            {label: i for i, label in enumerate(b)} for b in self.basis
-        ]
+        self.basis = basis
+        self.mdeg = mdeg
+        self.diff = diff
+        while len(diff) < len(basis):
+            diff.append({})
+        self.index = [{label: i for i, label in enumerate(b)} for b in basis]
+        for i, b in enumerate(basis):
+            if len(self.index[i]) != len(b):
+                raise ValueError("repeated basis label in degree %d" % i)
+            m = mdeg[i] if i < len(mdeg) else ()
+            if len(m) != len(b):
+                raise ValueError(
+                    "degree %d has %d multidegrees for %d labels" % (i, len(m), len(b))
+                )
 
     def ranks(self):
         return tuple(len(b) for b in self.basis)
@@ -174,7 +186,7 @@ def compare_up_to_degree_signs(c1, c2):
     signs = {}
     for i in range(1, len(c1.basis)):
         d1, d2 = c1.diff[i], c2.diff[i]
-        if set(d1) != set(d2):
+        if d1.keys() != d2.keys():
             return False, "supports differ in degree %d" % i
         lam = None
         for key in sorted(d1):
@@ -204,25 +216,17 @@ def koszul_complex(variables, shift):
     """
     variables = tuple(sorted(variables))
     n = shift.n
-    basis, mdeg, diff = [], [], []
-    for i in range(len(variables) + 1):
-        level = [tuple(c) for c in combinations(variables, i)]
-        basis.append(level)
-        mdeg.append(
-            [
-                shift * Monomial.from_support(beta, n)
-                for beta in level
-            ]
-        )
-        diff.append({})
-    for i in range(1, len(variables) + 1):
-        idx_lower = {b: p for p, b in enumerate(basis[i - 1])}
+    basis = [list(combinations(variables, i)) for i in range(len(variables) + 1)]
+    mdeg = [[shift * Monomial.from_support(beta, n) for beta in level] for level in basis]
+    cx = LabeledChainComplex(n, basis, mdeg, [])
+    for i in range(1, len(basis)):
+        rows, d = cx.index[i - 1], cx.diff[i]
         for c, beta in enumerate(basis[i]):
             for p, t in enumerate(beta, start=1):
                 rest = tuple(x for x in beta if x != t)
                 sign = 1 if p % 2 == 1 else -1
-                diff[i][(idx_lower[rest], c)] = (sign, Monomial.variable(t, n))
-    return LabeledChainComplex(n, basis, mdeg, diff)
+                d[(rows[rest], c)] = (sign, Monomial.variable(t, n))
+    return cx
 
 
 # -- chain maps and mapping cones ---------------------------------------
@@ -255,11 +259,15 @@ class ChainMap:
 
 
 def mapping_cone(psi, relabel_shifted=None):
-    """The cone of psi: G -> F, i.e. G[1] (+) F with differential
+    """The cone of psi: G -> F, i.e. F (+) G[1] with differential
     d(g, f) = (-d_G g, psi g + d_F f).
 
-    Basis labels from G are passed through `relabel_shifted` (default wraps
-    them as ("cone", label)) so the two parts stay distinguishable.
+    Each degree lists F's basis first, then G[1]'s, so F's entries keep
+    their positions and only the -d_G and psi blocks are offset, by F's
+    size in that degree.  The cone copies F's differential and builds
+    new lists; it shares no table with psi, F or G.  Basis labels from G
+    are passed through `relabel_shifted` (default wraps them as
+    ("cone", label)) so the two parts stay distinguishable.
     """
     if not psi.commutes():
         raise NonCommutingChainMap("chain map does not commute with differentials")
@@ -268,30 +276,26 @@ def mapping_cone(psi, relabel_shifted=None):
         relabel_shifted = lambda lbl: ("cone", lbl)
     top = max(len(F.basis), len(G.basis) + 1)
     basis, mdeg, diff = [], [], []
-    g_off = []  # number of G[1] elements in each cone degree
+    f_size = []  # number of F elements in each cone degree
     for i in range(top):
-        g_part = G.basis[i - 1] if 1 <= i <= len(G.basis) else []
-        f_part = F.basis[i] if i < len(F.basis) else []
-        g_off.append(len(g_part))
-        basis.append([relabel_shifted(l) for l in g_part] + list(f_part))
-        mdeg.append(
-            (G.mdeg[i - 1] if 1 <= i <= len(G.basis) else [])
-            + (F.mdeg[i] if i < len(F.basis) else [])
+        has_f, has_g = i < len(F.basis), 1 <= i <= len(G.basis)
+        f_size.append(len(F.basis[i]) if has_f else 0)
+        basis.append(
+            (F.basis[i] if has_f else [])
+            + ([relabel_shifted(l) for l in G.basis[i - 1]] if has_g else [])
         )
-        diff.append({})
+        mdeg.append((F.mdeg[i] if has_f else []) + (G.mdeg[i - 1] if has_g else []))
+        # F columns: d_F at its own positions
+        diff.append(dict(F.diff[i]) if i < len(F.diff) else {})
     for i in range(1, top):
-        d = diff[i]
+        d, r_off, c_off = diff[i], f_size[i - 1], f_size[i]
         # G[1] columns: -d_G into the G[1] block, psi into the F block
-        if i - 1 < len(G.diff) and i >= 2:
+        if 2 <= i <= len(G.diff):
             for (r, c), (s, m) in G.diff[i - 1].items():
-                d[(r, c)] = (-s, m)
+                d[(r_off + r, c_off + c)] = (-s, m)
         if i - 1 < len(psi.maps):
             for (tr, sc), (s, m) in psi.maps[i - 1].items():
-                d[(g_off[i - 1] + tr, sc)] = (s, m)
-        # F columns: d_F shifted right/down by the G[1] block sizes
-        if i < len(F.diff):
-            for (r, c), (s, m) in F.diff[i].items():
-                d[(g_off[i - 1] + r, g_off[i] + c)] = (s, m)
+                d[(tr, c_off + sc)] = (s, m)
     return LabeledChainComplex(F.n, basis, mdeg, diff)
 
 
@@ -436,16 +440,15 @@ def resolution_from_rule(ideal, rule):
     coefficient depends on (j, j_i) alone and is computed once per call.
     """
     basis, mdeg = symbol_basis(ideal)
+    cx = LabeledChainComplex(ideal.n, basis, mdeg, [])
     gens = ideal.gens
     variables = [Monomial.variable(t, ideal.n) for t in range(1, ideal.n + 1)]
     sets = [frozenset(s) for s in ideal.set_table()]
-    diff = [dict() for _ in basis]
-    diff[1] = {(0, c): (1, gens[j - 1]) for c, (j, _) in enumerate(basis[1])}
+    cx.diff[1] = {(0, c): (1, gens[j - 1]) for c, (j, _) in enumerate(basis[1])}
     coefficients = {}  # (j, t) -> x_t m_j / m_g
     for i in range(2, len(basis)):
         # Symbols hash and compare as plain (gen, alpha) tuples
-        rows = {sym: r for r, sym in enumerate(basis[i - 1])}
-        d = diff[i]
+        rows, d = cx.index[i - 1], cx.diff[i]
         for c, (j, alpha) in enumerate(basis[i]):
             tset = rule.tset(j, alpha)
             for p, t in enumerate(alpha):
@@ -459,7 +462,7 @@ def resolution_from_rule(ideal, rule):
                         if coeff is None:
                             coeff = coefficients[(j, t)] = _rule_coefficient(gens, j, t, g)
                         d[(rows[(g, rest)], c)] = (-sign, coeff)
-    return LabeledChainComplex(ideal.n, basis, mdeg, diff)
+    return cx
 
 
 def _rule_coefficient(gens, j, t, g):
@@ -486,7 +489,11 @@ def iterated_cone_resolution(ideal, rule=None):
     """Rebuild the resolution one generator at a time, as an explicit
     mapping cone of a Koszul complex onto the previous stage.
 
-    Must agree entrywise with resolution_from_rule; exercised by tests.
+    The result is already in symbol order, so nothing is re-sorted: step
+    j's cone lists the previous stage first and appends Symbol(j, beta)
+    after the symbols of every earlier generator, with beta in the
+    Koszul complex's (combinations, lex) order.  Must agree entrywise
+    with resolution_from_rule; exercised by tests.
     """
     if rule is None:
         rule = BRule(ideal)
@@ -527,25 +534,7 @@ def iterated_cone_resolution(ideal, rule=None):
         current = mapping_cone(
             psi, relabel_shifted=lambda beta, s=step: Symbol(s, beta)
         )
-    return _sorted_symbol_complex(current)
-
-
-def _sorted_symbol_complex(cx):
-    """Reorder each degree's basis into canonical Symbol order."""
-    perms = []
-    for i, level in enumerate(cx.basis):
-        order = sorted(range(len(level)), key=lambda p: level[p])
-        perms.append(order)
-    basis = [[cx.basis[i][p] for p in perm] for i, perm in enumerate(perms)]
-    mdeg = [[cx.mdeg[i][p] for p in perm] for i, perm in enumerate(perms)]
-    inv = [
-        {old: new for new, old in enumerate(perm)} for perm in perms
-    ]
-    diff = [dict() for _ in basis]
-    for i in range(1, len(basis)):
-        for (r, c), e in cx.diff[i].items():
-            diff[i][(inv[i - 1][r], inv[i][c])] = e
-    return LabeledChainComplex(cx.n, basis, mdeg, diff)
+    return current
 
 
 # -- labeled cell complexes ----------------------------------------------

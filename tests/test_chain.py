@@ -89,6 +89,19 @@ def test_cone_rejects_noncommuting():
         mapping_cone(bad)
 
 
+def test_complex_refuses_repeated_labels_and_short_multidegrees():
+    one, x = Monomial.one(1), Monomial.variable(1, 1)
+    with pytest.raises(ValueError, match="repeated basis label in degree 1"):
+        LabeledChainComplex(1, [["f"], ["a", "a"]], [[one], [x, x]], [])
+    with pytest.raises(ValueError, match="degree 1 has 1 multidegrees for 2 labels"):
+        LabeledChainComplex(1, [["f"], ["a", "b"]], [[one], [x]], [])
+    # the default relabelling of a cone can collide with a label of F
+    F = LabeledChainComplex(1, [["f"], [("cone", "a")]], [[one], [x]], [{}, {(0, 0): (1, x)}])
+    G = _rank1(1, "a", x)
+    with pytest.raises(ValueError, match="repeated basis label in degree 1"):
+        mapping_cone(ChainMap(G, F, [{}]))
+
+
 def test_cone_step_on_running_example(running):
     # resolve the first six generators, then cone the Koszul complex of
     # set(m_7) = {1,2,3} shifted by x4x5 onto it

@@ -1,14 +1,24 @@
 """ChainMap.commutes sums paths through the column-indexed helper it
 shares with check_dd_zero; the scan-every-entry check it replaced is kept
-here as the reference."""
+here as the reference.  The cone that lists G[1] first, and the re-sort
+the iterated cone needed after it, are the reference for today's cone
+(F first) and its unsorted iterated result."""
 
 from collections import defaultdict
 
+import reference
 from cellres import chain
-from cellres.chain import ChainMap, iterated_cone_resolution
-from cellres.corpus import gen_corpus
+from cellres.chain import (
+    ChainMap,
+    iterated_cone_resolution,
+    koszul_complex,
+    mapping_cone,
+    resolution_from_rule,
+)
+from cellres.cointerval import CRule
+from cellres.corpus import cointerval_corpus, gen_corpus
 from cellres.ideals import check_regularity, parse_ideal
-from cellres.monomial import Monomial
+from cellres.monomial import Monomial, parse_monomial
 
 RUNNING = "x1*x2, x1*x3, x1*x5, x2*x3, x2*x5, x3*x5, x4*x5"
 
@@ -101,3 +111,98 @@ def test_commutes_sums_cancelling_paths_on_their_monomials():
         psi = ChainMap(src, tgt, [{(0, 0): (1, one), (0, 1): (1, coeff)}])
         assert psi.commutes() is want
         assert _reference_commutes(psi) is want
+
+
+# -- the cone lists F first; the cone that listed G[1] first is the reference
+
+
+def _swapped_blocks(ref, F):
+    """ref's bases, multidegrees and entries with each degree's G[1] block
+    moved behind F's block."""
+    perms = []
+    for i, level in enumerate(ref.basis):
+        f = len(F.basis[i]) if i < len(F.basis) else 0
+        g = len(level) - f
+        perms.append([f + p if p < g else p - g for p in range(len(level))])
+    basis, mdeg = [], []
+    for perm, level, ms in zip(perms, ref.basis, ref.mdeg):
+        basis.append([None] * len(level))
+        mdeg.append([None] * len(ms))
+        for p, q in enumerate(perm):
+            basis[-1][q], mdeg[-1][q] = level[p], ms[p]
+    diff = [
+        {(perms[i - 1][r], perms[i][c]): e for (r, c), e in d.items()} if i else dict(d)
+        for i, d in enumerate(ref.diff)
+    ]
+    return basis, mdeg, diff
+
+
+def test_cone_is_the_reference_cone_with_blocks_swapped(monkeypatch):
+    steps = _cone_steps(monkeypatch, _sample_ideals())
+    assert len(steps) > 50
+    for psi in steps:
+        cone, ref = mapping_cone(psi), reference.mapping_cone(psi)
+        assert (cone.basis, cone.mdeg, cone.diff) == _swapped_blocks(ref, psi.target)
+
+
+def test_iterated_cone_is_the_sorted_reference(monkeypatch):
+    cases = [(ideal, None) for ideal in _sample_ideals()]
+    cases += [
+        (item.ideal, CRule(item.ideal))
+        for item in cointerval_corpus(max_d=2, max_n=4)
+    ]
+    assert len(cases) > 60
+    results = [iterated_cone_resolution(ideal, rule) for ideal, rule in cases]
+    monkeypatch.setattr(chain, "mapping_cone", reference.mapping_cone)
+    for (ideal, rule), new in zip(cases, results):
+        old = reference.sorted_symbol_complex(iterated_cone_resolution(ideal, rule))
+        assert (new.basis, new.mdeg, new.diff) == (old.basis, old.mdeg, old.diff)
+
+
+# -- complexes keep what they are handed, so no builder may hand over an
+# -- input's table
+
+
+def _tables(cx):
+    return (
+        [list(b) for b in cx.basis],
+        [list(m) for m in cx.mdeg],
+        [dict(d) for d in cx.diff],
+    )
+
+
+def _scribble(cx):
+    """Append to every basis and multidegree list and add a key to every
+    differential dict of cx, and one more degree to each."""
+    for tables in (cx.basis, cx.mdeg):
+        for level in tables:
+            level.append("scribble")
+        tables.append([])
+    for d in cx.diff:
+        d[("scribble", 0)] = None
+    cx.diff.append({})
+
+
+def test_cone_shares_no_table_with_its_inputs(monkeypatch):
+    steps = _cone_steps(monkeypatch, [parse_ideal(RUNNING)])
+    steps.append(ChainMap(steps[-1].target, steps[-1].target, []))
+    for psi in steps:
+        before = [_tables(psi.source), _tables(psi.target), [dict(m) for m in psi.maps]]
+        _scribble(mapping_cone(psi))
+        after = [_tables(psi.source), _tables(psi.target), [dict(m) for m in psi.maps]]
+        assert after == before
+
+
+def test_builders_share_no_table_between_calls():
+    running = parse_ideal(RUNNING)
+    builders = [
+        (koszul_complex, ((1, 2, 3), parse_monomial("x4*x5", n=5))),
+        (koszul_complex, ((), parse_monomial("x4*x5", n=5))),
+        (resolution_from_rule, (running, chain.BRule(running))),
+        (resolution_from_rule, (running, CRule(running))),
+    ]
+    for build, args in builders:
+        first = build(*args)
+        before = _tables(first)
+        _scribble(first)
+        assert _tables(build(*args)) == before
