@@ -16,7 +16,12 @@ from itertools import combinations
 from operator import add, sub
 from typing import NamedTuple
 
-from .errors import NonCommutingChainMap, NotLinearQuotients, NotRegular
+from .errors import (
+    NonCommutingChainMap,
+    NotLinearQuotients,
+    NotRegular,
+    VerificationError,
+)
 from .ideals import check_regularity
 from .monomial import Monomial
 
@@ -219,13 +224,13 @@ def koszul_complex(variables, shift):
     basis = [list(combinations(variables, i)) for i in range(len(variables) + 1)]
     mdeg = [[shift * Monomial.from_support(beta, n) for beta in level] for level in basis]
     cx = LabeledChainComplex(n, basis, mdeg, [])
+    x = {t: Monomial.variable(t, n) for t in variables}
     for i in range(1, len(basis)):
         rows, d = cx.index[i - 1], cx.diff[i]
         for c, beta in enumerate(basis[i]):
-            for p, t in enumerate(beta, start=1):
-                rest = tuple(x for x in beta if x != t)
-                sign = 1 if p % 2 == 1 else -1
-                d[(rows[rest], c)] = (sign, Monomial.variable(t, n))
+            for p, t in enumerate(beta):
+                sign = 1 if p % 2 == 0 else -1
+                d[(rows[beta[:p] + beta[p + 1 :]], c)] = (sign, x[t])
     return cx
 
 
@@ -236,15 +241,16 @@ class ChainMap:
     """A degree-preserving map of complexes with (sign, monomial) entries.
 
     maps[i] sends F^source_i to F^target_i; keys are (target row index,
-    source column index).
+    source column index).  It keeps the list it is handed and pads it in
+    place.
     """
 
     def __init__(self, source, target, maps):
         self.source = source
         self.target = target
-        self.maps = [dict(m) for m in maps]
-        while len(self.maps) < len(source.basis):
-            self.maps.append({})
+        self.maps = maps
+        while len(maps) < len(source.basis):
+            maps.append({})
 
     def commutes(self):
         """Exact check of d_target o psi = psi o d_source."""
@@ -307,12 +313,13 @@ def chain_orders(rule, j, alpha, conflict=None):
     vertices = (j, rule(x_{s1} m_j), ...) never repeats a vertex and that
     respect the rule's pairwise order constraint.
 
-    `conflict(s, t)` for s < t is true when s may not precede t.  The
+    `conflict(s, t)` for s < t is true when s may not precede t.  A rule
+    step goes to an earlier generator or stays put, so the vertices
+    decrease until a step stays put; a step x_t m_j -> m_v to a later
+    generator raises VerificationError naming x_t, m_j and m_v.  The
     orders are built one variable at a time: a prefix whose last step
-    repeats a vertex stays degenerate, and a prefix breaking the
-    constraint stays inadmissible, whatever follows, so both are cut
-    there.  The survivors come in itertools.permutations(sorted alpha)
-    order.
+    stays put, or breaks the constraint, is cut there, whatever follows.
+    The survivors come in itertools.permutations(sorted alpha) order.
     """
     alpha = tuple(sorted(alpha))
     sigma = []
@@ -331,8 +338,12 @@ def chain_orders(rule, j, alpha, conflict=None):
             ):
                 continue
             v = rule.apply(last, t)
-            if v in vertices:
+            if v == last:
                 continue
+            if v > last:
+                raise VerificationError(
+                    "x_%d m_%d steps to the later generator m_%d" % (t, last, v)
+                )
             sigma.append(t)
             vertices.append(v)
             yield from extend()
@@ -489,24 +500,18 @@ def iterated_cone_resolution(ideal, rule=None):
     """Rebuild the resolution one generator at a time, as an explicit
     mapping cone of a Koszul complex onto the previous stage.
 
-    The result is already in symbol order, so nothing is re-sorted: step
-    j's cone lists the previous stage first and appends Symbol(j, beta)
-    after the symbols of every earlier generator, with beta in the
-    Koszul complex's (combinations, lex) order.  Must agree entrywise
-    with resolution_from_rule; exercised by tests.
+    It starts from R (UNIT alone in degree 0), so m_1 is coned like every
+    other generator.  Step j lists the previous stage first and appends
+    Symbol(j, beta) after the symbols of every earlier generator, beta in
+    the Koszul complex's (combinations, lex) order, so the result is in
+    symbol order.  Must agree entrywise with resolution_from_rule;
+    exercised by tests.
     """
     if rule is None:
         rule = BRule(ideal)
     table = ideal.set_table()
-    n = ideal.n
-    m1 = ideal.gen(1)
-    current = LabeledChainComplex(
-        n,
-        [[UNIT], [Symbol(1, ())]],
-        [[Monomial.one(n)], [m1]],
-        [{}, {(0, 0): (1, m1)}],
-    )
-    for step in range(2, ideal.k + 1):
+    current = LabeledChainComplex(ideal.n, [[UNIT]], [[Monomial.one(ideal.n)]], [])
+    for step in range(1, ideal.k + 1):
         mj = ideal.gen(step)
         variables = table[step - 1]
         kos = koszul_complex(variables, mj)

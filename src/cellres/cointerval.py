@@ -105,8 +105,11 @@ def v_layer(graph, v):
 # check their ideal; a loop over cellres.cli.main meets its inputs again).
 # Measured on a 2-vCPU host, a second verdict over the 3,928 cointerval
 # corpus graphs took 0.007 s with this cache and 0.085-0.112 s with a
-# cache scoped to one is_cointerval call.
-@lru_cache(maxsize=None)
+# cache scoped to one is_cointerval call.  The bound keeps a long-lived
+# process from growing without end; gen_corpus() fills 3,928 verdicts
+# (10,652 hits), well inside it, and took 0.237-0.245 s with the bound
+# against 0.231-0.269 s unbounded (five fresh processes each, same host).
+@lru_cache(maxsize=8192)
 def _cointerval_cached(d, edges):
     if d == 1:
         return True

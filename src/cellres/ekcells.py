@@ -12,9 +12,10 @@ pairs.  Assembling all cells gives a regular CW complex whose labeled
 chain complex is the resolution built in chain.py; the equality of the
 two is checked entry by entry, never assumed.
 
-Generator indices strictly decrease along a chain, so a chain's vertex
-order is recoverable from its vertex set; facet bookkeeping relies on
-this.
+Every rule step goes to an earlier generator or stays put, and the walk
+that lists the chains (chain.chain_orders) refuses a step to a later one,
+so generator indices strictly decrease along a nondegenerate chain and
+its vertex order is recoverable from its vertex set.
 """
 
 from dataclasses import dataclass, field
@@ -49,21 +50,13 @@ def affinely_independent(points):
 def orientation_sign(sigma):
     """Sign of the permutation carrying sigma to descending order.
 
-    sigma is a sequence of distinct comparable values; the sign is taken
-    relative to the arrangement (p, ..., 1), so the descending order gets
-    +1 and the ascending order gets the parity of p(p-1)/2 transpositions.
+    sigma is a sequence of distinct comparable values; the sign is (-1) to
+    the number of ascents, pairs i < j with sigma[i] < sigma[j], so the
+    descending order gets +1 and the ascending order the parity of p(p-1)/2.
     """
-    seq = list(sigma)
-    p = len(seq)
-    ranks = {v: i + 1 for i, v in enumerate(sorted(seq))}
-    pattern = [ranks[v] for v in seq]
-    inv = sum(
-        1
-        for i in range(p)
-        for j in range(i + 1, p)
-        if pattern[i] > pattern[j]
-    )
-    return -1 if (inv + p * (p - 1) // 2) % 2 else 1
+    p = len(sigma)
+    ascents = sum(1 for i in range(p) for j in range(i + 1, p) if sigma[i] < sigma[j])
+    return -1 if ascents % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -199,8 +192,8 @@ def build_cell(ideal, j, alpha, rule=None):
     alpha must lie inside set(m_j).  The rule yields exactly the
     admissible nondegenerate orders, each with its chain's vertex tuple;
     each becomes a simplex with orientation eps(sigma).  Check that every
-    facet shared by two simplices cancels while every other facet survives
-    with a unit coefficient.  The survivors make up the boundary.
+    facet shared by two simplices cancels; every other facet survives with
+    its one simplex's coefficient eps(sigma) (-1)^i = +-1 as the boundary.
     """
     rule = rule or BRule(ideal)
     alpha = tuple(sorted(alpha))
@@ -239,11 +232,6 @@ def build_cell(ideal, j, alpha, rule=None):
                     % (facet, j, alpha)
                 )
             continue
-        if abs(total) != 1:
-            raise OrientationClash(
-                "exterior facet %s of U(m_%d,%s) has coefficient %d"
-                % (facet, j, alpha, total)
-            )
         sigma, dropped, _ = occurrences[0]
         survivors.append((facet, total, sigma, dropped))
     return GlueCell(

@@ -1,8 +1,8 @@
 """Helpers that only tests call, kept out of the package: the single-swap
 closedness of an edge set, the decomposition function b as a monomial,
-the earlier face_of_symbol that the one-pass version replaced, and the
+the earlier face_of_symbol that the one-pass version replaced, the
 earlier mapping cone (G[1] first) with the re-sort the iterated cone
-needed after it."""
+needed after it, and the earlier orientation_sign on a rank table."""
 
 from cellres.chain import LabeledChainComplex
 from cellres.errors import NonCommutingChainMap, SymbolNotInComplex
@@ -103,3 +103,19 @@ def sorted_symbol_complex(cx):
         for (r, c), e in cx.diff[i].items():
             diff[i][(inv[i - 1][r], inv[i][c])] = e
     return LabeledChainComplex(cx.n, basis, mdeg, diff)
+
+
+def orientation_sign(sigma):
+    """ekcells.orientation_sign as it was before it counted ascents: the
+    inversions of sigma's rank pattern, plus p(p-1)/2."""
+    seq = list(sigma)
+    p = len(seq)
+    ranks = {v: i + 1 for i, v in enumerate(sorted(seq))}
+    pattern = [ranks[v] for v in seq]
+    inv = sum(
+        1
+        for i in range(p)
+        for j in range(i + 1, p)
+        if pattern[i] > pattern[j]
+    )
+    return -1 if (inv + p * (p - 1) // 2) % 2 else 1

@@ -2,14 +2,18 @@
 shares with check_dd_zero; the scan-every-entry check it replaced is kept
 here as the reference.  The cone that lists G[1] first, and the re-sort
 the iterated cone needed after it, are the reference for today's cone
-(F first) and its unsorted iterated result."""
+(F first) and its unsorted iterated result, which cones every generator
+onto R, m_1 included."""
 
 from collections import defaultdict
+from itertools import accumulate
 
 import reference
 from cellres import chain
 from cellres.chain import (
+    UNIT,
     ChainMap,
+    Symbol,
     iterated_cone_resolution,
     koszul_complex,
     mapping_cone,
@@ -97,6 +101,32 @@ def test_commutes_matches_reference_on_planted_maps(monkeypatch):
             verdicts.append(bad.commutes())
             assert verdicts[-1] == _reference_commutes(bad)
     assert verdicts.count(False) > 20
+
+
+def test_one_cone_per_generator_starting_from_r(monkeypatch):
+    # the first cone is K(empty) m_1 onto R: (m_1; {}) with d = m_1
+    ideals = _sample_ideals()
+    steps = _cone_steps(monkeypatch, ideals)
+    ks = [ideal.k for ideal in ideals]
+    assert len(steps) == sum(ks)
+    starts = [p for p, psi in enumerate(steps) if psi.target.basis == [[UNIT]]]
+    assert starts == list(accumulate([0] + ks[:-1]))
+    for ideal, start in zip(ideals, starts):
+        cone = mapping_cone(steps[start], lambda beta: Symbol(1, beta))
+        m1 = ideal.gen(1)
+        assert cone.basis == [[UNIT], [Symbol(1, ())]]
+        assert cone.mdeg == [[Monomial.one(ideal.n)], [m1]]
+        assert cone.diff == [{}, {(0, 0): (1, m1)}]
+
+
+def test_chain_map_keeps_its_maps():
+    n = 1
+    one = Monomial.one(n)
+    cx = chain.LabeledChainComplex(n, [["a"], ["b"]], [[one], [one]], [])
+    maps = [{(0, 0): (1, one)}]
+    psi = ChainMap(cx, cx, maps)
+    assert psi.maps is maps
+    assert maps == [{(0, 0): (1, one)}, {}]
 
 
 def test_commutes_sums_cancelling_paths_on_their_monomials():

@@ -113,6 +113,18 @@ def test_verdicts_and_layers_match_the_inline_recursion():
     assert checked == 2046
 
 
+def test_verdict_cache_is_bounded():
+    # a long-lived process asks about ever new graphs; the kept verdicts
+    # stay bounded however many it has seen
+    try:
+        for mask in range(1, 8301):
+            edges = [(v,) for v in range(1, 15) if mask >> (v - 1) & 1]
+            assert is_cointerval(DGraph.from_edges(1, edges))
+        assert cointerval._cointerval_cached.cache_info().currsize <= 8192
+    finally:
+        cointerval._cointerval_cached.cache_clear()
+
+
 def test_example1_not_cointerval(example1):
     assert not is_cointerval(dgraph_of_ideal(example1))
 

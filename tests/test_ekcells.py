@@ -1,9 +1,11 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
+import reference
 from cellres import ekcells
 from cellres.chain import (
+    TableRule,
     check_dd_zero,
     check_minimal,
     compare_up_to_degree_signs,
@@ -101,6 +103,17 @@ def test_orientation_sign_basics():
         assert orientation_sign(sigma) == -orientation_sign(flipped)
 
 
+def test_orientation_sign_is_the_rank_table_sign():
+    values = (2, 3, 5, 8, 13, 21)
+    checked = 0
+    for size in range(len(values) + 1):
+        for subset in combinations(values, size):
+            for sigma in permutations(subset):
+                assert orientation_sign(sigma) == reference.orientation_sign(sigma)
+                checked += 1
+    assert checked == 1957
+
+
 # -- facet classification ---------------------------------------------------
 
 
@@ -186,6 +199,16 @@ def test_build_cell_refuses_alpha_outside_set(example1):
     for j, alpha in ((1, (2,)), (5, (1, 3))):
         with pytest.raises(AlphaNotInSet, match="not inside set"):
             build_cell(example1, j, alpha)
+
+
+def test_a_step_to_a_later_generator_is_refused_where_it_is_walked(running):
+    # m_6 = x3*x5 divides x_3 m_3 = x1*x3*x5; the b table sends it to m_2
+    table = dict(running.b_table())
+    table[(3, 3)] = 6
+    with pytest.raises(VerificationError) as err:
+        build_ek_cw(running, TableRule(running, table, ()))
+    assert type(err.value) is VerificationError
+    assert str(err.value) == "x_3 m_3 steps to the later generator m_6"
 
 
 def test_build_cell_solid_3cell(running):

@@ -1,5 +1,5 @@
 """The package's public names: every export resolves; every import sits
-at the top of its module."""
+at the top of its module; no check rests on an assert statement."""
 
 import ast
 from pathlib import Path
@@ -100,6 +100,19 @@ def test_no_imports_inside_functions():
                 for node in ast.walk(func):
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         found.append("%s:%d" % (path.name, node.lineno))
+    assert not found
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so no check may rest on one
+    found = []
+    for path in sorted(Path(cellres.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            "%s:%d" % (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
     assert not found
 
 
