@@ -51,8 +51,8 @@ top = X.cells[(7, (1, 2, 3))]
 print("top cell is a union of %d tetrahedra" % len(top.simplices))
 
 # The labeled chain complex of the CW complex IS the algebraic resolution.
-ok, signs = compare_up_to_degree_signs(cellular_chain_complex(X), ht_resolution(running))
-print("cellular complex equals the algebraic one:", ok, signs)
+ok, _ = compare_up_to_degree_signs(cellular_chain_complex(X), ht_resolution(running))
+print("cellular complex equals the algebraic one:", ok)
 
 # Low-dimensional geometry can be exported for a mesh viewer.
 off = ek_complex_to_off(X)

@@ -176,10 +176,12 @@ def check_minimal(cx):
 
 
 def compare_up_to_degree_signs(c1, c2):
-    """Entrywise equality of two complexes on the same bases, allowing one
-    global sign per homological degree.
+    """Exact entrywise equality of two complexes on the same bases: every
+    differential entry must agree in sign and coefficient.  No sign is
+    forgiven, despite the name; the name stays until the benchmark that
+    calls it may be edited too (ROADMAP item 7).
 
-    Returns (True, {degree: sign}) or (False, reason).
+    Returns (True, None) or (False, reason).
     """
     if c1.ranks() != c2.ranks():
         return False, "ranks differ: %s vs %s" % (c1.ranks(), c2.ranks())
@@ -188,24 +190,18 @@ def compare_up_to_degree_signs(c1, c2):
             return False, "bases differ in degree %d" % i
         if c1.mdeg[i] != c2.mdeg[i]:
             return False, "multidegrees differ in degree %d" % i
-    signs = {}
     for i in range(1, len(c1.basis)):
         d1, d2 = c1.diff[i], c2.diff[i]
         if d1.keys() != d2.keys():
             return False, "supports differ in degree %d" % i
-        lam = None
         for key in sorted(d1):
             s1, m1 = d1[key]
             s2, m2 = d2[key]
             if m1 != m2:
                 return False, "coefficients differ at %s in degree %d" % (key, i)
-            ratio = s1 * s2
-            if lam is None:
-                lam = ratio
-            elif ratio != lam:
-                return False, "inconsistent signs within degree %d" % i
-        signs[i] = lam if lam is not None else 1
-    return True, signs
+            if s1 != s2:
+                return False, "signs differ at %s in degree %d" % (key, i)
+    return True, None
 
 
 # -- Koszul complexes ---------------------------------------------------
@@ -579,25 +575,3 @@ def cell_chain_complex(X, ideal, name_of):
                 entries[(rows[names[face]], col)] = (sign, coeff)
     return cx
 
-
-def symbol_complex(X, ideal, symbol_of):
-    """cell_chain_complex on the symbol basis, symbol_of(cell) being the
-    cell's Symbol.
-
-    Signs are normalized per homological degree so that the entry into
-    (m; alpha minus its largest element) carries the sign (-1)^|alpha|,
-    the convention of the algebraic resolution.
-    """
-    cx = cell_chain_complex(X, ideal, symbol_of)
-    for deg in range(2, len(cx.basis)):
-        rows, entries = cx.index[deg - 1], cx.diff[deg]
-        flip = 1
-        for col, sym in enumerate(cx.basis[deg]):
-            ref = (rows[Symbol(sym.gen, sym.alpha[:-1])], col)
-            if ref in entries:
-                want = 1 if len(sym.alpha) % 2 == 0 else -1
-                flip = want * entries[ref][0]
-                break
-        if flip < 0:
-            cx.diff[deg] = {key: (-sign, coeff) for key, (sign, coeff) in entries.items()}
-    return cx

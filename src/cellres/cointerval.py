@@ -18,9 +18,9 @@ from .betti import LabeledCellComplex
 from .chain import (
     Symbol,
     TableRule,
+    cell_chain_complex,
     compare_up_to_degree_signs,
     resolution_from_rule,
-    symbol_complex,
 )
 from .ekcells import build_ek_cw, cellular_chain_complex
 from .errors import (
@@ -394,13 +394,19 @@ def decomp_c(ideal, m, i):
         raise NotInSet("%s is not a generator" % str(m))
     if i not in ideal.set_of(j):
         raise NotInSet("%d is not in set(%s)" % (i, str(m)))
-    return Monomial._raw(_c_exponents(m.e, i))
+    c = _c_exponents(m.e, i)
+    if c is None:
+        raise NotCointerval("no support variable of %s lies at or above x_%d" % (m, i))
+    return Monomial._raw(c)
 
 
 def _c_exponents(e, i):
     """Exponents of x_i m / x_{j_k} for the monomial m with exponents e,
-    j_k the smallest support element of m with i <= j_k."""
-    jk = min(s for s in range(i, len(e) + 1) if e[s - 1])
+    j_k the smallest support element of m with i <= j_k; None when m has
+    no support element >= i, so that c(x_i m) is undefined."""
+    jk = next((s for s in range(i, len(e) + 1) if e[s - 1]), None)
+    if jk is None:
+        return None
     c = list(e)
     c[i - 1] += 1
     c[jk - 1] -= 1
@@ -419,6 +425,10 @@ class CRule(TableRule):
         for j, (m, sj) in enumerate(zip(ideal.gens, ideal.set_table()), start=1):
             for t in sj:
                 target = _c_exponents(m.e, t)
+                if target is None:
+                    raise NotCointerval(
+                        "no support variable of m_%d lies at or above x_%d" % (j, t)
+                    )
                 g = index.get(target)
                 if g is None:
                     raise NotCointerval(
@@ -447,9 +457,9 @@ def homcone_resolution(ideal):
 
 def hom_chain_complex(X, ideal):
     """The labeled chain complex of the homomorphism complex, written on
-    the symbol basis through the face <-> symbol bijection and normalized
-    per degree like the algebraic resolution."""
-    return symbol_complex(X, ideal, lambda cell: symbol_of_face(ideal, cell))
+    the symbol basis through the face <-> symbol bijection.  Its signs are
+    the faces' own, so it equals homcone_resolution entry by entry."""
+    return cell_chain_complex(X, ideal, lambda cell: symbol_of_face(ideal, cell))
 
 
 def build_hom_complex(graph, n=None):
@@ -460,7 +470,7 @@ def c_realizes_hom(ideal):
     """(True, None) if rule c realizes the homomorphism complex of a
     lex-ordered cointerval edge ideal, else (False, reason): the complex
     glued from CRule and the hom complex have equal symbol bases and
-    boundaries up to one sign per degree, and the cell of (m_j; alpha)
+    boundaries, signs included, and the cell of (m_j; alpha)
     spans the product vertices of face_of_symbol(ideal, j, alpha)."""
     graph = _require_lex_cointerval(ideal)
     X = build_ek_cw(ideal, CRule(ideal))

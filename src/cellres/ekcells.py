@@ -24,7 +24,7 @@ from operator import sub
 from typing import NamedTuple
 
 from .betti import LabeledCellComplex
-from .chain import BRule, Symbol, symbol_complex
+from .chain import BRule, Symbol, cell_chain_complex
 from .errors import (
     AlphaNotInSet,
     DegenerateChain,
@@ -48,15 +48,16 @@ def affinely_independent(points):
 
 
 def orientation_sign(sigma):
-    """Sign of the permutation carrying sigma to descending order.
+    """Sign of the permutation carrying sigma to ascending order.
 
     sigma is a sequence of distinct comparable values; the sign is (-1) to
-    the number of ascents, pairs i < j with sigma[i] < sigma[j], so the
-    descending order gets +1 and the ascending order the parity of p(p-1)/2.
+    the number of inversions, pairs i < j with sigma[i] > sigma[j], so the
+    ascending order gets +1.  With it the labeled cellular complex equals
+    the algebraic resolution entry by entry, signs included.
     """
     p = len(sigma)
-    ascents = sum(1 for i in range(p) for j in range(i + 1, p) if sigma[i] < sigma[j])
-    return -1 if ascents % 2 else 1
+    inversions = sum(1 for i in range(p) for j in range(i + 1, p) if sigma[i] > sigma[j])
+    return -1 if inversions % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -372,9 +373,9 @@ def build_ek_cw(ideal, rule=None):
 
 def cellular_chain_complex(X):
     """The labeled chain complex of the CW complex, as a resolution of R/I:
-    cell (m_j, alpha) becomes the symbol (m_j; alpha), normalized per
-    degree so that it must equal the algebraic resolution entry by entry."""
-    return symbol_complex(X, X.ideal, lambda key: Symbol(*key))
+    cell (m_j, alpha) becomes the symbol (m_j; alpha).  Its signs are the
+    cells' own, so it equals the algebraic resolution entry by entry."""
+    return cell_chain_complex(X, X.ideal, lambda key: Symbol(*key))
 
 
 # -- topological sanity of low-dimensional cells -------------------------

@@ -115,8 +115,9 @@ def enumerate_regular_rules(ideal, bound=100000):
 
 def complex_for_rule(ideal, rule):
     """Run the full geometric pipeline with the rule in place of the
-    canonical one and verify the cellular complex against the algebraic
-    differential, the rule's own `resolution` when it carries one."""
+    canonical one and verify that the cellular complex equals the
+    algebraic differential entry by entry, signs included; the algebraic
+    side is the rule's own `resolution` when it carries one."""
     X = build_ek_cw(ideal, rule)
     cellular = cellular_chain_complex(X)
     algebraic = rule.resolution

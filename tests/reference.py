@@ -106,8 +106,9 @@ def sorted_symbol_complex(cx):
 
 
 def orientation_sign(sigma):
-    """ekcells.orientation_sign as it was before it counted ascents: the
-    inversions of sigma's rank pattern, plus p(p-1)/2."""
+    """ekcells.orientation_sign as it was before it counted ascents (and
+    later inversions): the inversions of sigma's rank pattern, plus
+    p(p-1)/2."""
     seq = list(sigma)
     p = len(seq)
     ranks = {v: i + 1 for i, v in enumerate(sorted(seq))}

@@ -217,9 +217,19 @@ def test_validate_rejects_bad_sign_and_inhomogeneous_entry():
 
 def test_compare_up_to_degree_signs(running):
     a = ht_resolution(running)
+    assert compare_up_to_degree_signs(a, ht_resolution(running)) == (True, None)
+    # a whole degree flipped is refused: no sign is forgiven per degree
     b = ht_resolution(running)
-    flipped = {key: (-s, m) for key, (s, m) in b.diff[2].items()}
-    b.diff[2] = flipped
-    ok, signs = compare_up_to_degree_signs(a, b)
-    assert ok
-    assert signs[2] == -1 and signs[1] == 1
+    b.diff[2] = {key: (-s, m) for key, (s, m) in b.diff[2].items()}
+    ok, why = compare_up_to_degree_signs(a, b)
+    assert not ok
+    assert why.startswith("signs differ") and why.endswith("in degree 2")
+    # and so is a single flipped entry
+    c = ht_resolution(running)
+    key = min(c.diff[3])
+    s, m = c.diff[3][key]
+    c.diff[3][key] = (-s, m)
+    assert compare_up_to_degree_signs(a, c) == (
+        False,
+        "signs differ at %s in degree 3" % (key,),
+    )

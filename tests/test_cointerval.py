@@ -31,9 +31,14 @@ from cellres.cointerval import (
     symbol_of_face,
     v_layer,
 )
-from cellres.corpus import gen_corpus
+from cellres.corpus import gen_corpus, random_linear_quotient_ideals
 from cellres.ekcells import build_ek_cw
-from cellres.errors import NotCointerval, NotInSet, SymbolNotInComplex
+from cellres.errors import (
+    NotCointerval,
+    NotInSet,
+    SymbolNotInComplex,
+    VerificationError,
+)
 from cellres.ideals import parse_ideal
 from cellres.monomial import Monomial, parse_monomial
 from reference import b_of, is_squarefree_strongly_stable
@@ -386,13 +391,33 @@ def test_homcone_requires_cointerval(example1):
         homcone_resolution(parse_ideal("x1*x2, x3*x4"))
 
 
+def test_crule_refuses_an_undefined_c_as_not_cointerval():
+    # c(x_t m_2) needs a support variable of m_2 at or above x_t
+    for text, t in (("x5, x3, x1", 5), ("x1*x2, x1^2", 2)):
+        with pytest.raises(NotCointerval, match="of m_2 lies at or above x_%d" % t):
+            CRule(parse_ideal(text))
+    ideals = [item.ideal for item in gen_corpus()]
+    ideals += random_linear_quotient_ideals(800, seed=1)
+    outcomes = set()
+    for ideal in ideals:
+        if not ideal.has_linear_quotients():
+            continue
+        try:
+            CRule(ideal)
+            outcomes.add("built")
+        except (NotCointerval, VerificationError) as e:
+            # VerificationError: partition_A's A-blocks miss set(m_j)
+            outcomes.add(type(e).__name__)
+    assert outcomes == {"built", "NotCointerval", "VerificationError"}
+
+
 def test_hom_chain_complex_matches_homcone(running):
     X = build_hom_complex(running_graph())
     cellular = hom_chain_complex(X, running)
     cellular.validate()
     algebraic = homcone_resolution(running)
-    ok, signs = compare_up_to_degree_signs(cellular, algebraic)
-    assert ok, signs
+    ok, why = compare_up_to_degree_signs(cellular, algebraic)
+    assert ok, why
 
 
 def test_c_rule_top_cell(running):

@@ -1,10 +1,11 @@
 import pytest
 
 from cellres.betti import check_cellular_resolution
-from cellres.chain import BRule
+from cellres.chain import BRule, compare_up_to_degree_signs
 from cellres.cointerval import CRule
-from cellres.ekcells import build_ek_cw
-from cellres.errors import SearchSpaceTooLarge
+from cellres.corpus import gen_corpus
+from cellres.ekcells import build_ek_cw, cellular_chain_complex
+from cellres.errors import OrientationClash, SearchSpaceTooLarge
 from cellres.ideals import parse_ideal
 from cellres.poset import poset_fingerprint
 from cellres.rules import (
@@ -85,3 +86,28 @@ def test_c_complex_is_hom_complex_type(running):
     assert combinatorial_type(Xc) == combinatorial_type(H)
     Xb = build_ek_cw(running)
     assert combinatorial_type(Xb) != combinatorial_type(H)
+
+
+def test_every_glued_rule_complex_equals_its_resolution_exactly():
+    """Each admitted rule of a corpus sample either cannot be glued or
+    glues a complex whose cellular chain complex is the rule's own
+    resolution, signs included."""
+    glued = 0
+    for item in gen_corpus()[::17]:
+        ideal = item.ideal
+        if ideal.k > 10:
+            continue
+        rules = enumerate_regular_rules(ideal)
+        if len(rules) < 2:
+            continue
+        for rule in rules:
+            try:
+                X = complex_for_rule(ideal, rule)
+            except OrientationClash:  # raised by build_ek_cw
+                continue
+            cellular = cellular_chain_complex(X)
+            assert compare_up_to_degree_signs(cellular, rule.resolution) == (True, None)
+            assert cellular.basis == rule.resolution.basis
+            assert cellular.diff == rule.resolution.diff
+            glued += 1
+    assert glued > 600

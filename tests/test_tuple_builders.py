@@ -354,18 +354,24 @@ def test_c_refusals_keep_type_and_message(running):
     cases = [
         (decomp_c, (running, x1x4, 1)),  # not a generator
         (decomp_c, (running, running.gen(3), 4)),  # 4 is not in set(x1*x5)
-        (decomp_c, (parse_ideal("x2, x1"), parse_ideal("x1", n=2).gen(1), 2)),  # no j_k
         (partition_A, (parse_ideal("x2, x1"), 2)),
-        (CRule, (parse_ideal("x2, x1"),)),
     ]
-    old = {decomp_c: _old_decomp_c, partition_A: _old_partition_A, CRule: _old_crule}
+    old = {decomp_c: _old_decomp_c, partition_A: _old_partition_A}
     for f, args in cases:
         got = _outcome(f, *args)
         assert isinstance(got, tuple) and isinstance(got[0], str), (f, args)
         assert got == _outcome(old[f], *args), (f, args)
-    assert _outcome(decomp_c, *cases[2][1]) == (
-        "ValueError",
-        "min() arg is an empty sequence",
+    # no j_k: the old code raised a bare ValueError from min(); c is
+    # undefined there, so the ideal is refused as not cointerval
+    ideal = parse_ideal("x2, x1")
+    assert _outcome(_old_crule, ideal) == ("ValueError", "min() arg is an empty sequence")
+    assert _outcome(decomp_c, ideal, ideal.gen(2), 2) == (
+        "NotCointerval",
+        "no support variable of x1 lies at or above x_2",
+    )
+    assert _outcome(CRule, ideal) == (
+        "NotCointerval",
+        "no support variable of m_2 lies at or above x_2",
     )
 
 
