@@ -309,15 +309,17 @@ def chain_orders(rule, j, alpha, conflict=None):
     vertices = (j, rule(x_{s1} m_j), ...) never repeats a vertex and that
     respect the rule's pairwise order constraint.
 
-    `conflict(s, t)` for s < t is true when s may not precede t.  A rule
-    step goes to an earlier generator or stays put, so the vertices
-    decrease until a step stays put; a step x_t m_j -> m_v to a later
-    generator raises VerificationError naming x_t, m_j and m_v.  The
-    orders are built one variable at a time: a prefix whose last step
-    stays put, or breaks the constraint, is cut there, whatever follows.
-    The survivors come in itertools.permutations(sorted alpha) order.
+    `conflict` maps t to the s < t that may not precede t.  A rule step
+    goes to an earlier generator or stays put, so the vertices decrease
+    until a step stays put; a step x_t m_j -> m_v to a later generator
+    that the constraint allows raises VerificationError naming x_t, m_j
+    and m_v.  The orders are built one variable at a time: a prefix whose
+    last step stays put, or breaks the constraint, is cut there, whatever
+    follows.  The survivors come in itertools.permutations(sorted alpha)
+    order.
     """
     alpha = tuple(sorted(alpha))
+    conflict = conflict or {}
     sigma = []
     vertices = [j]
 
@@ -329,12 +331,11 @@ def chain_orders(rule, j, alpha, conflict=None):
         for t in alpha:
             if t in sigma:
                 continue
-            if conflict is not None and any(
-                s < t and conflict(s, t) for s in sigma
-            ):
-                continue
             v = rule.apply(last, t)
             if v == last:
+                continue
+            blocked = conflict.get(t)
+            if blocked and not blocked.isdisjoint(sigma):
                 continue
             if v > last:
                 raise VerificationError(
@@ -351,13 +352,15 @@ def chain_orders(rule, j, alpha, conflict=None):
 
 class TableRule:
     """A decomposition rule: a table (j, t) -> g sending x_t m_j to the
-    earlier generator m_g, plus the absorbing pairs (j, s, t), s < t in
-    set(m_j), where the later variable's effect is overwritten.
+    earlier generator m_g; products missing from the table stay put
+    (g = j).  The table is shared, not copied, and is the whole rule.
 
-    Products missing from the table stay put (g = j).  An absorbed
-    variable contributes no rule term to the differential, and the glued
-    cells use only the chain orders that apply the larger variable of an
-    absorbing pair first.  The table is shared, not copied.
+    With T(a, t) = table.get((a, t), a), a pair s < t in set(m_j) absorbs
+    when T(T(j, t), s) == T(j, s), whether or not it also commutes.  An
+    absorbed variable contributes no rule term to the differential, and
+    the glued cells apply the larger variable of an absorbing pair first.
+    A generator's pairs are read on its first use, since ch_simplex and
+    classify_facet build a rule per call.
 
     `resolution` is the rule's symbol-basis complex once a caller has
     built and checked it (enumerate_regular_rules does), else None.
@@ -365,13 +368,10 @@ class TableRule:
 
     resolution = None
 
-    def __init__(self, ideal, table, absorbing):
+    def __init__(self, ideal, table):
         self.ideal = ideal
         self.table = table
-        self.absorbing = frozenset(absorbing)
-        self._absorbing_at = {}
-        for j, s, t in self.absorbing:
-            self._absorbing_at.setdefault(j, set()).add((s, t))
+        self._absorbed = {}  # j -> {t: the s < t whose pair absorbs}
 
     def key(self):
         return tuple(sorted(self.table.items()))
@@ -380,31 +380,44 @@ class TableRule:
         """Index of rule(x_t m_j)."""
         return self.table.get((j, t), j)
 
+    def _absorbed_at(self, j):
+        """{t: the s < t in set(m_j) whose pair (s, t) absorbs}; an s in
+        t's set may not precede t in a glued chain order."""
+        out = self._absorbed.get(j)
+        if out is None:
+            out = self._absorbed[j] = {}
+            for s, t in combinations(self.ideal.set_of(j), 2):
+                if self.apply(self.apply(j, t), s) == self.apply(j, s):
+                    out.setdefault(t, set()).add(s)
+        return out
+
+    @property
+    def absorbing(self):
+        """Every absorbing pair (j, s, t), s < t, as the law reads them."""
+        at = [(j, self._absorbed_at(j)) for j in range(1, self.ideal.k + 1)]
+        return frozenset((j, s, t) for j, m in at for t in m for s in m[t])
+
     def tset(self, j, alpha):
         """Elements of alpha contributing rule terms: those not absorbed
         by a larger element of alpha."""
-        pairs = self._absorbing_at.get(j)
-        if not pairs:
+        absorbed = self._absorbed_at(j)
+        if not absorbed:
             return alpha
-        return tuple(
-            t for t in alpha if not any(t < u and (t, u) in pairs for u in alpha)
-        )
+        dropped = {s for u in alpha if u in absorbed for s in absorbed[u]}
+        return tuple(t for t in alpha if t not in dropped) if dropped else alpha
 
     def permutations(self, j, alpha):
         """Chain orders glued into the cell of (m_j, alpha), as chain_orders
         pairs (sigma, vertices): those whose chain is nondegenerate and
         that put the larger member of each absorbing pair first."""
-        pairs = self._absorbing_at.get(j)
-        conflict = (lambda s, t: (s, t) in pairs) if pairs else None
-        return chain_orders(self, j, alpha, conflict)
+        return chain_orders(self, j, alpha, self._absorbed_at(j))
 
 
 class BRule(TableRule):
-    """The canonical decomposition function b (first generator dividing),
-    with no absorbing pairs."""
+    """The canonical decomposition function b (first generator dividing)."""
 
     def __init__(self, ideal):
-        super().__init__(ideal, ideal.b_table(), ())
+        super().__init__(ideal, ideal.b_table())
 
     # bound per class: the traced benchmark wraps vars(cls)["permutations"]
     permutations = TableRule.permutations

@@ -415,9 +415,12 @@ def _c_exponents(e, i):
 
 class CRule(TableRule):
     """Decomposition rule for lex-ordered cointerval edge ideals: the
-    table of c, with every pair inside one A-block absorbing, so tset
-    keeps the blockwise maxima of alpha (the paper's T(alpha)) and the
-    glued cells list larger same-block elements first."""
+    table of c.  On a cointerval ideal its absorbing pairs (TableRule's
+    law) are the pairs inside one A-block, so tset keeps the blockwise
+    maxima of alpha (the paper's T(alpha)) and the glued cells list
+    larger same-block elements first.  It refuses with NotCointerval only
+    where c is undefined or leaves the generators; homcone_resolution and
+    c_realizes_hom check that the ideal is cointerval."""
 
     def __init__(self, ideal):
         table = {}
@@ -436,13 +439,7 @@ class CRule(TableRule):
                         % (t, j, Monomial._raw(target))
                     )
                 table[(j, t)] = g
-        absorbing = [
-            (j, s, t)
-            for j in range(1, ideal.k + 1)
-            for block in partition_A(ideal, j)
-            for s, t in combinations(block, 2)
-        ]
-        super().__init__(ideal, table, absorbing)
+        super().__init__(ideal, table)
 
     # bound per class: the traced benchmark wraps vars(cls)["permutations"]
     permutations = TableRule.permutations

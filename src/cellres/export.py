@@ -88,8 +88,8 @@ def complex_to_json(cx):
 
 def _cells_json(X, fields):
     """Cell records numbered in the complex's cell order: fields(cell)
-    plus id, dim, label and boundary as [face id, sign, exponents of
-    label // face label]."""
+    plus id, dim, label and boundary as [face id, sign, exponents of the
+    incidence coefficient X.coefficients gives]."""
     ids = {}
     cells = []
     for cell, dim, label in X.cells_with_labels():
@@ -98,8 +98,8 @@ def _cells_json(X, fields):
         record["dim"] = dim
         record["label"] = list(label.e)
         record["boundary"] = [
-            [ids[face], sign, list((label // X.label(face)).e)]
-            for face, sign in X.topo_boundary(cell)
+            [ids[face], sign, list(coeff.e)]
+            for (face, sign), coeff in zip(X.topo_boundary(cell), X.coefficients(cell))
         ]
         cells.append(record)
     return cells

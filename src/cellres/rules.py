@@ -1,13 +1,14 @@
 """The space of decomposition rules for a fixed linear-quotient order.
 
 A rule is a finite table sending each admissible product x_t m_j (t in
-set(m_j)) to an earlier generator dividing it.  A rule is admitted when
-every pair s < t in every set(m_j) either commutes (the two application
-orders agree) or absorbs (applying s after t lands where applying s alone
-does, i.e. the later variable's effect is overwritten); the canonical
-first-divisor rule is all-commuting, the cointerval replacement rule
-absorbs within blocks.  Admitted tables are final-filtered by d o d = 0
-of the differential they induce.
+set(m_j)) to an earlier generator dividing it, and nothing more: its
+absorbing pairs are read off the table by the one law in
+chain.TableRule.  A table is admitted when every pair s < t in every
+set(m_j) either commutes (the two application orders agree) or absorbs
+(applying s after t lands where applying s alone does, i.e. the later
+variable's effect is overwritten); the canonical first-divisor rule b
+and the cointerval replacement rule c are two of them.  Admitted tables
+are final-filtered by d o d = 0 of the differential they induce.
 
 Absorbing pairs shape both the algebra and the geometry: an absorbed
 variable contributes no rule term to the differential, and the glued
@@ -32,18 +33,6 @@ from .errors import (
 )
 from .ideals import _pair_kind
 from .poset import complex_fingerprint
-
-
-def _table_rule(ideal, table):
-    """The rule of a bare table, its absorbing pairs read off the
-    commute-or-absorb classification."""
-    absorbing = [
-        (j, s, t)
-        for j in range(1, ideal.k + 1)
-        for s, t in combinations(ideal.set_of(j), 2)
-        if _pair_kind(table, j, s, t) == "absorb"
-    ]
-    return TableRule(ideal, table, absorbing)
 
 
 def enumerate_regular_rules(ideal, bound=100000):
@@ -93,7 +82,7 @@ def enumerate_regular_rules(ideal, bound=100000):
 
     def search(pos, assignment):
         if pos == len(slots):
-            rule = _table_rule(ideal, dict(assignment))
+            rule = TableRule(ideal, dict(assignment))
             cx = resolution_from_rule(ideal, rule)
             ok, _ = check_dd_zero(cx)
             if ok and check_minimal(cx):

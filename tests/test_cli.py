@@ -166,15 +166,25 @@ def test_enumerate_rules_maximal(capsys):
 
 
 def test_enumerate_rules_orientation_clash_is_a_property_failure(capsys, tmp_path):
-    # rule 2 of this d-graph's 5 admitted rules cannot be glued; the
-    # command reports it and prints no rules
+    # an admitted rule of this d-graph cannot be glued; the command
+    # reports it and prints no rules
     path = tmp_path / "graph.txt"
-    path.write_text("3 6\n1 2 3\n1 2 6\n1 3 6\n1 5 6\n2 5 6\n3 5 6\n4 5 6\n")
+    edges = "123 125 126 135 136 156 236 256 356 456".split()
+    path.write_text("3 6\n" + "".join(" ".join(e) + "\n" for e in edges))
     code, out, err = run_cli(["enumerate-rules", str(path)], capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("property failure: OrientationClash")
     assert "Traceback" not in err
+
+
+def test_enumerate_rules_glues_every_rule_read_by_the_absorb_law(capsys, tmp_path):
+    # read "commute wins", rule 2 of this d-graph's 5 rules did not glue
+    path = tmp_path / "graph.txt"
+    path.write_text("3 6\n1 2 3\n1 2 6\n1 3 6\n1 5 6\n2 5 6\n3 5 6\n4 5 6\n")
+    code, out, err = run_cli(["enumerate-rules", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["rules"]) == 5
 
 
 def test_verify_running(capsys):

@@ -208,7 +208,7 @@ def test_a_step_to_a_later_generator_is_refused_where_it_is_walked(running):
     table = dict(running.b_table())
     table[(3, 3)] = 6
     with pytest.raises(VerificationError) as err:
-        build_ek_cw(running, TableRule(running, table, ()))
+        build_ek_cw(running, TableRule(running, table))
     assert type(err.value) is VerificationError
     assert str(err.value) == "x_3 m_3 steps to the later generator m_6"
 

@@ -1,7 +1,7 @@
 import pytest
 
 from cellres.betti import check_cellular_resolution
-from cellres.chain import BRule, compare_up_to_degree_signs
+from cellres.chain import BRule, TableRule, compare_up_to_degree_signs
 from cellres.cointerval import CRule
 from cellres.corpus import gen_corpus
 from cellres.ekcells import build_ek_cw, cellular_chain_complex
@@ -12,7 +12,6 @@ from cellres.rules import (
     complex_for_rule,
     combinatorial_type,
     enumerate_regular_rules,
-    _table_rule,
     rule_family,
 )
 
@@ -80,7 +79,7 @@ def test_every_enumerated_rule_verifies(running):
 def test_c_complex_is_hom_complex_type(running):
     from cellres.cointerval import build_hom_complex, dgraph_of_ideal
 
-    c_table = _table_rule(running, dict(CRule(running).table))
+    c_table = TableRule(running, dict(CRule(running).table))
     Xc = complex_for_rule(running, c_table)
     H = build_hom_complex(dgraph_of_ideal(running))
     assert combinatorial_type(Xc) == combinatorial_type(H)
