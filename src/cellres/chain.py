@@ -249,12 +249,18 @@ class ChainMap:
             maps.append({})
 
     def commutes(self):
-        """Exact check of d_target o psi = psi o d_source."""
+        """Exact check of d_target o psi = psi o d_source.  Of d_target,
+        only the columns that psi's rows name are grouped."""
         src, tgt = self.source, self.target
         for i in range(1, len(src.basis)):
             acc = _path_sums(src.diff[i], _by_col(self.maps[i - 1]))
             if i < len(tgt.basis):
-                _path_sums(self.maps[i], _by_col(tgt.diff[i]), acc, sign=-1)
+                named = {mid for mid, _ in self.maps[i]}
+                lower = defaultdict(list)
+                for (r, c), e in tgt.diff[i].items():
+                    if c in named:
+                        lower[c].append((r, e))
+                _path_sums(self.maps[i], lower, acc, sign=-1)
             if any(any(poly.values()) for poly in acc.values()):
                 return False
         return True

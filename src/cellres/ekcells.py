@@ -406,32 +406,53 @@ def _simplicial_chain_data(facet_sets):
     return ChainData(cells_by_deg, boundary)
 
 
-def cell_is_ball(cell):
-    """Desk-scale certificate that a glued cell is a topological ball.
-
-    Checks, with exact arithmetic: the simplicial complex spanned by the
-    chains has trivial reduced homology; every codimension-one face lies
-    in at most two top simplices; the boundary faces (those in exactly
-    one) form a pseudomanifold with the reduced homology of a sphere.
-    A cell made of a single p-simplex is a ball outright and skips them.
-    """
-    p = cell.dim
-    tops = [frozenset(s.vertices) for s in cell.simplices]
-    if p == 0:
-        return len(tops) == 1
-    if any(len(t) != p + 1 for t in tops):
-        return False
-    if len(tops) == 1:
-        return True  # a p-simplex is a p-ball
-    if homology_ranks(_simplicial_chain_data(tops)):
-        return False
+def _boundary_facets(tops, p):
+    """The (p-1)-faces lying in exactly one of the p-simplices `tops`, or
+    None when some face lies in three or more."""
     counts = {}
     for t in tops:
         for facet in combinations(sorted(t), p):
             counts[facet] = counts.get(facet, 0) + 1
     if any(c > 2 for c in counts.values()):
+        return None
+    return [f for f, c in counts.items() if c == 1]
+
+
+def _greedy_shelling(tops):
+    """A shelling order of the p-simplices `tops` (vertex frozensets), or
+    None when the greedy search stalls.
+
+    Each step places the first remaining simplex S whose restriction
+    R(S) = {v : S - v is a face of an earlier simplex} lies in no
+    earlier simplex (so is nonempty); then the faces of S new to the
+    complex are exactly those containing R(S).  A stall proves nothing:
+    another order may still shell.
+    """
+    order = [tops[0]]
+    rest = list(tops[1:])
+    placed = {tops[0] - {v} for v in tops[0]}  # faces of size p
+    while rest:
+        for i, s in enumerate(rest):
+            r = frozenset(v for v in s if s - {v} in placed)
+            if not any(r <= t for t in order):
+                break
+        else:
+            return None
+        del rest[i]
+        order.append(s)
+        placed.update(s - {v} for v in s)
+    return order
+
+
+def _homology_ball(tops, p):
+    """The homology certificate of a ball, for p >= 1: the simplicial
+    complex spanned by `tops` has trivial reduced homology, every
+    (p-1)-face lies in at most two top simplices, and the boundary faces
+    (those in exactly one) form a pseudomanifold with the reduced
+    homology of a (p-1)-sphere."""
+    if homology_ranks(_simplicial_chain_data(tops)):
         return False
-    bfacets = [f for f, c in counts.items() if c == 1]
+    bfacets = _boundary_facets(tops, p)
     if not bfacets:
         return False
     if p == 1:
@@ -444,3 +465,31 @@ def cell_is_ball(cell):
         return False
     h = homology_ranks(_simplicial_chain_data(bfacets))
     return h == {p - 1: 1}
+
+
+def cell_is_ball(cell):
+    """Certificate that a glued cell is a topological ball.
+
+    A cell made of a single p-simplex is a ball outright.  Otherwise the
+    chains' vertex sets must form a pseudomanifold with boundary: p + 1
+    distinct vertices per simplex, no two simplices on one vertex set,
+    every (p-1)-face in at most two simplices and some face in exactly
+    one; anything else is refused.  Such a complex that is shellable is
+    a PL ball (Danaraj and Klee, Shellings of spheres and polytopes,
+    1974; Bjorner, Topological methods, 1995), so a greedy shelling
+    (_greedy_shelling) proves it one.  When the greedy search stalls,
+    the verdict is the homology certificate (_homology_ball): an acyclic
+    cell whose boundary is a pseudomanifold with the homology of a
+    sphere.
+    """
+    p = cell.dim
+    tops = [frozenset(s.vertices) for s in cell.simplices]
+    if any(len(s.vertices) != p + 1 for s in cell.simplices):
+        return False  # a simplex of the wrong size
+    if any(len(t) != p + 1 for t in tops):
+        return False  # a repeated vertex
+    if len(tops) == 1:
+        return True  # a p-simplex is a p-ball
+    if len(set(tops)) != len(tops) or not _boundary_facets(tops, p):
+        return False
+    return _greedy_shelling(tops) is not None or _homology_ball(tops, p)

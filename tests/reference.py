@@ -2,9 +2,10 @@
 closedness of an edge set, the decomposition function b as a monomial,
 the earlier face_of_symbol that the one-pass version replaced, the
 earlier mapping cone (G[1] first) with the re-sort the iterated cone
-needed after it, and the earlier orientation_sign on a rank table."""
+needed after it, the earlier ChainMap.commutes that grouped the whole
+target differential, and the earlier orientation_sign on a rank table."""
 
-from cellres.chain import LabeledChainComplex
+from cellres.chain import LabeledChainComplex, _by_col, _path_sums
 from cellres.errors import NonCommutingChainMap, SymbolNotInComplex
 
 
@@ -85,6 +86,19 @@ def mapping_cone(psi, relabel_shifted=None):
             for (r, c), (s, m) in F.diff[i].items():
                 d[(g_off[i - 1] + r, g_off[i] + c)] = (s, m)
     return LabeledChainComplex(F.n, basis, mdeg, diff)
+
+
+def commutes(psi):
+    """ChainMap.commutes as it was before it grouped only the target
+    columns psi names: every column of d_target is grouped."""
+    src, tgt = psi.source, psi.target
+    for i in range(1, len(src.basis)):
+        acc = _path_sums(src.diff[i], _by_col(psi.maps[i - 1]))
+        if i < len(tgt.basis):
+            _path_sums(psi.maps[i], _by_col(tgt.diff[i]), acc, sign=-1)
+        if any(any(poly.values()) for poly in acc.values()):
+            return False
+    return True
 
 
 def sorted_symbol_complex(cx):

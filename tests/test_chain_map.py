@@ -1,8 +1,10 @@
 """ChainMap.commutes sums paths through the column-indexed helper it
-shares with check_dd_zero; the scan-every-entry check it replaced is kept
-here as the reference.  The cone that lists G[1] first, and the re-sort
-the iterated cone needed after it, are the reference for today's cone
-(F first) and its unsorted iterated result, which cones every generator
+shares with check_dd_zero, grouping only the target columns psi names.
+Two checks it replaced are the references: the scan-every-entry check
+here, and the one that grouped the whole target differential in
+reference.py.  The cone that lists G[1] first, and the re-sort the
+iterated cone needed after it, are the reference for today's cone (F
+first) and its unsorted iterated result, which cones every generator
 onto R, m_1 included."""
 
 from collections import defaultdict
@@ -91,6 +93,7 @@ def test_commutes_matches_reference_on_cone_steps(monkeypatch):
     for psi in steps:
         assert psi.commutes() is True
         assert _reference_commutes(psi) is True
+        assert reference.commutes(psi) is True
 
 
 def test_commutes_matches_reference_on_planted_maps(monkeypatch):
@@ -100,6 +103,7 @@ def test_commutes_matches_reference_on_planted_maps(monkeypatch):
         for bad in _planted(psi):
             verdicts.append(bad.commutes())
             assert verdicts[-1] == _reference_commutes(bad)
+            assert verdicts[-1] == reference.commutes(bad)
     assert verdicts.count(False) > 20
 
 
@@ -141,6 +145,7 @@ def test_commutes_sums_cancelling_paths_on_their_monomials():
         psi = ChainMap(src, tgt, [{(0, 0): (1, one), (0, 1): (1, coeff)}])
         assert psi.commutes() is want
         assert _reference_commutes(psi) is want
+        assert reference.commutes(psi) is want
 
 
 # -- the cone lists F first; the cone that listed G[1] first is the reference

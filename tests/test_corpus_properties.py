@@ -1,17 +1,21 @@
 """Spec-level invariants exercised over corpus samples and a seeded random
 stream; the full-corpus sweeps live in the acceptance suite."""
 
+from collections import Counter
 from itertools import combinations
 from math import comb
 
 import pytest
 
 from cellres.betti import multigraded_betti
-from cellres.chain import check_dd_zero, ht_resolution, mapping_cone, ChainMap, LabeledChainComplex
+from cellres import ekcells
+from cellres.chain import BRule, check_dd_zero, ht_resolution, mapping_cone, ChainMap, LabeledChainComplex
 from cellres.cointerval import (
+    CRule,
     DGraph,
     build_hom_complex,
     dgraph_of_ideal,
+    edge_ideal,
     is_cointerval,
     partition_A,
 )
@@ -23,7 +27,14 @@ from cellres.corpus import (
     random_linear_quotient_ideals,
     stable_corpus,
 )
-from cellres.ekcells import _simplicial_chain_data, build_ek_cw, cell_is_ball
+from cellres.ekcells import (
+    _greedy_shelling,
+    _homology_ball,
+    _simplicial_chain_data,
+    build_cell,
+    build_ek_cw,
+    cell_is_ball,
+)
 from cellres.exact import homology_ranks
 from cellres.ideals import check_regularity, minimalize
 from cellres.monomial import Monomial, parse_monomial
@@ -52,9 +63,31 @@ def is_strongly_stable_ideal(ideal):
 
 
 @pytest.fixture(scope="module")
-def sample():
-    items = gen_corpus()
-    return items[::37] + items[-2:]  # deterministic spread plus the examples
+def corpus():
+    return gen_corpus()
+
+
+@pytest.fixture(scope="module")
+def sample(corpus):
+    return corpus[::37] + corpus[-2:]  # deterministic spread plus the examples
+
+
+def _is_shelling(order):
+    """Each simplex after the first meets the earlier ones in a pure
+    complex of one dimension less: every face of it lying in an earlier
+    simplex lies in one of its facets that does."""
+    for k, s in enumerate(order[1:], start=1):
+        earlier = order[:k]
+        old = [
+            frozenset(f)
+            for size in range(len(s))
+            for f in combinations(s, size)
+            if any(t >= set(f) for t in earlier)
+        ]
+        walls = [s - {v} for v in s if any(t >= s - {v} for t in earlier)]
+        if not walls or any(not any(f <= w for w in walls) for f in old):
+            return False
+    return True
 
 
 def test_borel_closure_example():
@@ -174,14 +207,76 @@ def test_c_rule_blocks_partition(sample):
 
 
 def test_low_dimensional_cells_are_balls(sample):
+    # on every cell of two or more simplices the greedy search finds a
+    # shelling, so the homology fallback is never taken, and the homology
+    # certificate agrees; the chains' yield order is often no shelling
+    multi = yield_order_shells = 0
     for item in sample:
         ideal = item.ideal
         if not check_regularity(ideal).regular:
             continue
         X = build_ek_cw(ideal)
         for cell in X.cells.values():
-            if cell.dim <= 3:
-                assert cell_is_ball(cell), (item.name, cell.key)
+            if cell.dim > 3:
+                continue
+            assert cell_is_ball(cell), (item.name, cell.key)
+            tops = [frozenset(s.vertices) for s in cell.simplices]
+            if len(tops) == 1:
+                continue
+            order = _greedy_shelling(tops)
+            assert order is not None, (item.name, cell.key)
+            assert len(order) == len(tops) and set(order) == set(tops)
+            assert _is_shelling(order), (item.name, cell.key)
+            assert _homology_ball(tops, cell.dim), (item.name, cell.key)
+            multi += 1
+            yield_order_shells += _is_shelling(tops)
+    assert 0 < yield_order_shells < multi
+
+
+def test_homology_fallback_accepts_corpus_cells(sample, monkeypatch):
+    cells = {}
+    for item in sample:
+        if check_regularity(item.ideal).regular:
+            for cell in build_ek_cw(item.ideal).cells.values():
+                if cell.dim in (2, 3) and len(cell.simplices) > 1:
+                    cells.setdefault(cell.dim, cell)
+    calls = []
+    real = ekcells._homology_ball
+    monkeypatch.setattr(ekcells, "_greedy_shelling", lambda tops: None)
+    monkeypatch.setattr(
+        ekcells, "_homology_ball", lambda tops, p: calls.append(p) or real(tops, p)
+    )
+    assert cell_is_ball(cells[2]) and cell_is_ball(cells[3])
+    assert calls == [2, 3]
+
+
+def test_multi_simplex_cells_are_shellable_in_every_dimension(corpus):
+    # b on every 4th regular corpus ideal, c on every 4th cointerval one,
+    # and b on K2 on [8]: cells of dimension 2 to 6
+    cases = []
+    for item in corpus[::4]:
+        if check_regularity(item.ideal).regular:
+            cases.append(("b", item.ideal, BRule(item.ideal)))
+        if item.tags.get("cointerval"):
+            cases.append(("c", item.ideal, CRule(item.ideal)))
+    k2 = edge_ideal(DGraph.from_edges(2, combinations(range(1, 9), 2)))
+    cases.append(("K2 on [8]", k2, BRule(k2)))
+    seen, dims = Counter(), set()
+    for kind, ideal, rule in cases:
+        for j in range(1, ideal.k + 1):
+            sj = ideal.set_of(j)
+            for size in range(2, len(sj) + 1):
+                for alpha in combinations(sj, size):
+                    cell = build_cell(ideal, j, alpha, rule)
+                    tops = [frozenset(s.vertices) for s in cell.simplices]
+                    if len(tops) == 1:
+                        continue
+                    assert _greedy_shelling(tops) is not None, (kind, ideal, cell.key)
+                    assert cell_is_ball(cell), (kind, ideal, cell.key)
+                    seen[kind] += 1
+                    dims.add(cell.dim)
+    assert seen == {"b": 2101, "c": 3821, "K2 on [8]": 303}
+    assert max(dims) == 6
 
 
 def test_one_simplex_cells_pass_the_general_certificate(sample):

@@ -356,6 +356,11 @@ def test_cells_are_balls(example1, running, maximal4):
                 assert cell_is_ball(cell), cell.key
 
 
+MOBIUS = ((1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 1), (5, 1, 2))
+ANNULUS = ((1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (3, 1, 6), (1, 6, 4))
+TETRAHEDRON_BOUNDARY = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
+
+
 def _glued(dim, *vertex_tuples):
     alpha = tuple(range(1, dim + 1))
     chains = tuple(SimplexChain(1, alpha, alpha, v, False) for v in vertex_tuples)
@@ -369,7 +374,43 @@ def _glued(dim, *vertex_tuples):
         _glued(2, (1, 2, 3), (1, 2, 4), (1, 2, 5)),  # three on one edge
         _glued(1, (1, 2), (3, 4)),  # two disjoint edges
         _glued(2, (1, 2, 2)),  # one simplex with a repeated vertex
+        _glued(2, *MOBIUS),
+        _glued(2, *ANNULUS),
+        _glued(2, *TETRAHEDRON_BOUNDARY),  # no boundary facet
+        _glued(2, (1, 2, 3), (3, 2, 1)),  # two simplices on one vertex set
     ],
 )
 def test_cell_is_ball_negative_controls(cell):
     assert not cell_is_ball(cell)
+
+
+@pytest.mark.parametrize("tops", [MOBIUS, ANNULUS])
+def test_greedy_stall_falls_back_to_homology(tops):
+    # pseudomanifolds with boundary that are no balls: the refusals pass
+    # them, no greedy shelling exists, and the homology certificate refuses
+    tops = [frozenset(t) for t in tops]
+    assert ekcells._boundary_facets(tops, 2)
+    assert ekcells._greedy_shelling(tops) is None
+    assert not ekcells._homology_ball(tops, 2)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        _glued(2, (1, 2, 3), (3, 2, 1), (1, 4, 5)),  # two simplices on {1, 2, 3}
+        _glued(2, (1, 2, 2, 3)),  # four vertices, one repeated, in a 2-cell
+    ],
+)
+def test_malformed_cells_the_homology_certificate_accepts_are_refused(cell):
+    # read as vertex sets, the first is two triangles joined at a vertex,
+    # which the homology certificate accepts, and the second a triangle;
+    # only the refusals catch them
+    tops = [frozenset(s.vertices) for s in cell.simplices]
+    assert len(tops) == 1 or ekcells._homology_ball(tops, 2)
+    assert not cell_is_ball(cell)
+
+
+def test_a_shellable_sphere_is_refused_for_want_of_boundary():
+    tops = [frozenset(t) for t in TETRAHEDRON_BOUNDARY]
+    assert ekcells._greedy_shelling(tops) is not None
+    assert ekcells._boundary_facets(tops, 2) == []
