@@ -5,10 +5,10 @@ Run:  python3 demos/04_cointerval_hom_complex.py
 
 from cellres.chain import compare_up_to_degree_signs
 from cellres.cointerval import (
+    CRule,
     DGraph,
     build_hom_complex,
     cointerval_discrepancy,
-    decomp_c,
     edge_ideal,
     face_of_symbol,
     hom_chain_complex,
@@ -46,7 +46,7 @@ print("face", cell, "<->", sym, "<->", face_of_symbol(ideal, sym.gen, sym.alpha)
 m = parse_monomial("x2*x5", n=5)
 j = ideal.index_of(m)
 print("set(x2x5) blocks:", partition_A(ideal, j))
-print("c(x1 * x2x5) =", decomp_c(ideal, m, 1), " (b picks x1x2 instead)")
+print("c(x1 * x2x5) =", ideal.gen(CRule(ideal).apply(j, 1)), " (b picks x1x2 instead)")
 
 # The same complex as an iterated mapping cone with c in place of b.
 algebraic = homcone_resolution(ideal)

@@ -12,7 +12,8 @@ Run:  python3 demos/05_rule_family.py
 from cellres.chain import BRule
 from cellres.cointerval import CRule, build_hom_complex, dgraph_of_ideal
 from cellres.ideals import parse_ideal
-from cellres.rules import combinatorial_type, rule_family
+from cellres.poset import complex_fingerprint
+from cellres.rules import rule_family
 
 ideal = parse_ideal("x1*x2, x1*x3, x1*x5, x2*x3, x2*x5, x3*x5, x4*x5")
 enriched, types = rule_family(ideal)
@@ -36,7 +37,7 @@ for rule, X, fingerprint in enriched:
 H = build_hom_complex(dgraph_of_ideal(ideal), ideal.n)
 c_fp = next(fp for rule, _, fp in enriched if rule.key() == c_key)
 print("replacement-rule complex is poset-isomorphic to the hom complex:",
-      c_fp == combinatorial_type(H))
+      c_fp == complex_fingerprint(H))
 
 # At the other extreme a variable ideal leaves no choice at all.
 maximal = parse_ideal("x1, x2, x3, x4")

@@ -48,11 +48,9 @@ from .cointerval import (
     build_hom_complex,
     c_realizes_hom,
     cointerval_discrepancy,
-    decomp_c,
     dgraph_of_ideal,
     edge_ideal,
     face_of_symbol,
-    hom_boundary,
     homcone_resolution,
     is_cointerval,
     is_cointerval_exchange,
@@ -73,7 +71,6 @@ from .betti import (
 from .exact import bareiss_rank
 from .rules import (
     TableRule,
-    combinatorial_type,
     complex_for_rule,
     enumerate_regular_rules,
     rule_family,
@@ -113,17 +110,14 @@ __all__ = [
     "check_regularity",
     "classify_facet",
     "cointerval_discrepancy",
-    "combinatorial_type",
     "compare_up_to_degree_signs",
     "complex_for_rule",
-    "decomp_c",
     "dgraph_of_ideal",
     "edge_ideal",
     "enumerate_regular_rules",
     "face_of_symbol",
     "find_linear_quotient_order",
     "gen_corpus",
-    "hom_boundary",
     "homcone_resolution",
     "ht_resolution",
     "is_cointerval",

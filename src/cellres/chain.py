@@ -22,7 +22,7 @@ from .errors import (
     NotRegular,
     VerificationError,
 )
-from .ideals import check_regularity
+from .ideals import _absorbed_pairs, check_regularity
 from .monomial import Monomial
 
 
@@ -361,12 +361,12 @@ class TableRule:
     earlier generator m_g; products missing from the table stay put
     (g = j).  The table is shared, not copied, and is the whole rule.
 
-    With T(a, t) = table.get((a, t), a), a pair s < t in set(m_j) absorbs
-    when T(T(j, t), s) == T(j, s), whether or not it also commutes.  An
-    absorbed variable contributes no rule term to the differential, and
-    the glued cells apply the larger variable of an absorbing pair first.
-    A generator's pairs are read on its first use, since ch_simplex and
-    classify_facet build a rule per call.
+    A pair s < t in set(m_j) absorbs when the table says so under the one
+    pair law of ideals (applying s after t lands where s alone does),
+    whether or not it also commutes.  An absorbed variable contributes no
+    rule term to the differential, and the glued cells apply the larger
+    variable of an absorbing pair first.  The pairs of every generator are
+    read when the rule is built.
 
     `resolution` is the rule's symbol-basis complex once a caller has
     built and checked it (enumerate_regular_rules does), else None.
@@ -377,7 +377,9 @@ class TableRule:
     def __init__(self, ideal, table):
         self.ideal = ideal
         self.table = table
-        self._absorbed = {}  # j -> {t: the s < t whose pair absorbs}
+        # j -> {t: the s < t whose pair absorbs}; an s in t's set may not
+        # precede t in a glued chain order
+        self._absorbed = _absorbed_pairs(table, ideal.set_table())
 
     def key(self):
         return tuple(sorted(self.table.items()))
@@ -386,27 +388,17 @@ class TableRule:
         """Index of rule(x_t m_j)."""
         return self.table.get((j, t), j)
 
-    def _absorbed_at(self, j):
-        """{t: the s < t in set(m_j) whose pair (s, t) absorbs}; an s in
-        t's set may not precede t in a glued chain order."""
-        out = self._absorbed.get(j)
-        if out is None:
-            out = self._absorbed[j] = {}
-            for s, t in combinations(self.ideal.set_of(j), 2):
-                if self.apply(self.apply(j, t), s) == self.apply(j, s):
-                    out.setdefault(t, set()).add(s)
-        return out
-
     @property
     def absorbing(self):
         """Every absorbing pair (j, s, t), s < t, as the law reads them."""
-        at = [(j, self._absorbed_at(j)) for j in range(1, self.ideal.k + 1)]
-        return frozenset((j, s, t) for j, m in at for t in m for s in m[t])
+        return frozenset(
+            (j, s, t) for j, at in self._absorbed.items() for t in at for s in at[t]
+        )
 
     def tset(self, j, alpha):
         """Elements of alpha contributing rule terms: those not absorbed
         by a larger element of alpha."""
-        absorbed = self._absorbed_at(j)
+        absorbed = self._absorbed.get(j)
         if not absorbed:
             return alpha
         dropped = {s for u in alpha if u in absorbed for s in absorbed[u]}
@@ -416,14 +408,18 @@ class TableRule:
         """Chain orders glued into the cell of (m_j, alpha), as chain_orders
         pairs (sigma, vertices): those whose chain is nondegenerate and
         that put the larger member of each absorbing pair first."""
-        return chain_orders(self, j, alpha, self._absorbed_at(j))
+        return chain_orders(self, j, alpha, self._absorbed.get(j))
 
 
 class BRule(TableRule):
-    """The canonical decomposition function b (first generator dividing)."""
+    """The canonical decomposition function b (first generator dividing).
+    Its table and its absorbing pairs are the ideal's, read once per
+    ideal (OrderedIdeal.b_table, b_absorbed) and shared by every BRule."""
 
     def __init__(self, ideal):
-        super().__init__(ideal, ideal.b_table())
+        self.ideal = ideal
+        self.table = ideal.b_table()
+        self._absorbed = ideal.b_absorbed()
 
     # bound per class: the traced benchmark wraps vars(cls)["permutations"]
     permutations = TableRule.permutations

@@ -26,7 +26,6 @@ from .ekcells import build_ek_cw, cellular_chain_complex
 from .errors import (
     InputError,
     NotCointerval,
-    NotInSet,
     SymbolNotInComplex,
     VerificationError,
 )
@@ -270,12 +269,6 @@ def _hom_faces(cell):
         offset += len(block)
 
 
-def hom_boundary(cell):
-    """Signed faces: remove one element from every block of size >= 2,
-    with the signs of _hom_faces."""
-    return [(face, sign) for face, sign, _ in _hom_faces(cell)]
-
-
 # -- faces <-> symbols -----------------------------------------------------
 
 
@@ -386,20 +379,6 @@ def partition_A(ideal, j):
     return tuple(blocks)
 
 
-def decomp_c(ideal, m, i):
-    """c(x_i m) = x_i m / x_{j_k} where j_k is the smallest support element
-    of m with i <= j_k."""
-    j = ideal.index_of(m)
-    if j is None:
-        raise NotInSet("%s is not a generator" % str(m))
-    if i not in ideal.set_of(j):
-        raise NotInSet("%d is not in set(%s)" % (i, str(m)))
-    c = _c_exponents(m.e, i)
-    if c is None:
-        raise NotCointerval("no support variable of %s lies at or above x_%d" % (m, i))
-    return Monomial._raw(c)
-
-
 def _c_exponents(e, i):
     """Exponents of x_i m / x_{j_k} for the monomial m with exponents e,
     j_k the smallest support element of m with i <= j_k; None when m has
@@ -415,11 +394,13 @@ def _c_exponents(e, i):
 
 class CRule(TableRule):
     """Decomposition rule for lex-ordered cointerval edge ideals: the
-    table of c.  On a cointerval ideal its absorbing pairs (TableRule's
-    law) are the pairs inside one A-block, so tset keeps the blockwise
-    maxima of alpha (the paper's T(alpha)) and the glued cells list
-    larger same-block elements first.  It refuses with NotCointerval only
-    where c is undefined or leaves the generators; homcone_resolution and
+    table of c, c(x_t m) = x_t m / x_{j_k} for the smallest support
+    element j_k >= t of m.  Its absorbing pairs are read off the table by
+    the pair law every TableRule reads; on a cointerval ideal they are the
+    pairs inside one A-block, so tset keeps the blockwise maxima of alpha
+    (the paper's T(alpha)) and the glued cells list larger same-block
+    elements first.  It refuses with NotCointerval only where c is
+    undefined or leaves the generators; homcone_resolution and
     c_realizes_hom check that the ideal is cointerval."""
 
     def __init__(self, ideal):

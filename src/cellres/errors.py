@@ -57,10 +57,6 @@ class NotCointerval(PreconditionError):
     pass
 
 
-class NotInSet(PreconditionError):
-    pass
-
-
 class AlphaNotInSet(PreconditionError):
     pass
 

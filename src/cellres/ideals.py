@@ -48,19 +48,28 @@ def _colon_gens(placed, m):
     return frozenset(minimalize([g // g.gcd(m) for g in placed]))
 
 
-def _pair_kind(table, j, s, t):
-    """'commute' | 'absorb' | None for s < t in set(m_j) under a bare rule
-    table, whose missing entries stay put; a pair that does both counts as
-    commuting."""
+def _pair_law(table, j, s, t):
+    """(commutes, absorbs) for s < t in set(m_j) under a bare rule table,
+    whose missing entries stay put: with T(a, t) = table.get((a, t), a),
+    the pair commutes when T(T(j, t), s) == T(T(j, s), t) and absorbs
+    when T(T(j, t), s) == T(j, s).  A pair may do both."""
     get = table.get
     after_t = get((j, t), j)
     after_s = get((j, s), j)
-    st = get((after_t, s), after_t)
-    if st == get((after_s, t), after_s):
-        return "commute"
-    if st == after_s:
-        return "absorb"
-    return None
+    ts = get((after_t, s), after_t)
+    return ts == get((after_s, t), after_s), ts == after_s
+
+
+def _absorbed_pairs(table, sets):
+    """{j: {t: the s < t in set(m_j) whose pair absorbs}} under a bare
+    rule table, for the variable sets `sets` (set(m_j) at j - 1); a
+    generator without an absorbing pair has no entry."""
+    out = {}
+    for j, sj in enumerate(sets, start=1):
+        for s, t in combinations(sj, 2):
+            if _pair_law(table, j, s, t)[1]:
+                out.setdefault(j, {}).setdefault(t, set()).add(s)
+    return out
 
 
 class OrderedIdeal:
@@ -101,6 +110,7 @@ class OrderedIdeal:
         self._failure = _UNCHECKED
         self._set_table = None
         self._b_table = None
+        self._b_absorbed = None
         self._lattice = None  # betti's lcm lattice, built on first use
 
     @property
@@ -201,6 +211,13 @@ class OrderedIdeal:
                     table[(j, t)] = self.decomp_b(mj.times_var(t))
             self._b_table = table
         return self._b_table
+
+    def b_absorbed(self):
+        """b's absorbing pairs, {j: {t: the s < t whose pair absorbs}},
+        read off b_table once and shared by every BRule."""
+        if self._b_absorbed is None:
+            self._b_absorbed = _absorbed_pairs(self.b_table(), self.set_table())
+        return self._b_absorbed
 
     def __str__(self):
         return "<" + ", ".join(str(g) for g in self.gens) + ">"
@@ -310,7 +327,7 @@ def check_regularity(ideal):
             if not members.issuperset(table[b[(j, t)] - 1]):
                 witnesses.append((j, t))
         for s, t in combinations(sj, 2):
-            if _pair_kind(b, j, s, t) != "commute":
+            if not _pair_law(b, j, s, t)[0]:
                 star_witnesses.append((j, s, t))
     return RegularityReport(
         regular=not witnesses,

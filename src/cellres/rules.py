@@ -2,13 +2,13 @@
 
 A rule is a finite table sending each admissible product x_t m_j (t in
 set(m_j)) to an earlier generator dividing it, and nothing more: its
-absorbing pairs are read off the table by the one law in
-chain.TableRule.  A table is admitted when every pair s < t in every
-set(m_j) either commutes (the two application orders agree) or absorbs
-(applying s after t lands where applying s alone does, i.e. the later
-variable's effect is overwritten); the canonical first-divisor rule b
-and the cointerval replacement rule c are two of them.  Admitted tables
-are final-filtered by d o d = 0 of the differential they induce.
+absorbing pairs are read off the table by the one pair law of ideals.
+A table is admitted when every pair s < t in every set(m_j) either
+commutes (the two application orders agree) or absorbs (applying s
+after t lands where applying s alone does, i.e. the later variable's
+effect is overwritten); the canonical first-divisor rule b and the
+cointerval replacement rule c are two of them.  Admitted tables are
+final-filtered by d o d = 0 of the differential they induce.
 
 Absorbing pairs shape both the algebra and the geometry: an absorbed
 variable contributes no rule term to the differential, and the glued
@@ -31,7 +31,7 @@ from .errors import (
     SearchSpaceTooLarge,
     VerificationError,
 )
-from .ideals import _pair_kind
+from .ideals import _pair_law
 from .poset import complex_fingerprint
 
 
@@ -76,7 +76,7 @@ def enumerate_regular_rules(ideal, bound=100000):
 
     def pairs_ok(assignment, j):
         return all(
-            _pair_kind(assignment, j, s, t) is not None
+            any(_pair_law(assignment, j, s, t))
             for s, t in combinations(table[j - 1], 2)
         )
 
@@ -118,11 +118,6 @@ def complex_for_rule(ideal, rule):
     return X
 
 
-def combinatorial_type(X):
-    """Canonical fingerprint of the face poset; equal iff isomorphic."""
-    return complex_fingerprint(X)
-
-
 def rule_family(ideal, bound=100000):
     """Admitted rules with their complexes and fingerprints, grouped by
     combinatorial type; `cellres enumerate-rules` prints this family.
@@ -138,7 +133,7 @@ def rule_family(ideal, bound=100000):
     types = {}
     for i, rule in enumerate(rules):
         X = complex_for_rule(ideal, rule)
-        fp = combinatorial_type(X) if len(rules) > 1 else None
+        fp = complex_fingerprint(X) if len(rules) > 1 else None
         enriched.append((rule, X, fp))
         types.setdefault(fp, []).append(i)
     return enriched, types

@@ -1,9 +1,12 @@
 """Helpers that only tests call, kept out of the package: the single-swap
 closedness of an edge set, the decomposition function b as a monomial,
-the earlier face_of_symbol that the one-pass version replaced, the
-earlier mapping cone (G[1] first) with the re-sort the iterated cone
-needed after it, the earlier ChainMap.commutes that grouped the whole
-target differential, and the earlier orientation_sign on a rank table."""
+the two copies of the rule pair law that ideals._pair_law replaced, the
+earlier face_of_symbol that the one-pass version replaced, the earlier
+mapping cone (G[1] first) with the re-sort the iterated cone needed after
+it, the earlier ChainMap.commutes that grouped the whole target
+differential, and the earlier orientation_sign on a rank table."""
+
+from itertools import combinations
 
 from cellres.chain import LabeledChainComplex, _by_col, _path_sums
 from cellres.errors import NonCommutingChainMap, SymbolNotInComplex
@@ -24,6 +27,58 @@ def is_squarefree_strongly_stable(graph):
 def b_of(ideal, m):
     """b(m): the first generator in order dividing m."""
     return ideal.gen(ideal.decomp_b(m))
+
+
+def pair_kind(table, j, s, t):
+    """ideals._pair_kind, the copy of the pair law that the regularity
+    star test and rule admission read: 'commute' | 'absorb' | None for
+    s < t in set(m_j) under a bare rule table, whose missing entries stay
+    put; a pair that does both counts as commuting."""
+    get = table.get
+    after_t = get((j, t), j)
+    after_s = get((j, s), j)
+    st = get((after_t, s), after_t)
+    if st == get((after_s, t), after_s):
+        return "commute"
+    if st == after_s:
+        return "absorb"
+    return None
+
+
+def absorbed_at(ideal, table, j):
+    """TableRule._absorbed_at, the copy of the pair law that rules read
+    lazily, one generator at a time: {t: the s < t in set(m_j) whose pair
+    (s, t) absorbs}."""
+
+    def apply(a, t):
+        return table.get((a, t), a)
+
+    out = {}
+    for s, t in combinations(ideal.set_of(j), 2):
+        if apply(apply(j, t), s) == apply(j, s):
+            out.setdefault(t, set()).add(s)
+    return out
+
+
+def absorbing(ideal, table):
+    """Every absorbing pair (j, s, t) of a table, read by absorbed_at."""
+    return {
+        (j, s, t)
+        for j in range(1, ideal.k + 1)
+        for t, below in absorbed_at(ideal, table, j).items()
+        for s in below
+    }
+
+
+def star_witnesses(ideal):
+    """check_regularity's star witnesses, read by pair_kind."""
+    b = ideal.b_table()
+    return [
+        (j, s, t)
+        for j, sj in enumerate(ideal.set_table(), start=1)
+        for s, t in combinations(sj, 2)
+        if pair_kind(b, j, s, t) != "commute"
+    ]
 
 
 def face_of_symbol(ideal, j, alpha):

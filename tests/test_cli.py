@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 from cellres import cli
+from cellres.betti import check_cellular_resolution
 from cellres.cli import main
+from cellres.ekcells import build_ek_cw
+from cellres.ideals import check_regularity, parse_ideal
 
 RUNNING = "x1*x2, x1*x3, x1*x5, x2*x3, x2*x5, x3*x5, x4*x5"
 EXAMPLE1 = "x1*x3*x4, x1*x3*x5, x1*x2*x4, x1*x4*x5, x2*x3*x4, x2*x3*x5"
@@ -149,6 +152,19 @@ def test_betti_csv(capsys):
     code, out, _ = run_cli(["betti", "x1, x2"], capsys)
     assert code == 0
     assert "i,e1,e2,value" in out
+
+
+def test_complex_ek_glues_an_irregular_b(capsys):
+    # set(b(x_1 m_3)) = set(m_2) = {3} escapes set(m_3) = {1}, so b is
+    # irregular; its cells glue anyway, into a complex with acyclic
+    # strands, so the command must not refuse the ideal before gluing
+    text = "x1*x3, x1*x4, x2*x4"
+    ideal = parse_ideal(text)
+    assert check_regularity(ideal).witnesses == [(3, 1)]
+    code, out, err = run_cli(["complex", "--method", "ek", text], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["f_vector"] == [3, 2]
+    assert check_cellular_resolution(build_ek_cw(ideal), ideal) == (True, None)
 
 
 def test_enumerate_rules(capsys):

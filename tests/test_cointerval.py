@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -16,12 +16,11 @@ from cellres.cointerval import (
     DGraph,
     build_hom_complex,
     c_realizes_hom,
+    _hom_faces,
     cointerval_discrepancy,
-    decomp_c,
     dgraph_of_ideal,
     edge_ideal,
     face_of_symbol,
-    hom_boundary,
     hom_chain_complex,
     homcone_resolution,
     is_cointerval,
@@ -33,11 +32,7 @@ from cellres.cointerval import (
 )
 from cellres.corpus import gen_corpus, random_linear_quotient_ideals
 from cellres.ekcells import build_ek_cw
-from cellres.errors import (
-    NotCointerval,
-    NotInSet,
-    SymbolNotInComplex,
-)
+from cellres.errors import NotCointerval, SymbolNotInComplex
 from cellres.ideals import parse_ideal
 from cellres.monomial import Monomial, parse_monomial
 from reference import b_of, is_squarefree_strongly_stable
@@ -179,6 +174,13 @@ def test_hom_complex_complete_on_3():
     assert set(X.by_dim[1]) == {((1, 2), (3,)), ((1,), (2, 3))}
 
 
+def hom_boundary(cell):
+    """The signed faces of a hom cell, as the hom complex of the graph of
+    the cell's product vertices stores them."""
+    graph = DGraph.from_edges(len(cell), product(*cell))
+    return build_hom_complex(graph).topo_boundary(cell)
+
+
 def test_hom_boundary_top_cell():
     faces = hom_boundary(((1, 2, 3), (5,)))
     assert len(faces) == 3
@@ -244,7 +246,8 @@ def test_hom_memo_matches_references(cointerval_items):
         for cell in H.cells:
             faces = H.topo_boundary(cell)
             assert isinstance(faces, tuple)
-            assert list(faces) == hom_boundary(cell), (item.name, cell)
+            want = [(face, sign) for face, sign, _ in _hom_faces(cell)]
+            assert list(faces) == want, (item.name, cell)
             assert H.topo_boundary(cell) is faces
             support = [v for block in cell for v in block]
             assert H.label(cell) == Monomial.from_support(support, H.n)
@@ -312,31 +315,26 @@ def test_crule_tset_is_blockwise_maxima(cointerval_items):
 
 
 def test_decomp_c_values(running):
+    # the decomposition function c, read off CRule's table
+    c = CRule(running)
     m = parse_monomial("x4*x5", n=5)
-    assert decomp_c(running, m, 3) == parse_monomial("x3*x5", n=5)
+    assert running.gen(c.apply(running.index_of(m), 3)) == parse_monomial("x3*x5", n=5)
     m = parse_monomial("x2*x5", n=5)
-    assert decomp_c(running, m, 1) == parse_monomial("x1*x5", n=5)
+    assert running.gen(c.apply(running.index_of(m), 1)) == parse_monomial("x1*x5", n=5)
     # b picks x1x2 here, so c differs from b
     assert b_of(running, m.times_var(1)) == parse_monomial("x1*x2", n=5)
 
 
-def test_decomp_c_requires_membership(running):
-    with pytest.raises(NotInSet):
-        decomp_c(running, parse_monomial("x1*x2", n=5), 1)
-
-
 def test_c_noncommutation_on_complete_3_graph():
     ideal = edge_ideal(complete_graph(3, 5))
-    m = parse_monomial("x3*x4*x5", n=5)
-    j = ideal.index_of(m)
+    c = CRule(ideal).table
+    j = ideal.index_of(parse_monomial("x3*x4*x5", n=5))
     assert set(ideal.set_of(j)) >= {1, 2}
-    c1 = decomp_c(ideal, m, 1)
-    left = decomp_c(ideal, c1, 2)
-    c2 = decomp_c(ideal, m, 2)
-    right = decomp_c(ideal, c2, 1)
-    assert c1 == parse_monomial("x1*x4*x5", n=5)
-    assert left == parse_monomial("x1*x2*x5", n=5)
-    assert right == parse_monomial("x1*x4*x5", n=5)
+    c1, c2 = c[(j, 1)], c[(j, 2)]
+    left, right = c[(c1, 2)], c[(c2, 1)]
+    assert ideal.gen(c1) == parse_monomial("x1*x4*x5", n=5)
+    assert ideal.gen(left) == parse_monomial("x1*x2*x5", n=5)
+    assert ideal.gen(right) == parse_monomial("x1*x4*x5", n=5)
     assert left != right
 
 

@@ -25,6 +25,7 @@ from cellres.corpus import gen_corpus
 from cellres.ekcells import build_ek_cw, ch_simplex
 from cellres.ideals import OrderedIdeal, check_regularity, parse_ideal
 from cellres.monomial import Monomial
+import reference
 
 MAX_ALPHA = 6  # keeps the |alpha|! reference loop small
 
@@ -93,6 +94,8 @@ def test_chain_orders_match_reference(sample):
     for item in sample:
         ideal = item.ideal
         for rule, bad in _rules_of(item):
+            # the pairs the rule reads are those the old lazy reader read
+            assert rule.absorbing == reference.absorbing(ideal, rule.table)
             for j in range(1, ideal.k + 1):
                 sj = ideal.set_of(j)
                 for size in range(min(len(sj), MAX_ALPHA) + 1):

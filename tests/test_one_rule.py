@@ -1,14 +1,15 @@
-"""One rule type and one cells-to-symbols path, checked against the
-classes and functions they replace, kept here as references: the old
-BRule / CRule, a per-query TableRule reading its absorbing pairs by the
-absorb law, the old regularity loop, and the two old cell-complex-to-symbol
+"""One rule type, one pair law and one cells-to-symbols path, checked
+against the classes and functions they replace, kept here as references:
+the old BRule / CRule, a per-query TableRule reading its absorbing pairs
+by the absorb law, the old regularity loop, the two old copies of the
+pair law (in tests/reference.py), and the two old cell-complex-to-symbol
 functions with their own sign normalization."""
 
 from itertools import combinations
 
 import pytest
 
-from cellres import ekcells
+from cellres import ekcells, ideals
 from cellres.chain import (
     BRule,
     LabeledChainComplex,
@@ -17,27 +18,29 @@ from cellres.chain import (
     UNIT,
     chain_orders,
     compare_up_to_degree_signs,
+    ht_resolution,
     resolution_from_rule,
 )
 from cellres.cointerval import (
     CRule,
     DGraph,
+    _c_exponents,
+    _hom_faces,
     build_hom_complex,
-    decomp_c,
     dgraph_of_ideal,
     edge_ideal,
-    hom_boundary,
     hom_chain_complex,
     partition_A,
     symbol_of_face,
 )
 from cellres.corpus import gen_corpus
-from cellres.ekcells import build_ek_cw, cellular_chain_complex
+from cellres.ekcells import build_ek_cw, cellular_chain_complex, classify_facet
 from cellres.errors import NotCointerval, VerificationError
-from cellres.ideals import RegularityReport, check_regularity, parse_ideal
+from cellres.ideals import OrderedIdeal, RegularityReport, check_regularity, parse_ideal
 from cellres.monomial import Monomial
 from cellres import rules
 from cellres.rules import enumerate_regular_rules
+import reference
 from reference import b_of
 
 
@@ -75,11 +78,16 @@ class OldCRule:
     def apply(self, j, t):
         if t not in self.ideal.set_of(j):
             return j
-        target = decomp_c(self.ideal, self.ideal.gen(j), t)
-        g = self.ideal.index_of(target)
+        m = self.ideal.gen(j)
+        target = _c_exponents(m.e, t)
+        if target is None:
+            raise NotCointerval(
+                "no support variable of %s lies at or above x_%d" % (m, t)
+            )
+        g = self.ideal.exponent_index.get(target)
         if g is None:
             raise NotCointerval(
-                "c(x_%d m_%d) = %s is not a generator" % (t, j, str(target))
+                "c(x_%d m_%d) = %s is not a generator" % (t, j, Monomial._raw(target))
             )
         return g
 
@@ -206,21 +214,66 @@ def test_tabulated_rules_match_old_tables(sample):
             _assert_same_rule(ideal, table, reference, item.name)
 
 
-def test_enumerated_rules_match_old_tables(running, example1):
-    for ideal in (running, example1):
+def _old_law(table, j, s, t):
+    """(commutes, absorbs) as the old admission read them: commute wins."""
+    kind = reference.pair_kind(table, j, s, t)
+    return kind == "commute", kind == "absorb"
+
+
+def test_enumerated_rules_match_old_tables(running, example1, monkeypatch):
+    # the `3 6` d-graph of test_cli.py, whose 5 rules glue by the absorb law
+    edges = [(1, 2, 3), (1, 2, 6), (1, 3, 6), (1, 5, 6), (2, 5, 6), (3, 5, 6), (4, 5, 6)]
+    graph = edge_ideal(DGraph.from_edges(3, edges), n=6)
+    for ideal in (running, example1, graph):
         found = enumerate_regular_rules(ideal)
         assert found
         for rule in found:
             _assert_same_rule(ideal, rule, OldTableRule(ideal, rule.table), str(ideal))
+            assert rule.absorbing == reference.absorbing(ideal, rule.table)
+        with monkeypatch.context() as m:
+            m.setattr(rules, "_pair_law", _old_law)
+            old = enumerate_regular_rules(ideal)
+        assert [r.key() for r in found] == [r.key() for r in old], str(ideal)
+    assert len(found) == 5
 
 
-def test_brule_shares_one_b_table(running):
+def test_brule_shares_one_b_table(running, corpus, monkeypatch):
     table = running.b_table()
     assert BRule(running).table is table
     # x_3 m_3 -> m_2 -> x_2 m_2 -> m_1 = b(x_2 m_3), and likewise on m_5
     assert BRule(running).absorbing == {(3, 2, 3), (5, 1, 3)}
     for (j, t), g in table.items():
         assert g == running.decomp_b(running.gen(j).times_var(t))
+    # b's pairs are read once per ideal, however many BRules the callers
+    # build: count every evaluation of the pair law on a fresh ideal
+    name, ideal = next(
+        (item.name, OrderedIdeal(item.ideal.n, item.ideal.gens))
+        for item in corpus
+        if item.ideal.has_linear_quotients()
+        and check_regularity(item.ideal).regular
+        and len(BRule(item.ideal).absorbing) > 3
+    )
+    reads = []
+    law = ideals._pair_law
+
+    def counted(table, j, s, t):
+        reads.append((j, s, t))
+        return law(table, j, s, t)
+
+    monkeypatch.setattr(ideals, "_pair_law", counted)
+    b_rules = [BRule(ideal) for _ in range(3)]
+    ht_resolution(ideal)  # its regularity star test reads every pair too
+    X = build_ek_cw(ideal)
+    chain = X.cells[(ideal.k, ideal.set_of(ideal.k))].simplices[0]
+    for dropped in range(len(chain.vertices)):
+        classify_facet(ideal, chain, dropped)
+    pairs = [
+        (j, s, t)
+        for j, sj in enumerate(ideal.set_table(), start=1)
+        for s, t in combinations(sj, 2)
+    ]
+    assert sorted(reads) == sorted(pairs + pairs), name
+    assert all(rule._absorbed is ideal.b_absorbed() for rule in b_rules)
 
 
 def test_crule_absorbs_same_block_pairs(running):
@@ -266,6 +319,8 @@ def test_a_bare_c_table_is_the_c_rule(corpus):
         c = CRule(ideal)
         bare = TableRule(ideal, dict(c.table))
         assert bare.absorbing == c.absorbing, item.name
+        if i % 4 == 0:
+            assert c.absorbing == reference.absorbing(ideal, c.table), item.name
         if i % 8 == 0:
             cellular = cellular_chain_complex(build_ek_cw(ideal, bare))
             assert compare_up_to_degree_signs(
@@ -348,14 +403,27 @@ def _old_check_regularity(ideal):
     )
 
 
-def test_regularity_matches_old_loop():
+def test_regularity_matches_old_loop(corpus):
     irregular = star_failures = 0
-    for item in gen_corpus()[::5]:
+    for item in corpus[::5]:
         new = check_regularity(item.ideal)
         assert new == _old_check_regularity(item.ideal), item.name
         irregular += not new.regular
         star_failures += not new.star_commutes
     assert irregular and star_failures
+    # on b of every 4th linear-quotient corpus ideal, regular or not, the
+    # one pair law reads what its two old copies read: star witnesses and
+    # absorbing pairs (a regular b has no star witness)
+    lq = [item for item in corpus if item.ideal.has_linear_quotients()]
+    regular = star_failures = 0
+    for item in lq[::4]:
+        ideal = item.ideal
+        report = check_regularity(ideal)
+        assert report.star_witnesses == reference.star_witnesses(ideal), item.name
+        assert BRule(ideal).absorbing == reference.absorbing(ideal, ideal.b_table())
+        regular += report.regular
+        star_failures += not report.star_commutes
+    assert regular > 400 and star_failures > 100
 
 
 # -- cells to symbols, as it was -----------------------------------------------
@@ -427,7 +495,7 @@ def _old_hom_chain_complex(X, ideal):
             cell = face_of[sym]
             col = index[deg][sym]
             label = X.label(cell)
-            for face, sign in hom_boundary(cell):
+            for face, sign, _ in _hom_faces(cell):
                 fsym = symbol_of_face(ideal, face)
                 raw[(index[deg - 1][fsym], col)] = (sign, label // X.label(face))
         flip = 1

@@ -40,17 +40,14 @@ EXPORTS = [
     "check_regularity",
     "classify_facet",
     "cointerval_discrepancy",
-    "combinatorial_type",
     "compare_up_to_degree_signs",
     "complex_for_rule",
-    "decomp_c",
     "dgraph_of_ideal",
     "edge_ideal",
     "enumerate_regular_rules",
     "face_of_symbol",
     "find_linear_quotient_order",
     "gen_corpus",
-    "hom_boundary",
     "homcone_resolution",
     "ht_resolution",
     "is_cointerval",

@@ -212,13 +212,13 @@ def test_enumerate_type_ids_match_fingerprinting_every_rule(capsys, running, cor
 
 def _count_fingerprints(monkeypatch):
     calls = []
-    real = rules.combinatorial_type
+    real = rules.complex_fingerprint
 
     def counted(X):
         calls.append(X)
         return real(X)
 
-    monkeypatch.setattr(rules, "combinatorial_type", counted)
+    monkeypatch.setattr(rules, "complex_fingerprint", counted)
     return calls
 
 

@@ -7,13 +7,8 @@ from cellres.corpus import gen_corpus
 from cellres.ekcells import build_ek_cw, cellular_chain_complex
 from cellres.errors import OrientationClash, SearchSpaceTooLarge
 from cellres.ideals import parse_ideal
-from cellres.poset import poset_fingerprint
-from cellres.rules import (
-    complex_for_rule,
-    combinatorial_type,
-    enumerate_regular_rules,
-    rule_family,
-)
+from cellres.poset import complex_fingerprint, poset_fingerprint
+from cellres.rules import complex_for_rule, enumerate_regular_rules, rule_family
 
 
 def test_poset_fingerprint_relabeling_invariance():
@@ -82,9 +77,9 @@ def test_c_complex_is_hom_complex_type(running):
     c_table = TableRule(running, dict(CRule(running).table))
     Xc = complex_for_rule(running, c_table)
     H = build_hom_complex(dgraph_of_ideal(running))
-    assert combinatorial_type(Xc) == combinatorial_type(H)
+    assert complex_fingerprint(Xc) == complex_fingerprint(H)
     Xb = build_ek_cw(running)
-    assert combinatorial_type(Xb) != combinatorial_type(H)
+    assert complex_fingerprint(Xb) != complex_fingerprint(H)
 
 
 def test_every_glued_rule_complex_equals_its_resolution_exactly():
