@@ -11,9 +11,10 @@ lcm lattice the subcomplex of cells whose label divides b has vanishing
 reduced homology.  Homology is computed over Q, exactly.
 """
 
-from bisect import bisect_right
 from collections import defaultdict
-from itertools import combinations, islice
+from functools import reduce
+from itertools import accumulate, combinations, islice
+from operator import and_, getitem, le
 
 from .chain import cell_chain_complex
 from .errors import NonMonotoneLabels, TooManyGenerators
@@ -21,6 +22,9 @@ from .exact import ChainData, homology_ranks, is_exact, require_dd_zero
 from .monomial import Monomial
 
 TAYLOR_BOUND = 16
+
+# _UNARY[2**a - 1] == a for a <= 8: a byte of a unary code back to its exponent
+_UNARY = bytes.maketrans(bytes((1 << a) - 1 for a in range(9)), bytes(range(9)))
 
 
 class TaylorSupport:
@@ -128,61 +132,74 @@ class LabeledCellComplex:
 def lcm_lattice(ideal):
     """All lcms of nonempty generator subsets, sorted.
 
-    Built one generator at a time on exponent tuples: the lcms of subsets
-    of the first i generators are those of the first i - 1, the i-th
-    generator itself, and its lcm with each of them.
+    Closed on unary codes, with lcm as int OR: exponent a of x_i is a run
+    of a set bits at the low end of x_i's field.  The field has as many
+    bytes as x_i's largest exponent among the generators needs (8
+    exponents a byte, at least one byte), and x_1's field is the highest,
+    so the codes sort as the exponent tuples do.  The lcms of subsets of
+    the first i generators are those of the first i - 1, the i-th
+    generator itself, and its lcm with each of them.  Each code is decoded
+    once, byte by byte, into a Monomial.
     """
+    widths = [(max(col) + 7) // 8 or 1 for col in zip(*(g.e for g in ideal.gens))]
     lattice = set()
     for g in ideal.gens:
-        ge = g.e
-        lattice |= {tuple(map(max, ge, b)) for b in lattice}
-        lattice.add(ge)
-    return [Monomial._raw(e) for e in sorted(lattice)]
+        code = 0
+        for a, width in zip(g.e, widths):
+            code = (code << 8 * width) | ((1 << a) - 1)
+        lattice |= {code | b for b in lattice}
+        lattice.add(code)
+    size = sum(widths)
+    raw = [code.to_bytes(size, "big").translate(_UNARY) for code in sorted(lattice)]
+    if size > len(widths):  # some field spans bytes: add each field's up
+        ends = list(accumulate(widths))
+        raw = [tuple(sum(r[e - w : e]) for e, w in zip(ends, widths)) for r in raw]
+    return [Monomial._raw(tuple(r)) for r in raw]
 
 
 def _strands(labels, lattice):
     """{member mask: first lattice point selecting it}, where bit c of a
     mask is set when labels[c] divides the lattice point.
 
-    Per variable, the cells are bucketed by exponent and the buckets
-    accumulated upwards, so the cells dividing b are the AND, over the
-    variables, of the prefix whose exponents are at most b's.
+    The last lattice point is the top, the lcm of all generators, so no
+    lattice point's exponent of x_i exceeds top_i.  Per variable, entry v
+    of a list holds the mask of the cells whose exponent of x_i is at most
+    v, for v up to top_i; the cells dividing b are the AND, over the
+    variables, of the entries at b's exponents.
     """
-    prefixes = []
-    for i in range(len(lattice[0].e) if lattice else 0):
-        buckets = defaultdict(int)
+    within = []
+    for i, top in enumerate(lattice[-1].e):
+        masks = [0] * (top + 1)
         for c, e in enumerate(labels):
-            buckets[e[i]] |= 1 << c
-        values = sorted(buckets)
-        masks, acc = [], 0
-        for v in values:
-            acc |= buckets[v]
-            masks.append(acc)
-        prefixes.append((values, masks))
+            if e[i] <= top:
+                masks[e[i]] |= 1 << c
+        for v in range(top):
+            masks[v + 1] |= masks[v]
+        within.append(masks)
     strands = {}
     for b in lattice:
-        member = -1
-        for (values, masks), v in zip(prefixes, b.e):
-            pos = bisect_right(values, v)
-            member &= masks[pos - 1] if pos else 0
-        strands.setdefault(member, b)
+        strands.setdefault(reduce(and_, map(getitem, within, b.e), -1), b)
     return strands
 
 
 def check_cellular_resolution(X, ideal):
     """Does the labeled complex X support a resolution of R/I?
 
-    Checks that the 0-cells are labeled exactly by the generators, that
-    labels are monotone under the boundary, that the boundary squares to
+    Checks that labels are monotone under the boundary, that the 0-cells
+    are labeled exactly by the generators, that the boundary squares to
     zero (else VerificationError), and that for every b in the lcm
     lattice the subcomplex of labels dividing b has zero reduced
-    homology.  Returns (ok, failing multidegree or None).
+    homology.  Returns (ok, failing multidegree or None); of several
+    failing b, the one met first in the order (cell count of the strand,
+    str(b)).
 
-    X is augmented by an empty cell, number 0 of one ChainData; cell
-    number c + 1 is bit c of a strand's member mask, so each strand is
-    `restrict(member << 1 | 1)` of it.  Distinct lattice points selecting
-    the same cell set share one homology computation, and the lattice is
-    built once per ideal.
+    X is augmented by an empty cell, number 0 of one ChainData whose cell
+    ids are their numbers; cell number c + 1 is bit c of a strand's member
+    mask, so each strand is `restrict(member << 1 | 1)` of it.  Distinct
+    lattice points selecting the same cell set share one homology
+    computation, and the lattice is built once per ideal.  Strands are
+    checked in groups of equal cell count, smallest first; str(b) is
+    computed only to pick the failing b of a failing group.
     """
     full_simplices = isinstance(X, TaylorSupport)
     if full_simplices:
@@ -192,24 +209,36 @@ def check_cellular_resolution(X, ideal):
         cells = list(islice(X.cells_with_labels(), X.ideal.k))
     else:
         cells = list(X.cells_with_labels())
-    labels = {key: label for key, _, label in cells}
-    aug = ("",)  # the empty cell, in degree -1; cannot collide with cell keys
-    cells_by_deg = defaultdict(list)
-    cells_by_deg[-1].append(aug)
+    # number the cells: 0 is the empty cell, in degree -1, then the cells
+    # dimension by dimension, in the order their dimensions first occur
+    keys_by_dim = defaultdict(list)
+    for key, dim, _ in cells:
+        keys_by_dim[dim].append(key)
+    cells_by_deg = {-1: range(1)}
+    number = {}
+    for dim, keys in keys_by_dim.items():
+        first = len(number) + 1
+        cells_by_deg[dim] = range(first, first + len(keys))
+        number.update(zip(keys, cells_by_deg[dim]))
+    exps = [()] * (len(number) + 1)
+    for key, _, label in cells:
+        exps[number[key]] = label.e
     boundaries = {}
-    for key, dim, label in cells:
+    for key, dim, _ in cells:
+        c = number[key]
+        e = exps[c]
         faces = {}
         for face, sign in X.topo_boundary(key):
-            if face not in labels:
+            f = number.get(face)
+            if f is None:
                 raise NonMonotoneLabels("face %r missing from the complex" % (face,))
-            if not labels[face].divides(label):
+            if not all(map(le, exps[f], e)):
                 raise NonMonotoneLabels(
                     "label of %r does not divide label of %r" % (face, key)
                 )
-            faces[face] = sign
-        cells_by_deg[dim].append(key)
-        boundaries[key] = faces if dim else {aug: 1}
-    vertex_labels = sorted(label.e for key, dim, label in cells if dim == 0)
+            faces[f] = sign
+        boundaries[c] = faces if dim else {0: 1}
+    vertex_labels = sorted(exps[c] for c in cells_by_deg.get(0, ()))
     gen_labels = sorted(g.e for g in ideal.gens)
     if vertex_labels != gen_labels:
         return False, Monomial.one(ideal.n)
@@ -222,14 +251,30 @@ def check_cellular_resolution(X, ideal):
     if ideal._lattice is None:
         # kept as a tuple: no caller can change what later checks read
         ideal._lattice = tuple(lcm_lattice(ideal))
-    # cell keys in ChainData number order; number 0 is the empty cell
-    numbered = [key for keys in cells_by_deg.values() for key in keys]
-    strands = _strands([labels[key].e for key in numbered[1:]], ideal._lattice)
-    for member in sorted(strands, key=lambda m: (m.bit_count(), str(strands[m]))):
-        ok, _ = is_exact(chain.restrict(member << 1 | 1))
-        if not ok:
-            return False, strands[member]
+    strands = _strands(exps[1:], ideal._lattice)
+    by_count = defaultdict(list)
+    for member in strands:
+        by_count[member.bit_count()].append(member)
+    for count in sorted(by_count):
+        group = by_count[count]
+        for i, member in enumerate(group):
+            if not is_exact(chain.restrict(member << 1 | 1))[0]:
+                return False, _str_least_failure(chain, strands, group[i:])
     return True, None
+
+
+def _str_least_failure(chain, strands, group):
+    """The str-least failing b of a group of equally sized strands, given
+    that group[0] fails: only the strands whose b precedes group[0]'s in
+    str order can change the answer, and they are tried in that order."""
+    failing = strands[group[0]]
+    bound = str(failing)
+    for text, member in sorted((str(strands[m]), m) for m in group[1:]):
+        if text > bound:
+            break
+        if not is_exact(chain.restrict(member << 1 | 1))[0]:
+            return strands[member]
+    return failing
 
 
 class BettiTable:

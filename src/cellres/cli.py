@@ -31,7 +31,7 @@ from .cointerval import (
 )
 from .corpus import MAX_COINTERVAL_D, gen_corpus
 from .ekcells import build_ek_cw, cellular_chain_complex
-from .errors import CellresError, InputError
+from .errors import CellresError, InputError, VerificationError
 from .ideals import OrderedIdeal, check_regularity, parse_ideal
 from .monomial import Monomial, _check_variables
 from .rules import rule_family
@@ -192,10 +192,27 @@ def cmd_resolve(args):
     return EXIT_OK
 
 
+def _note_irregular_b(ideal):
+    """After a failed gluing: say on stderr when b is irregular, which
+    the cells' construction assumes but the command does not require."""
+    report = check_regularity(ideal)
+    if not report.regular:
+        print(
+            "note: b is irregular, first regularity witness j=%d t=%d "
+            "(set(b(x_t m_j)) is not inside set(m_j)); its chains need not "
+            "glue into cells" % report.witnesses[0],
+            file=sys.stderr,
+        )
+
+
 def cmd_complex(args):
     ideal = load_ideal(args.input)
     if args.method == "ek":
-        X = build_ek_cw(ideal)
+        try:
+            X = build_ek_cw(ideal)
+        except VerificationError:
+            _note_irregular_b(ideal)
+            raise
         payload = (
             export.ek_complex_to_json(X)
             if args.format == "json"

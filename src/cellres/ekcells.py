@@ -34,7 +34,7 @@ from .errors import (
     VerificationError,
 )
 from .exact import ChainData, bareiss_rank, homology_ranks
-from .monomial import Monomial, lcm_of
+from .monomial import Monomial
 
 
 def affinely_independent(points):
@@ -339,14 +339,13 @@ def build_ek_cw(ideal, rule=None):
             for alpha in combinations(table[j - 1], size):
                 cache[(j, alpha)] = build_cell(ideal, j, alpha, rule)
                 labels[(j, alpha)] = cell_label(ideal, j, alpha)
+    gens = (None,) + tuple(g.e for g in ideal.gens)  # m_j's exponents at j
     boundary, coefficients, quotients = {}, {}, {}
     for key in sorted(cache):
         cell = cache[key]
         label = labels[key]
-        vertex_lcm = lcm_of(
-            [ideal.gen(v) for v in sorted(cell.vertex_set())], n=ideal.n
-        )
-        if vertex_lcm != label:
+        vertex_lcm = tuple(map(max, zip(*(gens[v] for v in cell.vertex_set()))))
+        if vertex_lcm != label.e:
             raise VerificationError(
                 "label of U%s is not the lcm of its vertices" % (key,)
             )

@@ -189,15 +189,3 @@ def parse_monomial(text, n=None):
     if max(exps) > size:
         raise MalformedMonomial("variable x%d exceeds ambient n=%d" % (max(exps), size))
     return Monomial(tuple(exps.get(i, 0) for i in range(1, size + 1)))
-
-
-def lcm_of(monomials, n=None):
-    """lcm of an iterable of monomials; 1 for an empty iterable (needs n)."""
-    acc = None
-    for m in monomials:
-        acc = m if acc is None else acc.lcm(m)
-    if acc is None:
-        if n is None:
-            raise ValueError("lcm of empty collection needs ambient n")
-        return Monomial.one(n)
-    return acc

@@ -4,12 +4,15 @@ the two copies of the rule pair law that ideals._pair_law replaced, the
 earlier face_of_symbol that the one-pass version replaced, the earlier
 mapping cone (G[1] first) with the re-sort the iterated cone needed after
 it, the earlier ChainMap.commutes that grouped the whole target
-differential, and the earlier orientation_sign on a rank table."""
+differential, the earlier orientation_sign on a rank table, and the
+lcm_of on Monomials that build_ek_cw's vertex-lcm check used before it
+compared exponent tuples."""
 
 from itertools import combinations
 
 from cellres.chain import LabeledChainComplex, _by_col, _path_sums
 from cellres.errors import NonCommutingChainMap, SymbolNotInComplex
+from cellres.monomial import Monomial
 
 
 def is_squarefree_strongly_stable(graph):
@@ -189,3 +192,15 @@ def orientation_sign(sigma):
         if pattern[i] > pattern[j]
     )
     return -1 if (inv + p * (p - 1) // 2) % 2 else 1
+
+
+def lcm_of(monomials, n=None):
+    """lcm of an iterable of monomials; 1 for an empty iterable (needs n)."""
+    acc = None
+    for m in monomials:
+        acc = m if acc is None else acc.lcm(m)
+    if acc is None:
+        if n is None:
+            raise ValueError("lcm of empty collection needs ambient n")
+        return Monomial.one(n)
+    return acc

@@ -28,7 +28,8 @@ from cellres.ekcells import build_ek_cw
 from cellres.errors import NonMonotoneLabels, TooManyGenerators
 from cellres.exact import ChainData, bareiss_rank, homology_ranks, is_exact
 from cellres.ideals import parse_ideal
-from cellres.monomial import Monomial, lcm_of, parse_monomial
+from cellres.monomial import Monomial, parse_monomial
+from reference import lcm_of
 
 
 # -- exact rank -------------------------------------------------------------
@@ -227,6 +228,32 @@ def test_hollow_triangle_fails_at_top_multidegree():
     ok, witness = check_cellular_resolution(hollow_triangle(), ideal)
     assert not ok
     assert witness == parse_monomial("x1*x2*x3", n=3)
+
+
+@pytest.mark.parametrize(
+    "edge, want",
+    [(None, "x1*x2"), ((2, 3), "x1*x2"), ((1, 2), "x1*x3")],
+    ids=["no-edge", "edge-2-3", "edge-1-2"],
+)
+def test_failing_strands_of_one_count_report_the_str_least(edge, want):
+    # three vertices, at most one edge: every strand of two vertices and
+    # no edge is disconnected, so two or three strands of two cells fail.
+    # The lattice lists x2*x3 before x1*x3 before x1*x2; the verdict names
+    # the failing b that is least as a string.
+    ideal = parse_ideal("x1, x2, x3")
+    assert [str(b) for b in lcm_lattice(ideal) if b.degree() == 2] == [
+        "x2*x3",
+        "x1*x3",
+        "x1*x2",
+    ]
+    cells = {(j,): (0, ideal.gen(j)) for j in (1, 2, 3)}
+    boundary = {}
+    if edge is not None:
+        s, t = edge
+        cells[edge] = (1, ideal.gen(s).lcm(ideal.gen(t)))
+        boundary[edge] = [((s,), -1), ((t,), 1)]
+    X = LabeledCellComplex(cells, boundary)
+    assert check_cellular_resolution(X, ideal) == (False, parse_monomial(want, n=3))
 
 
 def test_nonmonotone_labels_detected():

@@ -167,6 +167,22 @@ def test_complex_ek_glues_an_irregular_b(capsys):
     assert check_cellular_resolution(build_ek_cw(ideal), ideal) == (True, None)
 
 
+def test_complex_ek_names_the_irregular_b_it_failed_to_glue(capsys):
+    # the corpus ideal cointerval/d2/(1, 3),(1, 4),(2, 4),(3, 4): one
+    # generator more than the ideal above, and now the gluing fails
+    text = "x1*x3, x1*x4, x2*x4, x3*x4"
+    assert check_regularity(parse_ideal(text)).witnesses[0] == (3, 1)
+    code, out, err = run_cli(["complex", "--method", "ek", text], capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "note: b is irregular, first regularity witness j=3 t=1 "
+        "(set(b(x_t m_j)) is not inside set(m_j)); its chains need not "
+        "glue into cells",
+        "property failure: VerificationError: facet (4, 2) is not a chain "
+        "of (m_4, (1,))",
+    ]
+
+
 def test_enumerate_rules(capsys):
     code, out, _ = run_cli(["enumerate-rules", RUNNING], capsys)
     assert code == 0

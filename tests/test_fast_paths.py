@@ -8,6 +8,7 @@ import pytest
 from cellres import betti
 from cellres.betti import (
     LabeledCellComplex,
+    TaylorSupport,
     _strands,
     check_cellular_resolution,
     lcm_lattice,
@@ -23,6 +24,7 @@ from cellres.cointerval import (
 )
 from cellres.corpus import gen_corpus
 from cellres.ekcells import build_ek_cw, ch_simplex
+from cellres.exact import is_exact
 from cellres.ideals import OrderedIdeal, check_regularity, parse_ideal
 from cellres.monomial import Monomial
 import reference
@@ -149,6 +151,100 @@ def test_lcm_lattice_matches_pairwise_closure(sample):
         assert lcm_lattice(item.ideal) == _pairwise_closure(item.ideal), item.name
     ideal = parse_ideal("x1^2*x2, x1*x2^3, x2*x3^2, x3^4")
     assert lcm_lattice(ideal) == _pairwise_closure(ideal)
+
+
+def _direct_strands(labels, lattice):
+    """_strands by testing every label against every lattice point."""
+    strands = {}
+    for b in lattice:
+        member = 0
+        for c, e in enumerate(labels):
+            if all(x <= y for x, y in zip(e, b.e)):
+                member |= 1 << c
+        strands.setdefault(member, b)
+    return strands
+
+
+def _ideal(n, *gens):
+    """The ideal on the given exponent tuples; a set is a 1-based support."""
+    return OrderedIdeal(
+        n,
+        [
+            Monomial.from_support(g, n) if isinstance(g, set) else Monomial(g)
+            for g in gens
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    [
+        # x2 and x5 appear in no generator: fields of zero exponent
+        _ideal(5, (2, 0, 1, 0, 0), (1, 0, 0, 3, 0), (0, 0, 2, 1, 0)),
+        # exponents of 5 and more, some past one byte of the unary code
+        _ideal(3, (5, 8, 0), (9, 0, 1), (0, 17, 0), (1, 9, 2), (6, 6, 6)),
+        # n = 17: five squarefree generators and two with a square or more
+        _ideal(
+            17,
+            {1, 2, 3},
+            {3, 4, 5, 6},
+            {6, 7, 8},
+            {9, 10, 11},
+            {13, 14, 15, 16, 17},
+            (1,) + (0,) * 15 + (6,),
+            (0,) * 11 + (1, 2) + (0,) * 4,
+        ),
+    ],
+    ids=["unused-variables", "large-exponents", "n17"],
+)
+def test_unary_code_edge_cases(ideal):
+    lattice = lcm_lattice(ideal)
+    assert lattice == _pairwise_closure(ideal)
+    top = lattice[-1].e
+    # labels of every kind: lattice points, and monomials off the lattice,
+    # two of them above the top
+    labels = [b.e for b in lattice[::3]] + [g.e for g in ideal.gens]
+    labels += [(0,) * ideal.n, tuple(a + 1 for a in top), top[:-1] + (top[-1] + 1,)]
+    assert _strands(labels, lattice) == _direct_strands(labels, lattice)
+
+
+def test_strand_check_call_counts(monkeypatch, running):
+    # one lcm_lattice per ideal and one is_exact per distinct strand:
+    # the calls behind the traced betti.lattice_points,
+    # exact.is_exact_calls and betti.strands_checked
+    lattices, exact_calls = [], []
+
+    def counted_lattice(ideal):
+        lattices.append(ideal)
+        return lcm_lattice(ideal)
+
+    def counted_exact(chain):
+        exact_calls.append(chain)
+        return is_exact(chain)
+
+    monkeypatch.setattr(betti, "lcm_lattice", counted_lattice)
+    monkeypatch.setattr(betti, "is_exact", counted_exact)
+    maximal = parse_ideal(", ".join("x%d" % i for i in range(1, 6)))
+    cases = ((running, True), (_complete_2graph(5), True), (maximal, False))
+    for ideal, cointerval in cases:
+        ideal = OrderedIdeal(ideal.n, ideal.gens)  # no lattice kept yet
+        complexes = [build_ek_cw(ideal)]
+        if cointerval:
+            complexes.append(build_hom_complex(dgraph_of_ideal(ideal), ideal.n))
+        for X in complexes:
+            del exact_calls[:]
+            assert check_cellular_resolution(X, ideal) == (True, None)
+            cells = [label for _, _, label in X.cells_with_labels()]
+            distinct = {
+                frozenset(c for c, label in enumerate(cells) if label.divides(b))
+                for b in lcm_lattice(ideal)
+            }
+            assert len(exact_calls) == len(distinct)
+        del exact_calls[:]
+        assert check_cellular_resolution(TaylorSupport(ideal), ideal) == (True, None)
+        assert exact_calls == []
+        assert lattices == [ideal]
+        del lattices[:]
 
 
 def _complete_2graph(n):

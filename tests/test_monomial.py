@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from cellres.cointerval import parse_dgraph
 from cellres.errors import InputError, MalformedMonomial
-from cellres.monomial import MAX_VARIABLES, Monomial, lcm_of, parse_monomial
+from cellres.monomial import MAX_VARIABLES, Monomial, parse_monomial
+from reference import lcm_of
 
 exponents = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=6)
 
