@@ -25,6 +25,8 @@ TAYLOR_BOUND = 16
 
 # _UNARY[2**a - 1] == a for a <= 8: a byte of a unary code back to its exponent
 _UNARY = bytes.maketrans(bytes((1 << a) - 1 for a in range(9)), bytes(range(9)))
+# byte 0 or 1 to the ASCII digit
+_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class TaylorSupport:
@@ -165,16 +167,23 @@ def _strands(labels, lattice):
     lattice point's exponent of x_i exceeds top_i.  Per variable, entry v
     of a list holds the mask of the cells whose exponent of x_i is at most
     v, for v up to top_i; the cells dividing b are the AND, over the
-    variables, of the entries at b's exponents.
+    variables, of the entries at b's exponents.  Each mask is read in one
+    pass, as a string of binary digits with cell 0 last, so the masks take
+    time linear in the cells.
     """
     within = []
-    for i, top in enumerate(lattice[-1].e):
-        masks = [0] * (top + 1)
-        for c, e in enumerate(labels):
-            if e[i] <= top:
-                masks[e[i]] |= 1 << c
-        for v in range(top):
-            masks[v + 1] |= masks[v]
+    for column, top in zip(zip(*reversed(labels)), lattice[-1].e):
+        if top < 256 and max(column) < 256:  # a byte a cell: one translate a mask
+            raw = bytes(column)
+            masks = [
+                int(raw.translate(b"1" * (v + 1) + b"0" * (255 - v)), 2)
+                for v in range(top + 1)
+            ]
+        else:
+            masks = [
+                int(bytes(map(v.__ge__, column)).translate(_DIGIT), 2)
+                for v in range(top + 1)
+            ]
         within.append(masks)
     strands = {}
     for b in lattice:

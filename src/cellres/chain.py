@@ -310,50 +310,50 @@ def mapping_cone(psi, relabel_shifted=None):
 # -- resolutions from decomposition rules --------------------------------
 
 
-def chain_orders(rule, j, alpha, conflict=None):
-    """Pairs (sigma, vertices) for the orders sigma of alpha whose chain
-    vertices = (j, rule(x_{s1} m_j), ...) never repeats a vertex and that
-    respect the rule's pairwise order constraint.
+def _orders_by_subset(table, j, ground, conflict):
+    """The chain orders of every alpha inside `ground` for generator j,
+    by one dynamic program over the subsets of ground.
 
-    `conflict` maps t to the s < t that may not precede t.  A rule step
-    goes to an earlier generator or stays put, so the vertices decrease
-    until a step stays put; a step x_t m_j -> m_v to a later generator
-    that the constraint allows raises VerificationError naming x_t, m_j
-    and m_v.  The orders are built one variable at a time: a prefix whose
-    last step stays put, or breaks the constraint, is cut there, whatever
-    follows.  The survivors come in itertools.permutations(sorted alpha)
-    order.
+    An order sigma of alpha is kept when its chain (j, rule(x_{s1} m_j),
+    ...) moves at every step and no t is preceded by one of conflict[t].
+    Since all of alpha - t precedes the last variable t, the kept orders
+    of alpha are those sigma.t, t in alpha with conflict[t] disjoint from
+    alpha, sigma a kept order of alpha - t whose last vertex the x_t step
+    moves.  A step to a later generator is not kept.  Returns
+    ({alpha: sorted [(sigma, vertices)]}, [(sigma.t, last, v)] for every
+    such step x_t m_last -> m_v), alpha and ground sorted tuples.
     """
-    alpha = tuple(sorted(alpha))
+    step = table.get
     conflict = conflict or {}
-    sigma = []
-    vertices = [j]
-
-    def extend():
-        if len(sigma) == len(alpha):
-            yield tuple(sigma), tuple(vertices)
-            return
-        last = vertices[-1]
-        for t in alpha:
-            if t in sigma:
+    size = len(ground)
+    # bit i of a mask is ground[i]; barred[i] holds the bits that may not
+    # come before ground[i]
+    barred = [
+        sum(1 << i for i, s in enumerate(ground) if s in conflict.get(t, ()))
+        for t in ground
+    ]
+    keys = [()]
+    orders = [[((), (j,))]]
+    raising = []
+    for mask in range(1, 1 << size):
+        top = mask.bit_length() - 1
+        keys.append(keys[mask ^ 1 << top] + (ground[top],))
+        kept = []
+        for i in range(top + 1):
+            bit = 1 << i
+            if not mask & bit or mask & barred[i]:
                 continue
-            v = rule.apply(last, t)
-            if v == last:
-                continue
-            blocked = conflict.get(t)
-            if blocked and not blocked.isdisjoint(sigma):
-                continue
-            if v > last:
-                raise VerificationError(
-                    "x_%d m_%d steps to the later generator m_%d" % (t, last, v)
-                )
-            sigma.append(t)
-            vertices.append(v)
-            yield from extend()
-            vertices.pop()
-            sigma.pop()
-
-    return extend()
+            t = ground[i]
+            for sigma, vertices in orders[mask ^ bit]:
+                last = vertices[-1]
+                v = step((last, t), last)
+                if v < last:
+                    kept.append((sigma + (t,), vertices + (v,)))
+                elif v > last:
+                    raising.append((sigma + (t,), last, v))
+        kept.sort()
+        orders.append(kept)
+    return dict(zip(keys, orders)), raising
 
 
 class TableRule:
@@ -380,6 +380,7 @@ class TableRule:
         # j -> {t: the s < t whose pair absorbs}; an s in t's set may not
         # precede t in a glued chain order
         self._absorbed = _absorbed_pairs(table, ideal.set_table())
+        self._orders = (None, None)  # (j, _orders_by_subset over set(m_j))
 
     def key(self):
         return tuple(sorted(self.table.items()))
@@ -405,10 +406,41 @@ class TableRule:
         return tuple(t for t in alpha if t not in dropped) if dropped else alpha
 
     def permutations(self, j, alpha):
-        """Chain orders glued into the cell of (m_j, alpha), as chain_orders
-        pairs (sigma, vertices): those whose chain is nondegenerate and
-        that put the larger member of each absorbing pair first."""
-        return chain_orders(self, j, alpha, self._absorbed.get(j))
+        """Chain orders glued into the cell of (m_j, alpha), as pairs
+        (sigma, vertices) in itertools.permutations(sorted alpha) order:
+        those whose chain never repeats a vertex and that put the larger
+        member of each absorbing pair first.
+
+        They are read from one subset DP over set(m_j), memoized on the
+        rule for the generator read last: build_ek_cw reads all cells of
+        one generator before the next, and a rule kept after gluing (as
+        enumerate_regular_rules keeps its rules) holds one DP, not one per
+        generator.  An alpha outside set(m_j) gets a DP of its own.  When
+        an order of a subset of alpha would step x_t m_j -> m_v to a later
+        generator, VerificationError names the step that comes first in
+        that order.
+        """
+        alpha = tuple(sorted(alpha))
+        last, dp = self._orders
+        if last != j:
+            dp = _orders_by_subset(
+                self.table, j, self.ideal.set_of(j), self._absorbed.get(j)
+            )
+            self._orders = (j, dp)
+        orders, raising = dp
+        kept = orders.get(alpha)
+        if kept is None:
+            orders, raising = _orders_by_subset(
+                self.table, j, tuple(sorted(set(alpha))), self._absorbed.get(j)
+            )
+            kept = orders.get(alpha, ())  # none when alpha repeats a member
+        bad = [r for r in raising if set(alpha).issuperset(r[0])]
+        if bad:
+            sigma, last, v = min(bad)
+            raise VerificationError(
+                "x_%d m_%d steps to the later generator m_%d" % (sigma[-1], last, v)
+            )
+        return iter(kept)
 
 
 class BRule(TableRule):
@@ -420,6 +452,7 @@ class BRule(TableRule):
         self.ideal = ideal
         self.table = ideal.b_table()
         self._absorbed = ideal.b_absorbed()
+        self._orders = (None, None)
 
     # bound per class: the traced benchmark wraps vars(cls)["permutations"]
     permutations = TableRule.permutations

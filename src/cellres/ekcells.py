@@ -12,10 +12,12 @@ pairs.  Assembling all cells gives a regular CW complex whose labeled
 chain complex is the resolution built in chain.py; the equality of the
 two is checked entry by entry, never assumed.
 
-Every rule step goes to an earlier generator or stays put, and the walk
-that lists the chains (chain.chain_orders) refuses a step to a later one,
-so generator indices strictly decrease along a nondegenerate chain and
-its vertex order is recoverable from its vertex set.
+Every rule step goes to an earlier generator or stays put, and the
+rule's one subset DP per generator that lists the chains
+(TableRule.permutations) refuses a step to a later one, so generator
+indices strictly decrease along a nondegenerate chain and its vertex
+order is recoverable from its vertex set.  build_cell groups facets by
+that set.
 """
 
 from dataclasses import dataclass, field
@@ -210,31 +212,38 @@ def build_cell(ideal, j, alpha, rule=None):
         )
     eps = tuple(orientation_sign(c.sigma) for c in chains)
 
-    # oriented boundary, grouped by ordered facet tuple
+    # oriented boundary, grouped by facet vertex set as a bitmask: vertex
+    # tuples strictly decrease, so the set fixes the tuple
     prov = {}
     for chain, sign in zip(chains, eps):
+        bits = [1 << v for v in chain.vertices]
+        whole = sum(bits)
+        coeff = sign
+        for i, bit in enumerate(bits):
+            prov.setdefault(whole ^ bit, []).append((chain, i, coeff))
+            coeff = -coeff
+    survivors, clashes = [], []
+    for occurrences in prov.values():
+        chain, dropped, coeff = occurrences[0]
+        if len(occurrences) == 2 and not coeff + occurrences[1][2]:
+            continue  # an interior facet that cancels
         verts = chain.vertices
-        for i in range(len(verts)):
-            facet = verts[:i] + verts[i + 1 :]
-            coeff = sign * (1 if i % 2 == 0 else -1)
-            prov.setdefault(facet, []).append((chain.sigma, i, coeff))
-    survivors = []
-    for facet, occurrences in sorted(prov.items()):
-        total = sum(coeff for _, _, coeff in occurrences)
+        facet = verts[:dropped] + verts[dropped + 1 :]
+        if len(occurrences) == 1:
+            survivors.append((facet, coeff, chain.sigma, dropped))
+        else:
+            clashes.append((facet, occurrences))
+    if clashes:  # the least facet, as its tuple sorts, is the one named
+        facet, occurrences = min(clashes)
         if len(occurrences) > 2:
             raise OrientationClash(
                 "facet %s lies in %d simplices of U(m_%d,%s)"
                 % (facet, len(occurrences), j, alpha)
             )
-        if len(occurrences) == 2:
-            if total != 0:
-                raise OrientationClash(
-                    "interior facet %s of U(m_%d,%s) does not cancel"
-                    % (facet, j, alpha)
-                )
-            continue
-        sigma, dropped, _ = occurrences[0]
-        survivors.append((facet, total, sigma, dropped))
+        raise OrientationClash(
+            "interior facet %s of U(m_%d,%s) does not cancel" % (facet, j, alpha)
+        )
+    survivors.sort()
     return GlueCell(
         source=j,
         alpha=alpha,
@@ -252,16 +261,16 @@ def _boundary_from_cell(cell, cell_cache):
     that target's `eps_by_vertices`; full coverage of the target's
     simplices and a consistent incidence sign are enforced.
     """
-    if not cell.alpha:
+    alpha = cell.alpha
+    if not alpha:
         return []
+    faces = {t: alpha[:i] + alpha[i + 1 :] for i, t in enumerate(alpha)}
     hits = {}
     for facet, coeff, sigma, dropped in cell.facets:
         if dropped == 0:
-            t = sigma[0]
-            target = (facet[0], tuple(x for x in cell.alpha if x != t))
+            target = (facet[0], faces[sigma[0]])
         else:
-            t = sigma[dropped - 1]
-            target = (cell.source, tuple(x for x in cell.alpha if x != t))
+            target = (cell.source, faces[sigma[dropped - 1]])
         if target not in cell_cache:
             raise VerificationError(
                 "facet %s wants the non-cell (m_%d, %s)" % (facet, target[0], target[1])
@@ -287,7 +296,7 @@ def _boundary_from_cell(cell, cell_cache):
                     "incoherent incidence of U%s under U%s" % (target, cell.key)
                 )
             seen.add(facet)
-        if seen != set(signs):
+        if len(seen) != len(signs):  # seen lies inside signs
             raise VerificationError(
                 "boundary of U%s covers only part of U%s" % (cell.key, target)
             )
@@ -296,7 +305,11 @@ def _boundary_from_cell(cell, cell_cache):
 
 
 def cell_label(ideal, j, alpha):
-    return ideal.gen(j) * Monomial.from_support(alpha, ideal.n)
+    """m_j * x_alpha, built on the exponent tuple."""
+    e = list(ideal.gen(j).e)
+    for t in alpha:
+        e[t - 1] += 1
+    return Monomial._raw(tuple(e))
 
 
 class CWComplexEK(LabeledCellComplex):

@@ -8,6 +8,11 @@ each `--format`, `enumerate-rules` and `verify`, plus one `gen-corpus`.
 The digest covers each call's argv, exit code, stdout and stderr, in
 order.  pytest does not collect this file.
 
+EXPECTED is the digest of the current CLI output.  The script exits 1
+when the digest or the call count differs from it, so CI catches any
+change of output; a change that means to alter output updates EXPECTED
+and says so in CHANGES.md.
+
 Run:  PYTHONPATH=src python3 tests/cli_digest.py [--verbose]
 """
 
@@ -19,6 +24,8 @@ import sys
 
 from cellres import cli
 from cellres.corpus import gen_corpus, random_linear_quotient_ideals
+
+EXPECTED = ("1970eac9150b90cd2b0cd91e6775770aadf5c0760ed9eaa537e201273fdf4331", 1921)
 
 COMMANDS = (
     ["check"],
@@ -68,3 +75,6 @@ def digest(verbose=False):
 if __name__ == "__main__":
     value, count = digest(verbose="--verbose" in sys.argv[1:])
     print("%s  (%d calls)" % (value, count))
+    if (value, count) != EXPECTED:
+        print("expected %s  (%d calls)" % EXPECTED, file=sys.stderr)
+        sys.exit(1)

@@ -6,12 +6,17 @@ mapping cone (G[1] first) with the re-sort the iterated cone needed after
 it, the earlier ChainMap.commutes that grouped the whole target
 differential, the earlier orientation_sign on a rank table, and the
 lcm_of on Monomials that build_ek_cw's vertex-lcm check used before it
-compared exponent tuples."""
+compared exponent tuples, and the recursive walk of a rule's chain orders
+that TableRule.permutations ran once per cell before its subset DP."""
 
 from itertools import combinations
 
 from cellres.chain import LabeledChainComplex, _by_col, _path_sums
-from cellres.errors import NonCommutingChainMap, SymbolNotInComplex
+from cellres.errors import (
+    NonCommutingChainMap,
+    SymbolNotInComplex,
+    VerificationError,
+)
 from cellres.monomial import Monomial
 
 
@@ -204,3 +209,50 @@ def lcm_of(monomials, n=None):
             raise ValueError("lcm of empty collection needs ambient n")
         return Monomial.one(n)
     return acc
+
+
+def chain_orders(rule, j, alpha, conflict=None):
+    """The walk TableRule.permutations ran once per cell: pairs (sigma,
+    vertices) for the orders sigma of alpha whose chain vertices = (j,
+    rule(x_{s1} m_j), ...) never repeats a vertex and that respect the
+    rule's pairwise order constraint.
+
+    `conflict` maps t to the s < t that may not precede t.  A rule step
+    goes to an earlier generator or stays put, so the vertices decrease
+    until a step stays put; a step x_t m_j -> m_v to a later generator
+    that the constraint allows raises VerificationError naming x_t, m_j
+    and m_v.  The orders are built one variable at a time: a prefix whose
+    last step stays put, or breaks the constraint, is cut there, whatever
+    follows.  The survivors come in itertools.permutations(sorted alpha)
+    order.
+    """
+    alpha = tuple(sorted(alpha))
+    conflict = conflict or {}
+    sigma = []
+    vertices = [j]
+
+    def extend():
+        if len(sigma) == len(alpha):
+            yield tuple(sigma), tuple(vertices)
+            return
+        last = vertices[-1]
+        for t in alpha:
+            if t in sigma:
+                continue
+            v = rule.apply(last, t)
+            if v == last:
+                continue
+            blocked = conflict.get(t)
+            if blocked and not blocked.isdisjoint(sigma):
+                continue
+            if v > last:
+                raise VerificationError(
+                    "x_%d m_%d steps to the later generator m_%d" % (t, last, v)
+                )
+            sigma.append(t)
+            vertices.append(v)
+            yield from extend()
+            vertices.pop()
+            sigma.pop()
+
+    return extend()

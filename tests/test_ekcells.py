@@ -29,8 +29,10 @@ from cellres.errors import (
     AlphaNotInSet,
     DegenerateChain,
     NotDegenerate,
+    OrientationClash,
     VerificationError,
 )
+from cellres.ideals import parse_ideal
 from cellres.monomial import parse_monomial
 
 
@@ -339,6 +341,68 @@ def test_boundary_labels_must_properly_divide(running, monkeypatch):
     monkeypatch.setattr(ekcells, "_boundary_from_cell", with_extra_face(stranger))
     with pytest.raises(VerificationError, match="does not divide"):
         build_ek_cw(running)
+
+
+def test_a_vertex_off_the_label_is_refused():
+    # x_1 m_3 = x1*x3 goes to m_2 = x2, which does not divide it: the
+    # edge of U(m_3, {1}) runs from x3 to x2, and its vertices' lcm
+    # x2*x3 misses the label x1*x3
+    ideal = parse_ideal("x1, x2, x3")
+    table = dict(ideal.b_table())
+    table[(3, 1)] = 2
+    with pytest.raises(VerificationError) as err:
+        build_ek_cw(ideal, TableRule(ideal, table))
+    assert str(err.value) == "label of U(3, (1,)) is not the lcm of its vertices"
+
+
+def _face_and_cell(*facets):
+    """A 1-cell U(m_4, {1}) glued from the two edges (4, 2) and (3, 2),
+    and a 2-cell U(m_4, {1, 2}) over it with the given surviving facets,
+    each dropping the last vertex of the order (1, 2), so that each names
+    the face (m_4, {1})."""
+    edges = tuple(SimplexChain(4, (1,), (1,), v, False) for v in ((4, 2), (3, 2)))
+    face = GlueCell(4, (1,), edges, (1, 1), ())
+    cell = GlueCell(4, (1, 2), (), (), tuple((f, c, (1, 2), 2) for f, c in facets))
+    return cell, {face.key: face, cell.key: cell}
+
+
+def test_a_boundary_must_cover_its_face():
+    cell, cache = _face_and_cell(((4, 2), 1))
+    with pytest.raises(VerificationError) as err:
+        ekcells._boundary_from_cell(cell, cache)
+    assert str(err.value) == "boundary of U(4, (1, 2)) covers only part of U(4, (1,))"
+    cell, cache = _face_and_cell(((4, 2), 1), ((3, 2), 1))
+    assert ekcells._boundary_from_cell(cell, cache) == [((4, (1,)), 1)]
+
+
+def test_a_face_met_with_two_signs_is_refused():
+    cell, cache = _face_and_cell(((4, 2), 1), ((3, 2), -1))
+    with pytest.raises(OrientationClash) as err:
+        ekcells._boundary_from_cell(cell, cache)
+    assert str(err.value) == "incoherent incidence of U(4, (1,)) under U(4, (1, 2))"
+
+
+class _Listed:
+    """A stand-in rule that lists the given (sigma, vertices) pairs."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def permutations(self, j, alpha):
+        return iter(self.pairs)
+
+
+def test_the_least_clashing_facet_is_named(running):
+    # the edges of (7, 4, 2), listed twice, do not cancel, and those of
+    # (7, 3, 1), listed three times, lie in three simplices; of all six
+    # the least tuple, (3, 1), is named, though (4, 2) is met first
+    pairs = [((1, 2), (7, 4, 2))] * 2 + [((2, 1), (7, 3, 1))] * 3
+    with pytest.raises(OrientationClash) as err:
+        build_cell(running, 7, (1, 2), _Listed(pairs))
+    assert str(err.value) == "facet (3, 1) lies in 3 simplices of U(m_7,(1, 2))"
+    with pytest.raises(OrientationClash) as err:
+        build_cell(running, 7, (1, 2), _Listed(pairs[:2]))
+    assert str(err.value) == "interior facet (4, 2) of U(m_7,(1, 2)) does not cancel"
 
 
 def test_labels_are_cached(running):

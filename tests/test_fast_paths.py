@@ -1,6 +1,7 @@
 """The enumeration and lattice fast paths against the plain loops they
 replace, kept here as the reference, plus a work-count guard."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -13,7 +14,7 @@ from cellres.betti import (
     check_cellular_resolution,
     lcm_lattice,
 )
-from cellres.chain import BRule, TableRule, chain_orders
+from cellres.chain import BRule, TableRule
 from cellres.cointerval import (
     CRule,
     DGraph,
@@ -24,9 +25,11 @@ from cellres.cointerval import (
 )
 from cellres.corpus import gen_corpus
 from cellres.ekcells import build_ek_cw, ch_simplex
+from cellres.errors import VerificationError
 from cellres.exact import is_exact
 from cellres.ideals import OrderedIdeal, check_regularity, parse_ideal
 from cellres.monomial import Monomial
+from cellres.rules import enumerate_regular_rules
 import reference
 
 MAX_ALPHA = 6  # keeps the |alpha|! reference loop small
@@ -118,15 +121,117 @@ def test_chain_orders_on_running_example(running):
     j = running.k  # x4*x5, set = (1, 2, 3)
     alpha = running.set_of(j)
     kept = [(1, 3, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
-    pairs = list(chain_orders(rule, j, alpha))
+    pairs = list(reference.chain_orders(rule, j, alpha))
     assert [sigma for sigma, _ in pairs] == kept
     for sigma, vertices in pairs:
         assert vertices == ch_simplex(running, j, alpha, sigma, rule).vertices
-    assert list(chain_orders(rule, j, alpha[::-1])) == pairs
+    assert list(reference.chain_orders(rule, j, alpha[::-1])) == pairs
     # a conflict on every pair leaves only the descending order
     everything = {t: {s for s in alpha if s < t} for t in alpha}
-    only = list(chain_orders(rule, j, alpha, everything))
+    only = list(reference.chain_orders(rule, j, alpha, everything))
     assert [sigma for sigma, _ in only] == [(3, 2, 1)]
+
+
+def _cells(ideal):
+    """Every (j, alpha) with alpha inside set(m_j), as build_ek_cw visits them."""
+    for j in range(1, ideal.k + 1):
+        sj = ideal.set_of(j)
+        for size in range(len(sj) + 1):
+            for alpha in combinations(sj, size):
+                yield j, alpha
+
+
+def _walked(rule, j, alpha):
+    """What the reference walk gives: its pairs, or its refusal."""
+    try:
+        return list(reference.chain_orders(rule, j, alpha, rule._absorbed.get(j)))
+    except VerificationError as err:
+        return type(err), str(err)
+
+
+def _read(rule, j, alpha):
+    """What the rule's subset DP gives: its pairs, or its refusal."""
+    try:
+        return list(rule.permutations(j, alpha))
+    except VerificationError as err:
+        return type(err), str(err)
+
+
+def test_subset_dp_equals_the_walk_on_every_cell(sample):
+    # b, c on the cointerval items, and every admitted table for k <= 10
+    kinds = set()
+    for item in sample:
+        ideal = item.ideal
+        rules = [BRule(ideal)]
+        if item.tags.get("cointerval"):
+            rules.append(CRule(ideal))
+        if ideal.k <= 10:
+            rules += enumerate_regular_rules(ideal)
+        for rule in rules:
+            kinds.add(type(rule).__name__)
+            for j, alpha in _cells(ideal):
+                want = _walked(rule, j, alpha)
+                assert _read(rule, j, alpha) == want, (item.name, j, alpha)
+    assert kinds == {"BRule", "CRule", "TableRule"}
+
+
+def test_subset_dp_refuses_as_the_walk_does():
+    # seeded tables that send some products to later generators, and
+    # entries outside set(m_j): every cell and a few other alphas are read
+    # in a shuffled order, so the first refusal is not always the least
+    rng = random.Random(2026)
+    refused = 0
+    for item in gen_corpus()[::211]:
+        ideal = item.ideal
+        for _ in range(2):
+            table = {
+                key: rng.randint(1, ideal.k) if rng.random() < 0.3 else g
+                for key, g in ideal.b_table().items()
+            }
+            table[(rng.randint(1, ideal.k), rng.randint(1, ideal.n))] = ideal.k
+            rule = TableRule(ideal, table)
+            queries = list(_cells(ideal))
+            picks = range(1, ideal.n + 1)
+            queries += [(j, tuple(rng.sample(picks, min(2, ideal.n)))) for j, _ in queries[:6]]
+            rng.shuffle(queries)
+            for j, alpha in queries:
+                want = _walked(rule, j, alpha)
+                refused += isinstance(want, tuple)
+                assert _read(rule, j, alpha) == want, (item.name, table, j, alpha)
+    assert refused
+
+
+def test_rules_on_one_ideal_keep_their_own_orders(running):
+    b = BRule(running)
+    other = dict(b.table)
+    other[(running.k, 3)] = 1  # a table that differs from b's at (7, 3)
+    assert b.table[(running.k, 3)] != 1
+    twin = TableRule(running, other)
+    differ = 0
+    for cell in _cells(running):  # the two rules read each cell in turn
+        mine, theirs = list(b.permutations(*cell)), list(twin.permutations(*cell))
+        assert mine == _walked(b, *cell), cell
+        assert theirs == _walked(twin, *cell), cell
+        differ += mine != theirs
+    assert differ
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [(4,), (1, 4), (3, 4, 1), (2, 2), (1, 2, 3, 5), (6, 7)],
+    ids=["outside", "one-outside", "unsorted", "repeated", "superset", "past-n"],
+)
+def test_permutations_outside_set_is_the_walk(running, alpha):
+    # alpha not inside set(m_7) = (1, 2, 3): the rule reads it as the walk
+    # did, by a DP of its own, and never fails on a missing memo entry
+    rule = BRule(running)
+    j = running.k
+    assert running.set_of(j) == (1, 2, 3)
+    want = list(reference.chain_orders(rule, j, alpha))
+    assert list(rule.permutations(j, alpha)) == want
+    assert list(rule.permutations(j, running.set_of(j))) == _walked(
+        rule, j, running.set_of(j)
+    )
 
 
 def _pairwise_closure(ideal):
@@ -194,8 +299,10 @@ def _ideal(n, *gens):
             (1,) + (0,) * 15 + (6,),
             (0,) * 11 + (1, 2) + (0,) * 4,
         ),
+        # exponents past one byte, where the strand masks take the other path
+        _ideal(2, (300, 0), (4, 1), (0, 255)),
     ],
-    ids=["unused-variables", "large-exponents", "n17"],
+    ids=["unused-variables", "large-exponents", "n17", "past-a-byte"],
 )
 def test_unary_code_edge_cases(ideal):
     lattice = lcm_lattice(ideal)

@@ -16,7 +16,6 @@ from cellres.chain import (
     Symbol,
     TableRule,
     UNIT,
-    chain_orders,
     compare_up_to_degree_signs,
     ht_resolution,
     resolution_from_rule,
@@ -68,7 +67,7 @@ class OldBRule:
         return alpha
 
     def permutations(self, j, alpha):
-        return chain_orders(self, j, alpha)
+        return reference.chain_orders(self, j, alpha)
 
 
 class OldCRule:
@@ -105,7 +104,7 @@ class OldCRule:
             for block in partition_A(self.ideal, j)
             for t in block
         }
-        return chain_orders(self, j, alpha, same_block)
+        return reference.chain_orders(self, j, alpha, same_block)
 
 
 class OldTableRule:
@@ -130,7 +129,7 @@ class OldTableRule:
         conflict = {
             t: {s for s in alpha if s < t and self.absorbs(j, s, t)} for t in alpha
         }
-        return chain_orders(self, j, alpha, conflict)
+        return reference.chain_orders(self, j, alpha, conflict)
 
 
 def _assert_same_rule(ideal, new, old, name):
