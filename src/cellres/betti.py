@@ -202,13 +202,14 @@ def check_cellular_resolution(X, ideal):
     failing b, the one met first in the order (cell count of the strand,
     str(b)).
 
-    X is augmented by an empty cell, number 0 of one ChainData whose cell
-    ids are their numbers; cell number c + 1 is bit c of a strand's member
-    mask, so each strand is `restrict(member << 1 | 1)` of it.  Distinct
-    lattice points selecting the same cell set share one homology
-    computation, and the lattice is built once per ideal.  Strands are
-    checked in groups of equal cell count, smallest first; str(b) is
-    computed only to pick the failing b of a failing group.
+    X is augmented by an empty cell, number 0 of one ChainData; the cell
+    X lists at position c (from 0) is number c + 1 and bit c of a
+    strand's member mask, so each strand is `restrict(member << 1 | 1)`
+    of it.  A face listed with sign 0 is no face.  Distinct lattice
+    points selecting the same cell set share one homology computation,
+    and the lattice is built once per ideal.  Strands are checked in
+    groups of equal cell count, smallest first; str(b) is computed only
+    to pick the failing b of a failing group.
     """
     full_simplices = isinstance(X, TaylorSupport)
     if full_simplices:
@@ -218,25 +219,17 @@ def check_cellular_resolution(X, ideal):
         cells = list(islice(X.cells_with_labels(), X.ideal.k))
     else:
         cells = list(X.cells_with_labels())
-    # number the cells: 0 is the empty cell, in degree -1, then the cells
-    # dimension by dimension, in the order their dimensions first occur
-    keys_by_dim = defaultdict(list)
-    for key, dim, _ in cells:
-        keys_by_dim[dim].append(key)
-    cells_by_deg = {-1: range(1)}
+    # cell 0 is the empty cell, in degree -1
     number = {}
-    for dim, keys in keys_by_dim.items():
-        first = len(number) + 1
-        cells_by_deg[dim] = range(first, first + len(keys))
-        number.update(zip(keys, cells_by_deg[dim]))
-    exps = [()] * (len(number) + 1)
-    for key, _, label in cells:
-        exps[number[key]] = label.e
-    boundaries = {}
-    for key, dim, _ in cells:
-        c = number[key]
-        e = exps[c]
-        faces = {}
+    deg = [-1]
+    exps = [()]
+    for key, dim, label in cells:
+        number[key] = len(deg)
+        deg.append(dim)
+        exps.append(label.e)
+    faces = [{}]
+    for (key, dim, _), e in zip(cells, exps[1:]):
+        row = {}
         for face, sign in X.topo_boundary(key):
             f = number.get(face)
             if f is None:
@@ -245,9 +238,10 @@ def check_cellular_resolution(X, ideal):
                 raise NonMonotoneLabels(
                     "label of %r does not divide label of %r" % (face, key)
                 )
-            faces[f] = sign
-        boundaries[c] = faces if dim else {0: 1}
-    vertex_labels = sorted(exps[c] for c in cells_by_deg.get(0, ()))
+            if sign:
+                row[f] = sign
+        faces.append(row if dim else {0: 1})
+    vertex_labels = sorted(e for d, e in zip(deg, exps) if d == 0)
     gen_labels = sorted(g.e for g in ideal.gens)
     if vertex_labels != gen_labels:
         return False, Monomial.one(ideal.n)
@@ -255,7 +249,7 @@ def check_cellular_resolution(X, ideal):
         return True, None
     # X augmented so homology is reduced; every strand is a restriction,
     # so dd = 0 on the whole complex covers every strand
-    chain = ChainData(cells_by_deg, boundaries)
+    chain = ChainData(deg, faces)
     require_dd_zero(chain)
     if ideal._lattice is None:
         # kept as a tuple: no caller can change what later checks read
@@ -328,16 +322,14 @@ def multigraded_betti(ideal):
         buckets[label].append(S)
     data = defaultdict(int)
     data[(0, Monomial.one(ideal.n).e)] = 1
-    for b, faces in buckets.items():
-        members = set(faces)
-        cells_by_deg = defaultdict(list)
-        boundary = {}
-        for S in faces:
-            cells_by_deg[len(S)].append(S)
-            boundary[S] = {
-                face: sign for face, sign in X.topo_boundary(S) if face in members
-            }
-        h = homology_ranks(ChainData(cells_by_deg, boundary))
+    for b, cells in buckets.items():
+        # a face's number is its position in the bucket, its degree |S|
+        number = {S: i for i, S in enumerate(cells)}
+        faces = [
+            {number[F]: sign for F, sign in X.topo_boundary(S) if F in number}
+            for S in cells
+        ]
+        h = homology_ranks(ChainData([len(S) for S in cells], faces))
         for i, v in h.items():
             data[(i, b.e)] += v
     return BettiTable(dict(data), ideal.n)

@@ -395,27 +395,22 @@ def cellular_chain_complex(X):
 
 def _simplicial_chain_data(facet_sets):
     """ChainData of the simplicial complex generated by the given facets,
-    with an augmentation cell so homology is reduced."""
-    faces = set()
+    with an augmentation cell so homology is reduced: cell 0 is the empty
+    face, the others follow sorted by (size, tuple)."""
+    faces = {()}
     for fs in facet_sets:
         fs = tuple(sorted(fs))
         for size in range(1, len(fs) + 1):
-            for sub in combinations(fs, size):
-                faces.add(sub)
-    cells_by_deg = {-1: [()]}
-    boundary = {}
-    for f in faces:
-        cells_by_deg.setdefault(len(f) - 1, []).append(f)
-        if len(f) == 1:
-            boundary[f] = {(): 1}
-        else:
-            boundary[f] = {
-                f[:i] + f[i + 1 :]: (1 if i % 2 == 0 else -1)
-                for i in range(len(f))
-            }
-    for d in cells_by_deg:
-        cells_by_deg[d] = sorted(cells_by_deg[d])
-    return ChainData(cells_by_deg, boundary)
+            faces.update(combinations(fs, size))
+    cells = sorted(faces, key=lambda f: (len(f), f))
+    number = {f: i for i, f in enumerate(cells)}
+    return ChainData(
+        [len(f) - 1 for f in cells],
+        [
+            {number[f[:i] + f[i + 1 :]]: -1 if i % 2 else 1 for i in range(len(f))}
+            for f in cells
+        ],
+    )
 
 
 def _boundary_facets(tops, p):

@@ -3,12 +3,14 @@
 No floating point anywhere: ranks over Q are computed by fraction-free
 (Bareiss) elimination on integer matrices, the only arithmetic used.
 
-The homology engine works on an abstract chain complex given by cells
-(grouped by integer degree) and integer boundary coefficients.  It first
-splits off acyclic pairs (a cell with a unique coface, incidence +-1);
-this "collapse" phase is homology-preserving over every field, creates no
-fill-in, and usually empties the complex entirely.  Whatever core remains
-is ranked densely over Q.
+The homology engine works on an abstract chain complex of numbered
+cells: cell i has an integer degree and a boundary of nonzero integer
+coefficients on cells one degree lower.  Callers with named cells number
+them first; a set of cells is then a bitmask of their numbers.  The
+engine first splits off acyclic pairs (a cell with a unique coface,
+incidence +-1); this "collapse" phase is homology-preserving over every
+field, creates no fill-in, and usually empties the complex entirely.
+Whatever core remains is ranked densely over Q.
 """
 
 from collections import defaultdict, deque
@@ -55,47 +57,28 @@ def bareiss_rank(rows):
 
 
 class ChainData:
-    """A chain complex of free modules given by explicit cells.
+    """A chain complex of free modules on numbered cells.
 
-    cells_by_deg: {degree: iterable of cell ids}, ids hashable and unique
-    across degrees.  boundary: {cell id: {face id: integer coefficient}};
-    faces must live one degree lower.
-
-    Cells are numbered in the order given: `index` maps a cell id to its
-    number i, `deg[i]` is the cell's degree and `faces[i]` its boundary as
-    {face number: coefficient}.  A set of cells is a bitmask of their
-    numbers, bit i for cell i.  A complex may be a restriction of a larger
-    one (`restrict`); it then shares those tables and `members` lists the
-    numbers of its own cells in increasing order.
+    deg[i] is the integer degree of cell i and faces[i] its boundary as
+    {face number: nonzero integer coefficient}; the lists are kept, not
+    copied.  A face number out of range or not exactly one degree lower
+    raises ValueError, and so do lists of unequal length.  A set of cells
+    is a bitmask of their numbers, bit i for cell i.  A complex may be a
+    restriction of a larger one (`restrict`); it then shares those tables
+    and `members` lists the numbers of its own cells in increasing order.
     """
 
-    def __init__(self, cells_by_deg, boundary):
-        deg, index = [], {}
-        for d, cs in cells_by_deg.items():
-            for c in cs:
-                if c in index:
-                    raise ValueError("duplicate cell id %r" % (c,))
-                index[c] = len(deg)
-                deg.append(d)
-        faces = [{} for _ in deg]
-        for c, fs in boundary.items():
-            i = index.get(c)
-            if i is None:
-                continue
-            row = faces[i]
-            for f, v in fs.items():
-                if not v:
-                    continue
-                k = index.get(f)
-                if k is None or deg[k] != deg[i] - 1:
+    def __init__(self, deg, faces):
+        n = len(deg)
+        for i, (d, row) in enumerate(zip(deg, faces, strict=True)):
+            for k in row:
+                if not 0 <= k < n or deg[k] != d - 1:
                     raise ValueError(
-                        "face %r of %r is not one degree lower" % (f, c)
+                        "face %r of %r is not one degree lower" % (k, i)
                     )
-                row[k] = int(v)
         self.deg = deg
-        self.index = index
         self.faces = faces
-        self.members = range(len(deg))
+        self.members = range(n)
         self._face_masks = None
 
     def restrict(self, mask):
@@ -127,7 +110,7 @@ class ChainData:
         if closure & ~mask:
             raise VerificationError("subcomplex is not closed under faces")
         sub = ChainData.__new__(ChainData)
-        sub.deg, sub.index, sub.faces = self.deg, self.index, self.faces
+        sub.deg, sub.faces = self.deg, self.faces
         sub._face_masks = face_masks
         sub.members = members
         return sub

@@ -177,6 +177,9 @@ class OrderedIdeal:
         return self._set_table
 
     def set_of(self, j):
+        """set(m_j), 1-based."""
+        if not 1 <= j <= self.k:
+            raise IndexOutOfRange(j)
         return self.set_table()[j - 1]
 
     def has_linear_quotients(self):

@@ -6,8 +6,9 @@ mapping cone (G[1] first) with the re-sort the iterated cone needed after
 it, the earlier ChainMap.commutes that grouped the whole target
 differential, the earlier orientation_sign on a rank table, and the
 lcm_of on Monomials that build_ek_cw's vertex-lcm check used before it
-compared exponent tuples, and the recursive walk of a rule's chain orders
-that TableRule.permutations ran once per cell before its subset DP."""
+compared exponent tuples, the recursive walk of a rule's chain orders
+that TableRule.permutations ran once per cell before its subset DP, and
+chain_data, which numbers named cells for ChainData."""
 
 from itertools import combinations
 
@@ -17,6 +18,7 @@ from cellres.errors import (
     SymbolNotInComplex,
     VerificationError,
 )
+from cellres.exact import ChainData
 from cellres.monomial import Monomial
 
 
@@ -256,3 +258,20 @@ def chain_orders(rule, j, alpha, conflict=None):
             sigma.pop()
 
     return extend()
+
+
+def chain_data(cells_by_deg, boundary):
+    """ChainData of named cells, numbered in the order given.
+
+    cells_by_deg: {degree: cell ids}; boundary: {cell id: {face id:
+    coefficient}}.  A zero coefficient is no face, and a face that is not
+    a cell gets a number out of range, which ChainData refuses."""
+    deg, number = [], {}
+    for d, cs in cells_by_deg.items():
+        for c in cs:
+            number[c] = len(deg)
+            deg.append(d)
+    faces = [{} for _ in deg]
+    for c, fs in boundary.items():
+        faces[number[c]] = {number.get(f, -1): v for f, v in fs.items() if v}
+    return ChainData(deg, faces)

@@ -26,10 +26,10 @@ from cellres.cointerval import build_hom_complex, homcone_resolution
 from cellres.corpus import gen_corpus
 from cellres.ekcells import build_ek_cw
 from cellres.errors import NonMonotoneLabels, TooManyGenerators
-from cellres.exact import ChainData, bareiss_rank, homology_ranks, is_exact
+from cellres.exact import bareiss_rank, homology_ranks, is_exact
 from cellres.ideals import parse_ideal
 from cellres.monomial import Monomial, parse_monomial
-from reference import lcm_of
+from reference import chain_data, lcm_of
 
 
 # -- exact rank -------------------------------------------------------------
@@ -64,14 +64,14 @@ def test_homology_of_circle():
         "ab1": {"a": 1, "b": -1},
         "ab2": {"a": 1, "b": -1},
     }
-    h = homology_ranks(ChainData(cells, boundary))
+    h = homology_ranks(chain_data(cells, boundary))
     assert h == {0: 1, 1: 1}
 
 
 def test_multiplication_by_two_is_exact_over_q():
     # not exact over GF(2); the collapse cannot pair f with e, so the core
     # is ranked over Q
-    chain = ChainData({1: ["e"], 2: ["f"]}, {"f": {"e": 2}})
+    chain = chain_data({1: ["e"], 2: ["f"]}, {"f": {"e": 2}})
     assert is_exact(chain) == (True, {})
 
 
@@ -330,7 +330,7 @@ def _old_multigraded_betti(ideal, bound=16):
                 if rest in members:
                     entries[rest] = 1 if pos % 2 == 1 else -1
             boundary[S] = entries
-        h = homology_ranks(ChainData(cells_by_deg, boundary))
+        h = homology_ranks(chain_data(cells_by_deg, boundary))
         for i, v in h.items():
             data[(i, b.e)] += v
     return BettiTable(dict(data), ideal.n)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cellres import cli
+from cellres import betti, cli
 from cellres.betti import check_cellular_resolution
 from cellres.cli import main
 from cellres.ekcells import build_ek_cw
@@ -224,6 +224,15 @@ def test_verify_running(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "exchange reading disagrees" in out
+
+
+def test_verify_reports_a_non_minimal_builder(capsys, monkeypatch):
+    # the Taylor complex resolves R/I but is not minimal on the running
+    # example, so the "minimal" line must fail whatever else passes
+    monkeypatch.setattr(cli, "ht_resolution", betti.taylor_complex)
+    code, out, _ = run_cli(["verify", RUNNING], capsys)
+    assert code == 1
+    assert ["minimal", "FAIL"] in [line.split() for line in out.splitlines()]
 
 
 def test_verify_no_prefilter(capsys):

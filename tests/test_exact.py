@@ -16,11 +16,12 @@ from cellres.errors import VerificationError
 from cellres.exact import ChainData, homology_ranks, is_exact
 from cellres.ideals import check_regularity, parse_ideal
 from cellres.monomial import parse_monomial
+from reference import chain_data
 
 
 def _two_cell_complex():
     # c -> 3a + 5b, d -> 6a + 10b: over Q, H_0 = H_1 = 1
-    return ChainData(
+    return chain_data(
         {0: ["a", "b"], 1: ["c", "d"]},
         {"c": {"a": 3, "b": 5}, "d": {"a": 6, "b": 10}},
     )
@@ -30,6 +31,20 @@ def test_two_cell_complex_is_not_exact_over_q():
     chain = _two_cell_complex()
     assert is_exact(chain) == (False, {0: 1, 1: 1})
     assert homology_ranks(chain) == {0: 1, 1: 1}
+
+
+def test_chain_data_keeps_numbered_cells_and_checks_faces():
+    # an edge 2 from vertex 0 to vertex 1, then a triangle 3 on that edge
+    deg = [0, 0, 1, 2]
+    faces = [{}, {}, {0: 1, 1: -1}, {2: 1}]
+    chain = ChainData(deg, faces)
+    assert chain.deg is deg and chain.faces is faces
+    assert list(chain.members) == [0, 1, 2, 3]
+    for bad in ({5: 1}, {-1: 1}, {0: 1}, {3: 1}):
+        with pytest.raises(ValueError, match="not one degree lower"):
+            ChainData(deg, faces[:3] + [bad])
+    with pytest.raises(ValueError):
+        ChainData(deg, faces[:3])
 
 
 def test_check_cellular_resolution_on_a_segment():
@@ -95,8 +110,9 @@ def test_cli_ignores_resolve_prime(value):
 _NON_COMPLEX = """
 from cellres.errors import VerificationError
 from cellres.exact import ChainData, homology_ranks
-# d(z) = 2y, d(y) = x, so dd(z) = 2x != 0; x is the only free face
-chain = ChainData({0: ["x"], 1: ["y"], 2: ["z"]}, {"y": {"x": 1}, "z": {"y": 2}})
+# cells x = 0, y = 1, z = 2: d(z) = 2y, d(y) = x, so dd(z) = 2x != 0;
+# x is the only free face
+chain = ChainData([0, 1, 2], [{}, {0: 1}, {1: 2}])
 try:
     homology_ranks(chain)
 except VerificationError:
@@ -107,7 +123,7 @@ else:
 
 
 def test_collapse_refuses_non_complex():
-    chain = ChainData({0: ["x"], 1: ["y"], 2: ["z"]}, {"y": {"x": 1}, "z": {"y": 2}})
+    chain = ChainData([0, 1, 2], [{}, {0: 1}, {1: 2}])
     with pytest.raises(VerificationError):
         homology_ranks(chain)
     with pytest.raises(VerificationError):

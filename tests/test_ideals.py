@@ -8,6 +8,7 @@ from cellres.errors import (
     NotInIdeal,
     NotLinearQuotients,
 )
+from cellres.ekcells import build_cell, ch_simplex
 from cellres.ideals import (
     OrderedIdeal,
     check_regularity,
@@ -104,11 +105,20 @@ def test_colon_is_immutable_and_the_memo_unchanged():
     assert ideal.set_table() == ((), (2,))
 
 
-def test_colon_range_checks_j():
+def test_colon_range_checks_j(running):
     ideal = parse_ideal("x1*x2, x1*x3")
     for j in (0, 3):
         with pytest.raises(IndexOutOfRange):
             ideal.colon_by_generator(j)
+    # set(m_j) is read for j in 1..k only, and so is every cell built on it
+    for j in (0, -6, running.k + 1):
+        with pytest.raises(IndexOutOfRange):
+            running.set_of(j)
+    with pytest.raises(IndexOutOfRange):
+        build_cell(running, 0, ())
+    with pytest.raises(IndexOutOfRange):
+        ch_simplex(running, 0, (1, 2), (2, 1))
+    assert running.set_of(running.k) == running.set_table()[-1]
 
 
 def test_index_of(example1):

@@ -26,9 +26,10 @@ from cellres.cointerval import (
 from cellres.corpus import cointerval_corpus, example_corpus, gen_corpus, stable_corpus
 from cellres.ekcells import _simplicial_chain_data, build_ek_cw
 from cellres.errors import NonMonotoneLabels, VerificationError
-from cellres.exact import ChainData, _collapse, bareiss_rank, homology_ranks, is_exact
+from cellres.exact import _collapse, bareiss_rank, homology_ranks, is_exact
 from cellres.ideals import check_regularity, parse_ideal
 from cellres.monomial import Monomial, parse_monomial
+from reference import chain_data
 
 
 # -- the per-strand rebuild, as it was -----------------------------------------
@@ -47,7 +48,7 @@ def _strand_chain(cells, boundaries, member):
             boundary[key] = {aug: 1}
         else:
             boundary[key] = boundaries[key]
-    return ChainData(cells_by_deg, boundary)
+    return chain_data(cells_by_deg, boundary)
 
 
 def _reference_check(X, ideal):
@@ -187,7 +188,7 @@ def test_hollow_triangle_goes_through_the_core():
     assert check_cellular_resolution(X, ideal) == (False, top)
     # the top strand is the whole circle: no face is free, so the ranks of
     # the core find its reduced H_1
-    chain = ChainData(
+    chain = chain_data(
         {-1: ["-"], 0: ["v12", "v13", "v23"], 1: ["e1", "e2", "e3"]},
         {
             "v12": {"-": 1},
@@ -237,7 +238,7 @@ def test_strand_check_refuses_dd_nonzero(flags):
 
 def test_restrict_requires_closure_under_faces():
     # numbered a = 0, b = 1, e = 2, t = 3; bit i of a mask is cell i
-    chain = ChainData(
+    chain = chain_data(
         {0: ["a", "b"], 1: ["e"], 2: ["t"]},
         {"e": {"a": 1, "b": -1}, "t": {"e": 0}},
     )
@@ -290,6 +291,16 @@ def test_face_two_degrees_down_is_refused_in_a_strand_check():
         check_cellular_resolution(LabeledCellComplex(cells, boundary), ideal)
 
 
+def test_face_missing_from_the_complex_is_refused_in_a_strand_check():
+    cells, boundary, ideal = _two_vertices()
+    # e keeps both its vertices, so without the check dd = 0 would hold and
+    # the strands would pass
+    boundary["e"] = [("v1", 1), ("v2", -1), ("v3", 1)]
+    X = LabeledCellComplex(cells, boundary)
+    with pytest.raises(NonMonotoneLabels, match="missing from the complex"):
+        check_cellular_resolution(X, ideal)
+
+
 def _facet_families():
     yield [(0, 1, 2, 3)]
     yield [f for f in combinations(range(5), 4)]  # the 3-sphere's boundary
@@ -312,14 +323,10 @@ def _facet_families():
 @pytest.mark.parametrize("facets", list(_facet_families()))
 def test_homology_ranks_match_dense_reference(facets):
     chain = _simplicial_chain_data(facets)
-    ids = sorted(chain.index, key=chain.index.get)
     cells_by_deg = defaultdict(list)
-    for c, d in zip(ids, chain.deg):
+    for c, d in enumerate(chain.deg):
         cells_by_deg[d].append(c)
-    boundary = {
-        ids[i]: {ids[f]: v for f, v in faces.items()}
-        for i, faces in enumerate(chain.faces)
-    }
+    boundary = dict(enumerate(chain.faces))
     want = _dense_homology(dict(cells_by_deg), boundary)
     assert homology_ranks(chain) == want
     assert is_exact(chain) == (not want, want)
