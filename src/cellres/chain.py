@@ -13,10 +13,11 @@ validate() and d o d = 0 is checked, never assumed.
 
 from collections import defaultdict
 from itertools import combinations
-from operator import add, sub
+from operator import add, le, sub
 from typing import NamedTuple
 
 from .errors import (
+    AlphaNotInSet,
     NonCommutingChainMap,
     NotLinearQuotients,
     NotRegular,
@@ -315,13 +316,11 @@ def _orders_by_subset(table, j, ground, conflict):
     by one dynamic program over the subsets of ground.
 
     An order sigma of alpha is kept when its chain (j, rule(x_{s1} m_j),
-    ...) moves at every step and no t is preceded by one of conflict[t].
-    Since all of alpha - t precedes the last variable t, the kept orders
-    of alpha are those sigma.t, t in alpha with conflict[t] disjoint from
-    alpha, sigma a kept order of alpha - t whose last vertex the x_t step
-    moves.  A step to a later generator is not kept.  Returns
-    ({alpha: sorted [(sigma, vertices)]}, [(sigma.t, last, v)] for every
-    such step x_t m_last -> m_v), alpha and ground sorted tuples.
+    ...) steps down at every step and no t follows one of conflict[t].
+    As all of alpha - t precedes the last variable t, the kept orders of
+    alpha are the sigma.t, t in alpha, conflict[t] disjoint from alpha,
+    sigma a kept order of alpha - t whose last vertex x_t moves down.
+    Returns {alpha: sorted [(sigma, vertices)]}, on sorted tuples.
     """
     step = table.get
     conflict = conflict or {}
@@ -334,7 +333,6 @@ def _orders_by_subset(table, j, ground, conflict):
     ]
     keys = [()]
     orders = [[((), (j,))]]
-    raising = []
     for mask in range(1, 1 << size):
         top = mask.bit_length() - 1
         keys.append(keys[mask ^ 1 << top] + (ground[top],))
@@ -349,17 +347,23 @@ def _orders_by_subset(table, j, ground, conflict):
                 v = step((last, t), last)
                 if v < last:
                     kept.append((sigma + (t,), vertices + (v,)))
-                elif v > last:
-                    raising.append((sigma + (t,), last, v))
         kept.sort()
         orders.append(kept)
-    return dict(zip(keys, orders)), raising
+    return dict(zip(keys, orders))
+
+
+def _steps_down(gens, j, t, g):
+    """Whether g < j and m_g = gens[g - 1] divides x_t m_j (j, t in range)."""
+    return 1 <= g < j and all(map(le, gens[g - 1].e, gens[j - 1].times_var(t).e))
 
 
 class TableRule:
-    """A decomposition rule: a table (j, t) -> g sending x_t m_j to the
-    earlier generator m_g; products missing from the table stay put
-    (g = j).  The table is shared, not copied, and is the whole rule.
+    """A decomposition rule: a table (j, t) -> g sending x_t m_j to an
+    earlier generator m_g that divides it; products missing from the
+    table stay put (g = j).  The table is shared, not copied, and is the
+    whole rule.  It is checked once, here: VerificationError names the
+    least bad entry in key order, a (j, t) out of range or a g that is
+    neither j nor such a generator.
 
     A pair s < t in set(m_j) absorbs when the table says so under the one
     pair law of ideals (applying s after t lands where s alone does),
@@ -375,6 +379,18 @@ class TableRule:
     resolution = None
 
     def __init__(self, ideal, table):
+        k = ideal.k
+        for (j, t), g in sorted(table.items()):
+            if not (1 <= j <= k and 1 <= t <= ideal.n):
+                raise VerificationError("table entry %r names no x_t m_j" % ((j, t),))
+            if g != j and not _steps_down(ideal.gens, j, t, g):
+                if j < g <= k:
+                    why = "the later generator m_%d"
+                elif 1 <= g <= k:
+                    why = "m_%d, which does not divide it"
+                else:
+                    why = "m_%r, which is not a generator"
+                raise VerificationError(("x_%d m_%d steps to " + why) % (t, j, g))
         self.ideal = ideal
         self.table = table
         # j -> {t: the s < t whose pair absorbs}; an s in t's set may not
@@ -415,38 +431,27 @@ class TableRule:
         rule for the generator read last: build_ek_cw reads all cells of
         one generator before the next, and a rule kept after gluing (as
         enumerate_regular_rules keeps its rules) holds one DP, not one per
-        generator.  An alpha outside set(m_j) gets a DP of its own.  When
-        an order of a subset of alpha would step x_t m_j -> m_v to a later
-        generator, VerificationError names the step that comes first in
-        that order.
+        generator.  An alpha that is not a subset of set(m_j) is refused
+        with AlphaNotInSet.
         """
-        alpha = tuple(sorted(alpha))
-        last, dp = self._orders
+        last, orders = self._orders
         if last != j:
-            dp = _orders_by_subset(
+            orders = _orders_by_subset(
                 self.table, j, self.ideal.set_of(j), self._absorbed.get(j)
             )
-            self._orders = (j, dp)
-        orders, raising = dp
-        kept = orders.get(alpha)
+            self._orders = (j, orders)
+        kept = orders.get(tuple(sorted(alpha)))
         if kept is None:
-            orders, raising = _orders_by_subset(
-                self.table, j, tuple(sorted(set(alpha))), self._absorbed.get(j)
-            )
-            kept = orders.get(alpha, ())  # none when alpha repeats a member
-        bad = [r for r in raising if set(alpha).issuperset(r[0])]
-        if bad:
-            sigma, last, v = min(bad)
-            raise VerificationError(
-                "x_%d m_%d steps to the later generator m_%d" % (sigma[-1], last, v)
-            )
+            raise AlphaNotInSet("%s not inside set(m_%d)" % (tuple(alpha), j))
         return iter(kept)
 
 
 class BRule(TableRule):
     """The canonical decomposition function b (first generator dividing).
     Its table and its absorbing pairs are the ideal's, read once per
-    ideal (OrderedIdeal.b_table, b_absorbed) and shared by every BRule."""
+    ideal (OrderedIdeal.b_table, b_absorbed) and shared by every BRule;
+    b(x_t m_j) divides x_t m_j and comes no later than m_j, so the table
+    is valid by construction and is not checked."""
 
     def __init__(self, ideal):
         self.ideal = ideal

@@ -159,11 +159,19 @@ def cointerval_discrepancy(graph):
     return {"recursive": rec, "exchange": exch, "agree": rec == exch}
 
 
+def _variable_count(graph, n):
+    """n, or the graph's largest vertex when n is not given; never less."""
+    top = max(graph.vertices, default=0)
+    if n and n < top:
+        raise InputError("n = %d is below the largest vertex %d" % (n, top))
+    return n or top
+
+
 def edge_ideal(graph, n=None):
     """Edge ideal with generators in lexicographic order."""
     if not graph.edges:
         raise InputError("edge ideal of an empty graph")
-    n = n or max(graph.vertices)
+    n = _variable_count(graph, n)
     gens = [Monomial.from_support(e, n) for e in sorted(graph.edges)]
     return OrderedIdeal(n, gens)
 
@@ -202,7 +210,7 @@ class HomComplex(LabeledCellComplex):
 
     def __init__(self, graph, n=None):
         self.graph = graph
-        self.n = n or max(graph.vertices)
+        self.n = _variable_count(graph, n)
         self.cells = _enumerate_hom_cells(graph)
         variables = [Monomial.variable(t, self.n) for t in range(1, self.n + 1)]
         labeled, boundary, coefficients = {}, {}, {}

@@ -12,12 +12,12 @@ pairs.  Assembling all cells gives a regular CW complex whose labeled
 chain complex is the resolution built in chain.py; the equality of the
 two is checked entry by entry, never assumed.
 
-Every rule step goes to an earlier generator or stays put, and the
-rule's one subset DP per generator that lists the chains
-(TableRule.permutations) refuses a step to a later one, so generator
-indices strictly decrease along a nondegenerate chain and its vertex
-order is recoverable from its vertex set.  build_cell groups facets by
-that set.
+Every rule step goes to an earlier generator or stays put (a TableRule
+checks its table when it is built), and the rule's one subset DP per
+generator that lists the chains (TableRule.permutations) keeps only
+steps down, so generator indices strictly decrease along a
+nondegenerate chain and its vertex order is recoverable from its vertex
+set.  build_cell groups facets by that set.
 """
 
 from dataclasses import dataclass, field

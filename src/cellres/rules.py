@@ -17,9 +17,11 @@ absorbing pair first.
 """
 
 from itertools import combinations
+from math import prod
 
 from .chain import (
     TableRule,
+    _steps_down,
     check_dd_zero,
     check_minimal,
     compare_up_to_degree_signs,
@@ -29,7 +31,6 @@ from .ekcells import build_ek_cw, cellular_chain_complex
 from .errors import (
     MismatchWithAlgebraicDifferential,
     SearchSpaceTooLarge,
-    VerificationError,
 )
 from .ideals import _pair_law
 from .poset import complex_fingerprint
@@ -49,29 +50,16 @@ def enumerate_regular_rules(ideal, bound=100000):
     tables are admitted too.
     """
     table = ideal.set_table()
-    slots = []
-    for j in range(1, ideal.k + 1):
-        mj = ideal.gen(j)
-        for t in table[j - 1]:
-            target = mj.times_var(t)
-            cands = [
-                g for g in range(1, j) if ideal.gen(g).divides(target)
-            ]
-            if not cands:
-                raise VerificationError(
-                    "no earlier generator divides x_%d m_%d" % (t, j)
-                )
-            slots.append(((j, t), cands))
-    size = 1
-    for _, cands in slots:
-        size *= len(cands)
-        if size > bound:
-            raise SearchSpaceTooLarge(
-                "rule space has more than %d candidates" % bound
-            )
-    gen_end = {}
-    for pos, ((j, _), _) in enumerate(slots):
-        gen_end[j] = pos
+    # t in set(m_j) makes x_t = m_g / gcd(m_g, m_j) for some g < j, and
+    # that m_g divides x_t m_j: no candidate list is empty
+    slots = [
+        ((j, t), [g for g in range(1, j) if _steps_down(ideal.gens, j, t, g)])
+        for j in range(1, ideal.k + 1)
+        for t in table[j - 1]
+    ]
+    if prod(len(cands) for _, cands in slots) > bound:
+        raise SearchSpaceTooLarge("rule space has more than %d candidates" % bound)
+    gen_end = {j: pos for pos, ((j, _), _) in enumerate(slots)}
     out = []
 
     def pairs_ok(assignment, j):
@@ -92,10 +80,8 @@ def enumerate_regular_rules(ideal, bound=100000):
         (j, t), cands = slots[pos]
         for g in cands:
             assignment[(j, t)] = g
-            if gen_end[j] == pos and not pairs_ok(assignment, j):
-                del assignment[(j, t)]
-                continue
-            search(pos + 1, assignment)
+            if gen_end[j] != pos or pairs_ok(assignment, j):
+                search(pos + 1, assignment)
             del assignment[(j, t)]
 
     search(0, {})

@@ -1,14 +1,15 @@
-"""Mutation check of the homology layer and the strand check: each mutant
-disables one check, and some test must then fail.
+"""Mutation check of the verification checks: each mutant disables one
+check, and some test of the files it names must then fail.
 
 A mutant names a file, the exact text it replaces (found exactly once in
-that file), the text that replaces it, and the check it disables.  Each
-mutant is applied on its own to a temporary copy of `src/` and `tests/`,
-never to the working tree, and the tests below run on the copy with -x.
-The unmutated copy must pass them first.  One line per mutant says
-whether a test caught it.  The script exits 1 if any mutant survives, 2
-if the unmutated copy fails or a mutant's text is not found exactly once.
-pytest does not collect this file.
+that file), the text that replaces it, the check it disables and the
+test files that reach that check.  Each mutant is applied on its own to
+a temporary copy of `src/` and `tests/`, never to the working tree, and
+its test files run on the copy with -x.  The unmutated copy must pass
+every named file first.  One line per mutant says whether a test caught
+it.  The script exits 1 if any mutant survives, 2 if the unmutated copy
+fails or a mutant's text is not found exactly once.  pytest does not
+collect this file.
 
 Run:  python3 tests/mutants.py
 """
@@ -21,63 +22,152 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TESTS = ("tests/test_exact.py", "tests/test_strand_views.py", "tests/test_betti.py")
 
+CHAIN = "src/cellres/chain.py"
+EKCELLS = "src/cellres/ekcells.py"
 EXACT = "src/cellres/exact.py"
 BETTI = "src/cellres/betti.py"
 
-# (file, old text, new text, the check it disables)
+HOMOLOGY = ("tests/test_exact.py", "tests/test_strand_views.py", "tests/test_betti.py")
+RULES = ("tests/test_fast_paths.py",)
+GLUING = ("tests/test_ekcells.py",)
+
+# (file, old text, new text, the check it disables, the test files)
 MUTANTS = (
     (
         EXACT,
         "if not 0 <= k < n or deg[k] != d - 1:",
         "if False:",
         "ChainData: a face out of range or not one degree lower",
+        HOMOLOGY,
     ),
     (
         EXACT,
         "    faces = chain.faces\n    for c in chain.members:\n        dd = {}",
         "    return\n    faces = chain.faces\n    for c in chain.members:\n        dd = {}",
         "require_dd_zero: the full dd = 0 check",
+        HOMOLOGY,
     ),
     (
         EXACT,
         "        if count[c]:\n            raise VerificationError",
         "        if False:\n            raise VerificationError",
         "_collapse: the partial dd = 0 check",
+        HOMOLOGY,
     ),
     (
         EXACT,
         "if closure & ~mask:",
         "if False:",
         "restrict: closure under faces",
+        HOMOLOGY,
     ),
     (
         BETTI,
         "if not all(map(le, exps[f], e)):",
         "if False:",
         "check_cellular_resolution: labels monotone under the boundary",
+        HOMOLOGY,
     ),
     (
         BETTI,
         'raise NonMonotoneLabels("face %r missing from the complex" % (face,))',
         "continue",
         "check_cellular_resolution: every face is a cell",
+        HOMOLOGY,
     ),
     (
         BETTI,
         "if vertex_labels != gen_labels:",
         "if False:",
         "check_cellular_resolution: vertices labeled by the generators",
+        HOMOLOGY,
+    ),
+    (
+        CHAIN,
+        "if not (1 <= j <= k and 1 <= t <= ideal.n):",
+        "if False:",
+        "TableRule: an entry names a product x_t m_j",
+        RULES,
+    ),
+    (
+        CHAIN,
+        "if g != j and not _steps_down(ideal.gens, j, t, g):",
+        "if False:",
+        "TableRule: an entry stays put or steps down",
+        RULES,
+    ),
+    (
+        CHAIN,
+        "return 1 <= g < j and all(",
+        "return 1 <= g <= len(gens) and all(",
+        "_steps_down: a step goes to an earlier generator",
+        RULES,
+    ),
+    (
+        CHAIN,
+        "return 1 <= g < j and all(",
+        "return g < j and all(",
+        "_steps_down: a step goes to a generator",
+        RULES,
+    ),
+    (
+        CHAIN,
+        "all(map(le, gens[g - 1].e, gens[j - 1].times_var(t).e))",
+        "True",
+        "_steps_down: a step goes to a divisor",
+        RULES,
+    ),
+    (
+        CHAIN,
+        "        if kept is None:\n",
+        "        if False:\n",
+        "TableRule.permutations: an alpha outside set(m_j)",
+        RULES,
+    ),
+    (
+        CHAIN,
+        "    if min(q) < 0:\n        raise ValueError(",
+        "    if False:\n        raise ValueError(",
+        "_rule_coefficient: the rule target divides x_t m_j",
+        ("tests/test_tuple_builders.py",),
+    ),
+    (
+        EKCELLS,
+        "if vertex_lcm != label.e:",
+        "if False:",
+        "build_ek_cw: a cell's label is the lcm of its vertices",
+        GLUING,
+    ),
+    (
+        EKCELLS,
+        "if not any(q):",
+        "if False:",
+        "build_ek_cw: no unit incidence coefficient",
+        GLUING,
+    ),
+    (
+        EKCELLS,
+        "if len(seen) != len(signs):",
+        "if False:",
+        "_boundary_from_cell: a boundary covers all of each face",
+        GLUING,
+    ),
+    (
+        EKCELLS,
+        "elif incidence != value:",
+        "elif False:",
+        "_boundary_from_cell: one incidence sign per face",
+        GLUING,
     ),
 )
 
 
-def tests_fail(copy):
-    """Does `pytest -x` on TESTS fail in the copy?"""
+def tests_fail(copy, tests):
+    """Does `pytest -x` on the test files fail in the copy?"""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
         cwd=copy,
         env=env,
         stdout=subprocess.DEVNULL,
@@ -93,11 +183,11 @@ def main():
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", copy)
-        if tests_fail(copy):
+        if tests_fail(copy, sorted({f for *_, tests in MUTANTS for f in tests})):
             print("the unmutated copy fails its tests")
             return 2
         survived = 0
-        for path, old, new, check in MUTANTS:
+        for path, old, new, check, tests in MUTANTS:
             target = copy / path
             text = target.read_text()
             if text.count(old) != 1:
@@ -105,7 +195,7 @@ def main():
                 return 2
             target.write_text(text.replace(old, new))
             try:
-                caught = tests_fail(copy)
+                caught = tests_fail(copy, tests)
             finally:
                 target.write_text(text)
             survived += not caught

@@ -7,8 +7,9 @@ it, the earlier ChainMap.commutes that grouped the whole target
 differential, the earlier orientation_sign on a rank table, and the
 lcm_of on Monomials that build_ek_cw's vertex-lcm check used before it
 compared exponent tuples, the recursive walk of a rule's chain orders
-that TableRule.permutations ran once per cell before its subset DP, and
-chain_data, which numbers named cells for ChainData."""
+that TableRule.permutations ran once per cell before its subset DP, a
+stand-in rule on a table that TableRule refuses, and chain_data, which
+numbers named cells for ChainData."""
 
 from itertools import combinations
 
@@ -258,6 +259,24 @@ def chain_orders(rule, j, alpha, conflict=None):
             sigma.pop()
 
     return extend()
+
+
+class UncheckedRule:
+    """A rule on a bare table, checked by no one, so that a table that
+    TableRule refuses still reaches the builders: every variable gives a
+    rule term, and the chain orders are those of the walk."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def apply(self, j, t):
+        return self.table.get((j, t), j)
+
+    def tset(self, j, alpha):
+        return alpha
+
+    def permutations(self, j, alpha):
+        return chain_orders(self, j, alpha)
 
 
 def chain_data(cells_by_deg, boundary):

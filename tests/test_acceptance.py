@@ -12,6 +12,7 @@ from math import comb
 import pytest
 
 from cellres.betti import (
+    TAYLOR_BOUND,
     TaylorSupport,
     betti_from_resolution,
     check_cellular_resolution,
@@ -156,7 +157,7 @@ def pipeline(corpus):
             ok, _ = check_cellular_resolution(H, ideal)
             if not ok:
                 stats["acyclic_failures"] += 1
-        if ideal.k <= 16:
+        if ideal.k <= TAYLOR_BOUND:
             ok, _ = check_cellular_resolution(TaylorSupport(ideal), ideal)
             if not ok:
                 stats["acyclic_failures"] += 1

@@ -32,7 +32,7 @@ from cellres.cointerval import (
 )
 from cellres.corpus import gen_corpus, random_linear_quotient_ideals
 from cellres.ekcells import build_ek_cw
-from cellres.errors import NotCointerval, SymbolNotInComplex
+from cellres.errors import InputError, NotCointerval, SymbolNotInComplex
 from cellres.ideals import parse_ideal
 from cellres.monomial import Monomial, parse_monomial
 from reference import b_of, is_squarefree_strongly_stable
@@ -57,6 +57,21 @@ def test_parse_dgraph():
     g = parse_dgraph("2 5\n1 2\n1 3\n4 5\n")
     assert g.d == 2 and (1, 2) in g.edges and (4, 5) in g.edges
     assert g.vertices == (1, 2, 3, 4, 5)
+
+
+def test_too_few_variables_for_the_graph_are_refused():
+    # vertex 5 needs x5: edge_ideal used to drop it, giving <x1*x2, x3>,
+    # and the hom complex failed on a bare IndexError
+    graph = DGraph.from_edges(2, [(1, 2), (3, 5)])
+    for build in (edge_ideal, build_hom_complex, cointerval.HomComplex):
+        with pytest.raises(InputError) as err:
+            build(graph, 4)
+        assert str(err.value) == "n = 4 is below the largest vertex 5"
+    with pytest.raises(InputError, match="n = 3 is below the largest vertex 5"):
+        edge_ideal(running_graph(), n=3)
+    assert str(edge_ideal(graph)) == str(edge_ideal(graph, n=5)) == "<x1*x2, x3*x5>"
+    assert edge_ideal(graph, n=6).n == build_hom_complex(graph, 6).n == 6
+    assert build_hom_complex(DGraph.from_edges(2, [])).cells == []  # no vertex
 
 
 def test_v_layer_running():

@@ -351,7 +351,10 @@ def test_a_vertex_off_the_label_is_refused():
     table = dict(ideal.b_table())
     table[(3, 1)] = 2
     with pytest.raises(VerificationError) as err:
-        build_ek_cw(ideal, TableRule(ideal, table))
+        TableRule(ideal, table)
+    assert str(err.value) == "x_1 m_3 steps to m_2, which does not divide it"
+    with pytest.raises(VerificationError) as err:
+        build_ek_cw(ideal, reference.UncheckedRule(table))
     assert str(err.value) == "label of U(3, (1,)) is not the lcm of its vertices"
 
 

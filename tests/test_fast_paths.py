@@ -25,7 +25,7 @@ from cellres.cointerval import (
 )
 from cellres.corpus import gen_corpus
 from cellres.ekcells import build_ek_cw, ch_simplex
-from cellres.errors import VerificationError
+from cellres.errors import AlphaNotInSet, VerificationError
 from cellres.exact import is_exact
 from cellres.ideals import OrderedIdeal, check_regularity, parse_ideal
 from cellres.monomial import Monomial
@@ -175,38 +175,71 @@ def test_subset_dp_equals_the_walk_on_every_cell(sample):
     assert kinds == {"BRule", "CRule", "TableRule"}
 
 
-def test_subset_dp_refuses_as_the_walk_does():
-    # seeded tables that send some products to later generators, and
-    # entries outside set(m_j): every cell and a few other alphas are read
-    # in a shuffled order, so the first refusal is not always the least
+def test_subset_dp_refuses_as_the_walk_does(running):
+    # a table is checked when the rule is built: a step to a later
+    # generator keeps the walk's message, and every other bad entry is
+    # refused too, where the walk would fail on it or never notice it
+    k, n = running.k, running.n
+    b = running.b_table()
+    cases = {
+        (7, 3, 0): "x_3 m_7 steps to m_0, which is not a generator",
+        (7, 3, -1): "x_3 m_7 steps to m_-1, which is not a generator",
+        (7, 3, k + 1): "x_3 m_7 steps to m_8, which is not a generator",
+        (7, 3, 9): "x_3 m_7 steps to m_9, which is not a generator",
+        (3, 3, 6): "x_3 m_3 steps to the later generator m_6",
+        (7, 3, 1): "x_3 m_7 steps to m_1, which does not divide it",
+        (0, 1, 1): "table entry (0, 1) names no x_t m_j",
+        (k + 1, 1, 1): "table entry (8, 1) names no x_t m_j",
+        (7, 0, 1): "table entry (7, 0) names no x_t m_j",
+        (7, n + 1, 1): "table entry (7, 6) names no x_t m_j",
+    }
+    for (j, t, g), message in cases.items():
+        with pytest.raises(VerificationError) as err:
+            TableRule(running, {**b, (j, t): g})
+        assert type(err.value) is VerificationError
+        assert str(err.value) == message, (j, t, g)
+    # of several bad entries, the least key is named, whatever the order
+    with pytest.raises(VerificationError) as err:
+        TableRule(running, {**b, (7, 3): 1, (4, 2): 0, (3, 3): 6})
+    assert str(err.value) == "x_3 m_3 steps to the later generator m_6"
+    # an entry that stays put passes, wherever it is
+    assert TableRule(running, {**b, (7, 3): 7, (7, 4): 7}).apply(7, 4) == 7
+
+
+def test_seeded_tables_read_as_the_walk_does():
+    # every product goes to a random admissible target, or stays put when
+    # its entry is dropped: every cell reads as the walk reads it
     rng = random.Random(2026)
-    refused = 0
-    for item in gen_corpus()[::211]:
+    tables = 0
+    for item in gen_corpus()[::97]:
         ideal = item.ideal
+        if not ideal.has_linear_quotients():
+            continue
+        slots = {}
+        for j, sj in enumerate(ideal.set_table(), start=1):
+            mj = ideal.gen(j)
+            for t in sj:
+                slots[(j, t)] = [
+                    g for g in range(1, j) if ideal.gen(g).divides(mj.times_var(t))
+                ]
         for _ in range(2):
             table = {
-                key: rng.randint(1, ideal.k) if rng.random() < 0.3 else g
-                for key, g in ideal.b_table().items()
+                key: rng.choice(cands)
+                for key, cands in slots.items()
+                if rng.random() < 0.8
             }
-            table[(rng.randint(1, ideal.k), rng.randint(1, ideal.n))] = ideal.k
             rule = TableRule(ideal, table)
-            queries = list(_cells(ideal))
-            picks = range(1, ideal.n + 1)
-            queries += [(j, tuple(rng.sample(picks, min(2, ideal.n)))) for j, _ in queries[:6]]
-            rng.shuffle(queries)
-            for j, alpha in queries:
+            for j, alpha in _cells(ideal):
                 want = _walked(rule, j, alpha)
-                refused += isinstance(want, tuple)
-                assert _read(rule, j, alpha) == want, (item.name, table, j, alpha)
-    assert refused
+                assert list(rule.permutations(j, alpha)) == want, (item.name, table, j)
+            tables += 1
+    assert tables > 20
 
 
 def test_rules_on_one_ideal_keep_their_own_orders(running):
     b = BRule(running)
-    other = dict(b.table)
-    other[(running.k, 3)] = 1  # a table that differs from b's at (7, 3)
-    assert b.table[(running.k, 3)] != 1
-    twin = TableRule(running, other)
+    twin = CRule(running)  # c's table differs from b's at (6, 2)
+    assert (b.table[(6, 2)], twin.table[(6, 2)]) == (4, 5)
     differ = 0
     for cell in _cells(running):  # the two rules read each cell in turn
         mine, theirs = list(b.permutations(*cell)), list(twin.permutations(*cell))
@@ -222,13 +255,13 @@ def test_rules_on_one_ideal_keep_their_own_orders(running):
     ids=["outside", "one-outside", "unsorted", "repeated", "superset", "past-n"],
 )
 def test_permutations_outside_set_is_the_walk(running, alpha):
-    # alpha not inside set(m_7) = (1, 2, 3): the rule reads it as the walk
-    # did, by a DP of its own, and never fails on a missing memo entry
+    # alpha not a subset of set(m_7) = (1, 2, 3) is refused, as build_cell
+    # and ch_simplex refuse it; set(m_7) itself still reads as the walk
     rule = BRule(running)
     j = running.k
     assert running.set_of(j) == (1, 2, 3)
-    want = list(reference.chain_orders(rule, j, alpha))
-    assert list(rule.permutations(j, alpha)) == want
+    with pytest.raises(AlphaNotInSet, match=r"not inside set\(m_7\)"):
+        rule.permutations(j, alpha)
     assert list(rule.permutations(j, running.set_of(j))) == _walked(
         rule, j, running.set_of(j)
     )

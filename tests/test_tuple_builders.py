@@ -309,8 +309,13 @@ def test_resolution_from_rule_matches_old(corpus):
 
 
 def test_rule_to_a_non_divisor_is_refused_like_old(running):
-    # x_2 m_2 = x1*x2*x3 is not divisible by m_3 = x1*x5
-    rule = TableRule(running, {(2, 2): 3})
+    # x_2 m_2 = x1*x2*x3 is not divisible by m_3 = x1*x5: a TableRule
+    # refuses the entry when it is built, and the builder still refuses a
+    # rule object that sends x_2 m_2 there, as the old builder did
+    with pytest.raises(VerificationError) as err:
+        TableRule(running, {(2, 2): 3})
+    assert str(err.value) == "x_2 m_2 steps to the later generator m_3"
+    rule = reference.UncheckedRule({(2, 2): 3})
     got = _outcome(resolution_from_rule, running, rule)
     assert got == ("ValueError", "x1*x5 does not divide x1*x2*x3")
     assert got == _outcome(_old_resolution_from_rule, running, rule)
