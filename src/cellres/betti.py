@@ -161,7 +161,8 @@ def lcm_lattice(ideal):
 
 def _strands(labels, lattice):
     """{member mask: first lattice point selecting it}, where bit c of a
-    mask is set when labels[c] divides the lattice point.
+    mask is set when labels[c] divides the lattice point.  The masks are
+    listed in lattice order of the points that select them first.
 
     The last lattice point is the top, the lcm of all generators, so no
     lattice point's exponent of x_i exceeds top_i.  Per variable, entry v
@@ -198,18 +199,17 @@ def check_cellular_resolution(X, ideal):
     are labeled exactly by the generators, that the boundary squares to
     zero (else VerificationError), and that for every b in the lcm
     lattice the subcomplex of labels dividing b has zero reduced
-    homology.  Returns (ok, failing multidegree or None); of several
-    failing b, the one met first in the order (cell count of the strand,
-    str(b)).
+    homology.  Returns (ok, failing multidegree or None); the failing b
+    is the first one met, in lattice order.
 
     X is augmented by an empty cell, number 0 of one ChainData; the cell
     X lists at position c (from 0) is number c + 1 and bit c of a
     strand's member mask, so each strand is `restrict(member << 1 | 1)`
     of it.  A face listed with sign 0 is no face.  Distinct lattice
     points selecting the same cell set share one homology computation,
-    and the lattice is built once per ideal.  Strands are checked in
-    groups of equal cell count, smallest first; str(b) is computed only
-    to pick the failing b of a failing group.
+    and the lattice is built once per ideal.  Strands are checked in the
+    order _strands lists them, and the first that is not acyclic is
+    reported by the lattice point that selects it first.
     """
     full_simplices = isinstance(X, TaylorSupport)
     if full_simplices:
@@ -255,29 +255,10 @@ def check_cellular_resolution(X, ideal):
         # kept as a tuple: no caller can change what later checks read
         ideal._lattice = tuple(lcm_lattice(ideal))
     strands = _strands(exps[1:], ideal._lattice)
-    by_count = defaultdict(list)
-    for member in strands:
-        by_count[member.bit_count()].append(member)
-    for count in sorted(by_count):
-        group = by_count[count]
-        for i, member in enumerate(group):
-            if not is_exact(chain.restrict(member << 1 | 1))[0]:
-                return False, _str_least_failure(chain, strands, group[i:])
-    return True, None
-
-
-def _str_least_failure(chain, strands, group):
-    """The str-least failing b of a group of equally sized strands, given
-    that group[0] fails: only the strands whose b precedes group[0]'s in
-    str order can change the answer, and they are tried in that order."""
-    failing = strands[group[0]]
-    bound = str(failing)
-    for text, member in sorted((str(strands[m]), m) for m in group[1:]):
-        if text > bound:
-            break
+    for member, b in strands.items():
         if not is_exact(chain.restrict(member << 1 | 1))[0]:
-            return strands[member]
-    return failing
+            return False, b
+    return True, None
 
 
 class BettiTable:

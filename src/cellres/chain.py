@@ -357,13 +357,23 @@ def _steps_down(gens, j, t, g):
     return 1 <= g < j and all(map(le, gens[g - 1].e, gens[j - 1].times_var(t).e))
 
 
+def _entry(item):
+    """A table item (j, t) -> g, refused unless all three are ints (bools
+    and floats are not)."""
+    key, g = item
+    if type(key) is tuple and len(key) == 2 and all(type(x) is int for x in (*key, g)):
+        return item
+    raise VerificationError("table entry %r -> %r is not (j, t) -> g in ints" % item)
+
+
 class TableRule:
     """A decomposition rule: a table (j, t) -> g sending x_t m_j to an
     earlier generator m_g that divides it; products missing from the
     table stay put (g = j).  The table is shared, not copied, and is the
     whole rule.  It is checked once, here: VerificationError names the
-    least bad entry in key order, a (j, t) out of range or a g that is
-    neither j nor such a generator.
+    first entry that is not (j, t) -> g in ints, else the least bad entry
+    in key order: a (j, t) out of range or a g that is neither j nor such
+    a generator.
 
     A pair s < t in set(m_j) absorbs when the table says so under the one
     pair law of ideals (applying s after t lands where s alone does),
@@ -380,7 +390,7 @@ class TableRule:
 
     def __init__(self, ideal, table):
         k = ideal.k
-        for (j, t), g in sorted(table.items()):
+        for (j, t), g in sorted(map(_entry, table.items())):
             if not (1 <= j <= k and 1 <= t <= ideal.n):
                 raise VerificationError("table entry %r names no x_t m_j" % ((j, t),))
             if g != j and not _steps_down(ideal.gens, j, t, g):

@@ -197,6 +197,9 @@ def build_cell(ideal, j, alpha, rule=None):
     each becomes a simplex with orientation eps(sigma).  Check that every
     facet shared by two simplices cancels; every other facet survives with
     its one simplex's coefficient eps(sigma) (-1)^i = +-1 as the boundary.
+    A facet in three or more simplices, or in two that do not cancel, raises
+    OrientationClash for the first such facet met: chains in the rule's
+    order, the facets of each by dropped position.
     """
     rule = rule or BRule(ideal)
     alpha = tuple(sorted(alpha))
@@ -222,27 +225,23 @@ def build_cell(ideal, j, alpha, rule=None):
         for i, bit in enumerate(bits):
             prov.setdefault(whole ^ bit, []).append((chain, i, coeff))
             coeff = -coeff
-    survivors, clashes = [], []
+    survivors = []
     for occurrences in prov.values():
         chain, dropped, coeff = occurrences[0]
         if len(occurrences) == 2 and not coeff + occurrences[1][2]:
             continue  # an interior facet that cancels
         verts = chain.vertices
         facet = verts[:dropped] + verts[dropped + 1 :]
-        if len(occurrences) == 1:
-            survivors.append((facet, coeff, chain.sigma, dropped))
-        else:
-            clashes.append((facet, occurrences))
-    if clashes:  # the least facet, as its tuple sorts, is the one named
-        facet, occurrences = min(clashes)
         if len(occurrences) > 2:
             raise OrientationClash(
                 "facet %s lies in %d simplices of U(m_%d,%s)"
                 % (facet, len(occurrences), j, alpha)
             )
-        raise OrientationClash(
-            "interior facet %s of U(m_%d,%s) does not cancel" % (facet, j, alpha)
-        )
+        if len(occurrences) == 2:
+            raise OrientationClash(
+                "interior facet %s of U(m_%d,%s) does not cancel" % (facet, j, alpha)
+            )
+        survivors.append((facet, coeff, chain.sigma, dropped))
     survivors.sort()
     return GlueCell(
         source=j,

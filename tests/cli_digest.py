@@ -25,7 +25,7 @@ import sys
 from cellres import cli
 from cellres.corpus import gen_corpus, random_linear_quotient_ideals
 
-EXPECTED = ("1970eac9150b90cd2b0cd91e6775770aadf5c0760ed9eaa537e201273fdf4331", 1921)
+EXPECTED = ("1e4251f8f00bc0a31844aa3fa83a87d1a9783b84c93e9fc0e1065bc3a9b9cf71", 1921)
 
 COMMANDS = (
     ["check"],

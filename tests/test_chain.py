@@ -233,3 +233,12 @@ def test_compare_up_to_degree_signs(running):
         False,
         "signs differ at %s in degree 3" % (key,),
     )
+    # an entry whose coefficient differs, with its sign kept, is refused too
+    d = ht_resolution(running)
+    key = min(d.diff[2])
+    s, m = d.diff[2][key]
+    d.diff[2][key] = (s, m * Monomial.variable(1, running.n))
+    assert compare_up_to_degree_signs(a, d) == (
+        False,
+        "coefficients differ at %s in degree 2" % (key,),
+    )

@@ -235,6 +235,22 @@ def test_verify_reports_a_non_minimal_builder(capsys, monkeypatch):
     assert ["minimal", "FAIL"] in [line.split() for line in out.splitlines()]
 
 
+def test_verify_skips_hom_checks_of_edges_out_of_lex_order(capsys):
+    # a cointerval graph whose edges are listed out of lex order: every
+    # check that runs passes, the hom checks are skipped with a note, and
+    # the Taylor line still follows
+    code, out, err = run_cli(["verify", "x1*x3, x1*x2"], capsys)
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[-3:] == [
+        "cointerval (recursive): yes",
+        "note: hom checks need the generators in lexicographic order",
+        "Taylor strands acyclic             ok",
+    ]
+    assert "FAIL" not in out
+
+
 def test_verify_no_prefilter(capsys):
     # exact Q is the only arithmetic: verify needs no flag for it, and the
     # old --no-prefilter flag is an unknown argument of verify and complex

@@ -6,6 +6,7 @@ import io
 import json
 from itertools import combinations, combinations_with_replacement
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -70,8 +71,11 @@ def ideal_texts(draw):
 
 @st.composite
 def dgraph_texts(draw):
+    """A small d-graph, or a bare header "d 0", which has no vertices."""
     d = draw(st.integers(1, 3))
-    n = draw(st.integers(d, MAX_N))
+    n = draw(st.sampled_from([0, *range(d, MAX_N + 1)]))
+    if not n:
+        return "%d 0" % d
     edges = draw(
         st.lists(
             st.sampled_from(list(combinations(range(1, n + 1), d))),
@@ -124,3 +128,13 @@ def test_exit_codes_on_generated_input(command, text):
     assert code in (0, 1, 2), (command, text, code)
     if code == 2:
         assert err.getvalue().startswith("input error: "), err.getvalue()
+
+
+@pytest.mark.parametrize("text", ["1 0", "3 0", "2 0\n"])
+def test_a_dgraph_with_no_vertices_is_an_input_error(text):
+    for command in COMMANDS:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(command + ["--", text])
+        assert code == 2, (command, text)
+        assert err.getvalue() == "input error: edge ideal of an empty graph\n"

@@ -397,15 +397,17 @@ class _Listed:
 
 def test_the_least_clashing_facet_is_named(running):
     # the edges of (7, 4, 2), listed twice, do not cancel, and those of
-    # (7, 3, 1), listed three times, lie in three simplices; of all six
-    # the least tuple, (3, 1), is named, though (4, 2) is met first
-    pairs = [((1, 2), (7, 4, 2))] * 2 + [((2, 1), (7, 3, 1))] * 3
+    # (7, 3, 1), listed three times, lie in three simplices; the facet
+    # named is the first met, chains in the rule's order and the facets of
+    # each by dropped position: (4, 2), or (3, 1) when its chains lead,
+    # though (3, 1) is the least tuple of all six either way
+    twice, thrice = [((1, 2), (7, 4, 2))] * 2, [((2, 1), (7, 3, 1))] * 3
     with pytest.raises(OrientationClash) as err:
-        build_cell(running, 7, (1, 2), _Listed(pairs))
-    assert str(err.value) == "facet (3, 1) lies in 3 simplices of U(m_7,(1, 2))"
-    with pytest.raises(OrientationClash) as err:
-        build_cell(running, 7, (1, 2), _Listed(pairs[:2]))
+        build_cell(running, 7, (1, 2), _Listed(twice + thrice))
     assert str(err.value) == "interior facet (4, 2) of U(m_7,(1, 2)) does not cancel"
+    with pytest.raises(OrientationClash) as err:
+        build_cell(running, 7, (1, 2), _Listed(thrice + twice))
+    assert str(err.value) == "facet (3, 1) lies in 3 simplices of U(m_7,(1, 2))"
 
 
 def test_labels_are_cached(running):

@@ -206,6 +206,26 @@ def test_subset_dp_refuses_as_the_walk_does(running):
     assert TableRule(running, {**b, (7, 3): 7, (7, 4): 7}).apply(7, 4) == 7
 
 
+def test_table_entries_that_are_not_ints_are_refused(running):
+    # a key that is not a pair of ints, or a target that is not an int, is
+    # refused before any entry is checked by value, wherever it would sort
+    b = running.b_table()
+    cases = [
+        ({(7, 3): None}, "table entry (7, 3) -> None is not (j, t) -> g in ints"),
+        ({(7, 3): 2.0}, "table entry (7, 3) -> 2.0 is not (j, t) -> g in ints"),
+        ({(7, 3): True}, "table entry (7, 3) -> True is not (j, t) -> g in ints"),
+        ({7: 1}, "table entry 7 -> 1 is not (j, t) -> g in ints"),
+        ({(7, 3, 1): 1}, "table entry (7, 3, 1) -> 1 is not (j, t) -> g in ints"),
+        ({(7.5, 3): 1}, "table entry (7.5, 3) -> 1 is not (j, t) -> g in ints"),
+    ]
+    for entries, message in cases:
+        for table in (entries, {**b, **entries}, {**entries, (3, 3): 6}):
+            with pytest.raises(VerificationError) as err:
+                TableRule(running, table)
+            assert type(err.value) is VerificationError
+            assert str(err.value) == message, table
+
+
 def test_seeded_tables_read_as_the_walk_does():
     # every product goes to a random admissible target, or stays put when
     # its entry is dropped: every cell reads as the walk reads it
