@@ -160,9 +160,10 @@ def lcm_lattice(ideal):
 
 
 def _strands(labels, lattice):
-    """{member mask: first lattice point selecting it}, where bit c of a
-    mask is set when labels[c] divides the lattice point.  The masks are
-    listed in lattice order of the points that select them first.
+    """({member mask: first lattice point selecting it}, the per-variable
+    masks), where bit c of a mask is set when labels[c] divides the
+    lattice point.  The masks are listed in lattice order of the points
+    that select them first.
 
     The last lattice point is the top, the lcm of all generators, so no
     lattice point's exponent of x_i exceeds top_i.  Per variable, entry v
@@ -189,7 +190,43 @@ def _strands(labels, lattice):
     strands = {}
     for b in lattice:
         strands.setdefault(reduce(and_, map(getitem, within, b.e), -1), b)
-    return strands
+    return strands, within
+
+
+def _exact_base(member, b, within, verified):
+    """The member mask of a union of strands below b, all in `verified`,
+    whose union is exact too; 0 if there is none.
+
+    The candidates are the strands X_{<=b-e_i}, member & within[i][b_i-1]
+    for x_i in supp b, that are verified strand masks, largest first.  A
+    candidate joins if it adds a cell and its intersection with every
+    intersection of the strands already joined is a verified mask too.
+    Then every intersection of joined strands is exact, and by
+    Mayer-Vietoris, with induction on their number (the homological
+    nerve lemma), so is their union.  An empty intersection is the empty
+    cell alone, never exact, so strands that meet in no cell never share
+    a base.  A strand of one cell has no smaller strand below it.
+    """
+    if not member & (member - 1):
+        return 0
+    lower = []
+    for masks, v in zip(within, b.e):
+        if v:
+            a = member & masks[v - 1]
+            if a in verified and a not in lower:
+                lower.append(a)
+    lower.sort(key=int.bit_count, reverse=True)
+    base = 0
+    met = set()  # intersections of the joined strands, every one verified
+    for a in lower:
+        if not a & ~base:
+            continue
+        cuts = {a & r for r in met}
+        if cuts <= verified:
+            base |= a
+            met |= cuts
+            met.add(a)
+    return base
 
 
 def check_cellular_resolution(X, ideal):
@@ -204,12 +241,21 @@ def check_cellular_resolution(X, ideal):
 
     X is augmented by an empty cell, number 0 of one ChainData; the cell
     X lists at position c (from 0) is number c + 1 and bit c of a
-    strand's member mask, so each strand is `restrict(member << 1 | 1)`
+    strand's member mask, so each strand K is `restrict(member << 1 | 1)`
     of it.  A face listed with sign 0 is no face.  Distinct lattice
     points selecting the same cell set share one homology computation,
     and the lattice is built once per ideal.  Strands are checked in the
     order _strands lists them, and the first that is not acyclic is
     reported by the lattice point that selects it first.
+
+    Lattice order extends divisibility, so every strand below b that is
+    a lattice strand has been checked before b, and was exact, since the
+    check stops at the first failure.  Each strand K is checked relative
+    to a union A of such strands that is exact too (_exact_base): only
+    the quotient C(K)/C(A) is collapsed, the cells of K outside A.  By the long exact sequence of
+    0 -> C(A) -> C(K) -> C(K)/C(A) -> 0, K is exact iff the quotient is,
+    so each strand's verdict, and with it the answer and the failing b,
+    is the one the whole strand gives.
     """
     full_simplices = isinstance(X, TaylorSupport)
     if full_simplices:
@@ -254,10 +300,15 @@ def check_cellular_resolution(X, ideal):
     if ideal._lattice is None:
         # kept as a tuple: no caller can change what later checks read
         ideal._lattice = tuple(lcm_lattice(ideal))
-    strands = _strands(exps[1:], ideal._lattice)
+    strands, within = _strands(exps[1:], ideal._lattice)
+    verified = set()
     for member, b in strands.items():
-        if not is_exact(chain.restrict(member << 1 | 1))[0]:
+        base = _exact_base(member, b, within, verified)
+        # with no base the whole strand is collapsed, its empty cell too
+        quotient = chain.restrict(member << 1 | 1, base << 1 | 1 if base else 0)
+        if not is_exact(quotient)[0]:
             return False, b
+        verified.add(member)
     return True, None
 
 

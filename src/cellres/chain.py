@@ -51,6 +51,11 @@ class LabeledChainComplex:
     one label -> position table of degree i, so a label repeated within a
     degree, or a degree whose multidegrees and basis differ in length, is
     refused with ValueError.
+
+    A complex that mapping_cone builds also keeps its differential grouped
+    by column, _columns[i] = {col: ((row, entry), ...)}, for
+    ChainMap.commutes to read; it is built with `diff` and describes
+    `diff` as built.
     """
 
     def __init__(self, n, basis, mdeg, diff):
@@ -61,6 +66,7 @@ class LabeledChainComplex:
         while len(diff) < len(basis):
             diff.append({})
         self.index = [{label: i for i, label in enumerate(b)} for b in basis]
+        self._columns = None
         for i, b in enumerate(basis):
             if len(self.index[i]) != len(b):
                 raise ValueError("repeated basis label in degree %d" % i)
@@ -251,16 +257,22 @@ class ChainMap:
 
     def commutes(self):
         """Exact check of d_target o psi = psi o d_source.  Of d_target,
-        only the columns that psi's rows name are grouped."""
+        only the columns that psi's rows name are read: from the column
+        index of a target that mapping_cone built, so the check costs
+        psi's size, and otherwise grouped in one pass over d_target."""
         src, tgt = self.source, self.target
         for i in range(1, len(src.basis)):
             acc = _path_sums(src.diff[i], _by_col(self.maps[i - 1]))
             if i < len(tgt.basis):
                 named = {mid for mid, _ in self.maps[i]}
-                lower = defaultdict(list)
-                for (r, c), e in tgt.diff[i].items():
-                    if c in named:
-                        lower[c].append((r, e))
+                if tgt._columns is None:
+                    lower = defaultdict(list)
+                    for (r, c), e in tgt.diff[i].items():
+                        if c in named:
+                            lower[c].append((r, e))
+                else:
+                    by_col = tgt._columns[i]
+                    lower = {c: by_col[c] for c in named if c in by_col}
                 _path_sums(self.maps[i], lower, acc, sign=-1)
             if any(any(poly.values()) for poly in acc.values()):
                 return False
@@ -274,9 +286,12 @@ def mapping_cone(psi, relabel_shifted=None):
     Each degree lists F's basis first, then G[1]'s, so F's entries keep
     their positions and only the -d_G and psi blocks are offset, by F's
     size in that degree.  The cone copies F's differential and builds
-    new lists; it shares no table with psi, F or G.  Basis labels from G
-    are passed through `relabel_shifted` (default wraps them as
-    ("cone", label)) so the two parts stay distinguishable.
+    new lists; it shares no table with psi, F or G.  It keeps its
+    differential grouped by column as well, for ChainMap.commutes: F's
+    columns are taken from F's index (a dict copy; the column tuples are
+    immutable) or grouped once, and only the G[1] columns are new.  Basis
+    labels from G are passed through `relabel_shifted` (default wraps
+    them as ("cone", label)) so the two parts stay distinguishable.
     """
     if not psi.commutes():
         raise NonCommutingChainMap("chain map does not commute with differentials")
@@ -284,7 +299,7 @@ def mapping_cone(psi, relabel_shifted=None):
     if relabel_shifted is None:
         relabel_shifted = lambda lbl: ("cone", lbl)
     top = max(len(F.basis), len(G.basis) + 1)
-    basis, mdeg, diff = [], [], []
+    basis, mdeg, diff, columns = [], [], [], []
     f_size = []  # number of F elements in each cone degree
     for i in range(top):
         has_f, has_g = i < len(F.basis), 1 <= i <= len(G.basis)
@@ -296,16 +311,26 @@ def mapping_cone(psi, relabel_shifted=None):
         mdeg.append((F.mdeg[i] if has_f else []) + (G.mdeg[i - 1] if has_g else []))
         # F columns: d_F at its own positions
         diff.append(dict(F.diff[i]) if i < len(F.diff) else {})
+        if F._columns is not None:
+            columns.append(dict(F._columns[i]) if i < len(F._columns) else {})
+        else:
+            columns.append({c: tuple(es) for c, es in _by_col(diff[i]).items()})
     for i in range(1, top):
         d, r_off, c_off = diff[i], f_size[i - 1], f_size[i]
+        added = defaultdict(list)
         # G[1] columns: -d_G into the G[1] block, psi into the F block
         if 2 <= i <= len(G.diff):
             for (r, c), (s, m) in G.diff[i - 1].items():
-                d[(r_off + r, c_off + c)] = (-s, m)
+                d[(r_off + r, c_off + c)] = e = (-s, m)
+                added[c_off + c].append((r_off + r, e))
         if i - 1 < len(psi.maps):
             for (tr, sc), (s, m) in psi.maps[i - 1].items():
-                d[(tr, c_off + sc)] = (s, m)
-    return LabeledChainComplex(F.n, basis, mdeg, diff)
+                d[(tr, c_off + sc)] = e = (s, m)
+                added[c_off + sc].append((tr, e))
+        columns[i].update((c, tuple(es)) for c, es in added.items())
+    cone = LabeledChainComplex(F.n, basis, mdeg, diff)
+    cone._columns = columns
+    return cone
 
 
 # -- resolutions from decomposition rules --------------------------------

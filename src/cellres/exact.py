@@ -6,11 +6,12 @@ No floating point anywhere: ranks over Q are computed by fraction-free
 The homology engine works on an abstract chain complex of numbered
 cells: cell i has an integer degree and a boundary of nonzero integer
 coefficients on cells one degree lower.  Callers with named cells number
-them first; a set of cells is then a bitmask of their numbers.  The
-engine first splits off acyclic pairs (a cell with a unique coface,
-incidence +-1); this "collapse" phase is homology-preserving over every
-field, creates no fill-in, and usually empties the complex entirely.
-Whatever core remains is ranked densely over Q.
+them first; a set of cells is then a bitmask of their numbers, and a
+subcomplex, or its quotient by a smaller subcomplex, is read off two
+masks.  The engine first splits off acyclic pairs (a cell with a unique
+coface, incidence +-1); this "collapse" phase is homology-preserving
+over every field, creates no fill-in, and usually empties the complex
+entirely.  Whatever core remains is ranked densely over Q.
 """
 
 from collections import defaultdict, deque
@@ -64,8 +65,11 @@ class ChainData:
     copied.  A face number out of range or not exactly one degree lower
     raises ValueError, and so do lists of unequal length.  A set of cells
     is a bitmask of their numbers, bit i for cell i.  A complex may be a
-    restriction of a larger one (`restrict`); it then shares those tables
-    and `members` lists the numbers of its own cells in increasing order.
+    restriction or a quotient of a larger one (`restrict`); it then shares
+    those tables and `members` lists the numbers of its own cells in
+    increasing order.  The complex and all its restrictions share one set
+    of scratch arrays for the collapse, each as long as the complex, so
+    they are collapsed one at a time.
     """
 
     def __init__(self, deg, faces):
@@ -80,19 +84,30 @@ class ChainData:
         self.faces = faces
         self.members = range(n)
         self._face_masks = None
+        # coface counts and XORs of coface numbers: zero between collapses
+        self._scratch = ([0] * n, [0] * n)
 
-    def restrict(self, mask):
-        """The subcomplex on the cells whose numbers are the set bits of
-        `mask`, sharing this complex's numbering.  Raises
-        VerificationError unless every face of a member is a member too.
+    def restrict(self, mask, base=0):
+        """The quotient C(K)/C(A) of the subcomplex K on the set bits of
+        `mask` by the subcomplex A on the set bits of `base`, sharing this
+        complex's numbering.  Its members are the cells of K outside A,
+        and a face of a member that lies in A is no face of it; with no
+        base it is K itself.  By the long exact sequence of
+        0 -> C(A) -> C(K) -> C(K)/C(A) -> 0, an exact A makes K exact iff
+        the quotient is exact.  The caller vouches that A is closed under
+        faces.  A base outside the mask raises ValueError, and
+        VerificationError is raised unless every face of a member is in
+        K.
 
         Costs time in the number of members: the members are read off the
-        set bits, top bit first, and closure is the OR of their face masks
-        (one per cell, built on the first restriction and shared by every
-        restriction).
+        set bits of mask & ~base, top bit first, and closure is the OR of
+        their face masks (one per cell, built on the first restriction and
+        shared by every restriction).
         """
         if mask >> len(self.deg):
             raise ValueError("mask %#x names cells outside the complex" % mask)
+        if base & ~mask:
+            raise ValueError("base %#x names cells outside the mask" % base)
         face_masks = self._face_masks
         if face_masks is None:
             face_masks = self._face_masks = [
@@ -100,7 +115,7 @@ class ChainData:
             ]
         members = []
         closure = 0
-        rest = mask
+        rest = mask ^ base
         while rest:
             c = rest.bit_length() - 1
             members.append(c)
@@ -112,6 +127,7 @@ class ChainData:
         sub = ChainData.__new__(ChainData)
         sub.deg, sub.faces = self.deg, self.faces
         sub._face_masks = face_masks
+        sub._scratch = self._scratch
         sub.members = members
         return sub
 
@@ -132,46 +148,62 @@ def require_dd_zero(chain):
 def _collapse(chain):
     """Split off acyclic (face, coface) pairs with unit incidence.
 
-    Returns (numbers of the remaining cells, removed count).  A cell's live
-    cofaces are tracked as their count and the XOR of their numbers, so
-    the only coface of a free face is read off directly.  Requires dd = 0,
-    which is checked here only in part: when a face's unique coface is
-    removed, nothing above may still be attached to that coface, else
-    VerificationError.  A pair whose dd != 0 reaches no such coface is
-    removed unnoticed; require_dd_zero is the full check.
+    Returns (numbers of the remaining cells, removed count).  Only faces
+    that are members count: in a quotient C(K)/C(A) the faces in A are
+    dropped, and removing a pair there leaves the homology of the
+    quotient unchanged just as in a subcomplex.  A live member's count is
+    one more than its number of live cofaces, and 0 marks a cell that is
+    no member or is removed; with the XOR of the live cofaces' numbers,
+    the only coface of a free face is read off directly.  The counts live
+    in the complex's scratch arrays and only members' entries are
+    touched: a collapse that removes every member leaves them zero, and
+    any other is zeroed on the way out, so a strand costs its own size,
+    not the whole complex's.  Requires dd = 0, which is checked here only
+    in part: when a face's unique coface is removed, nothing above may
+    still be attached to that coface, else VerificationError.  A pair
+    whose dd != 0 reaches no such coface is removed unnoticed;
+    require_dd_zero is the full check.
     """
     faces, members = chain.faces, chain.members
-    count = [0] * len(faces)
-    xor = [0] * len(faces)
+    count, xor = chain._scratch
     for c in members:
-        for f in faces[c]:
-            count[f] += 1
-            xor[f] ^= c
-    queue = deque(
-        f for f in members if count[f] == 1 and abs(faces[xor[f]][f]) == 1
-    )
-    gone = bytearray(len(faces))
+        count[c] = 1
     removed = 0
-    while queue:
-        f = queue.popleft()
-        # counts only fall, so a face still at count 1 is alive and keeps
-        # the unit coface it was queued with
-        if count[f] != 1:
-            continue
-        c = xor[f]
-        if count[c]:
-            raise VerificationError("collapse hit a non-complex (dd != 0?)")
-        gone[f] = gone[c] = 1
-        removed += 2
-        for cell in (c, f):
-            for g in faces[cell]:
-                count[g] -= 1
-                xor[g] ^= cell
-                if count[g] == 1 and abs(faces[xor[g]][g]) == 1:
-                    queue.append(g)
+    try:
+        for c in members:
+            for f in faces[c]:
+                if count[f]:
+                    count[f] += 1
+                    xor[f] ^= c
+        queue = deque(
+            f for f in members if count[f] == 2 and abs(faces[xor[f]][f]) == 1
+        )
+        while queue:
+            f = queue.popleft()
+            # counts only fall, so a face still at 2 is alive and keeps the
+            # unit coface it was queued with
+            if count[f] != 2:
+                continue
+            c = xor[f]
+            if count[c] != 1:
+                raise VerificationError("collapse hit a non-complex (dd != 0?)")
+            count[f] = count[c] = xor[f] = 0
+            removed += 2
+            for cell in (c, f):
+                for g in faces[cell]:
+                    if count[g]:
+                        count[g] -= 1
+                        xor[g] ^= cell
+                        if count[g] == 2 and abs(faces[xor[g]][g]) == 1:
+                            queue.append(g)
+    finally:
+        if removed != len(members):
+            core = [c for c in members if count[c]]
+            for c in members:
+                count[c] = xor[c] = 0
     if removed == len(members):
         return [], removed
-    return [c for c in members if not gone[c]], removed
+    return core, removed
 
 
 def _core_matrices(chain, alive):

@@ -29,7 +29,12 @@ EXACT = "src/cellres/exact.py"
 BETTI = "src/cellres/betti.py"
 CLI = "src/cellres/cli.py"
 
-HOMOLOGY = ("tests/test_exact.py", "tests/test_strand_views.py", "tests/test_betti.py")
+HOMOLOGY = (
+    "tests/test_exact.py",
+    "tests/test_strand_views.py",
+    "tests/test_betti.py",
+    "tests/test_relative_strands.py",
+)
 RULES = ("tests/test_fast_paths.py",)
 GLUING = ("tests/test_ekcells.py",)
 COMPLEXES = ("tests/test_chain.py", "tests/test_dd_signs.py", "tests/test_chain_map.py")
@@ -52,8 +57,8 @@ MUTANTS = (
     ),
     (
         EXACT,
-        "        if count[c]:\n            raise VerificationError",
-        "        if False:\n            raise VerificationError",
+        "            if count[c] != 1:\n                raise VerificationError",
+        "            if False:\n                raise VerificationError",
         "_collapse: the partial dd = 0 check",
         HOMOLOGY,
     ),
@@ -62,6 +67,34 @@ MUTANTS = (
         "if closure & ~mask:",
         "if False:",
         "restrict: closure under faces",
+        HOMOLOGY,
+    ),
+    (
+        EXACT,
+        "if closure & ~mask:",
+        "if not base and closure & ~mask:",
+        "restrict: closure under faces of the members outside the base",
+        HOMOLOGY,
+    ),
+    (
+        EXACT,
+        "if base & ~mask:",
+        "if False:",
+        "restrict: the base lies inside the mask",
+        HOMOLOGY,
+    ),
+    (
+        BETTI,
+        "if cuts <= verified:",
+        "if True:",
+        "_exact_base: every intersection of joined strands is verified",
+        HOMOLOGY,
+    ),
+    (
+        BETTI,
+        "if a in verified and a not in lower:",
+        "if a not in lower:",
+        "_exact_base: only verified strands join",
         HOMOLOGY,
     ),
     (

@@ -8,18 +8,23 @@ differential, the earlier orientation_sign on a rank table, and the
 lcm_of on Monomials that build_ek_cw's vertex-lcm check used before it
 compared exponent tuples, the recursive walk of a rule's chain orders
 that TableRule.permutations ran once per cell before its subset DP, a
-stand-in rule on a table that TableRule refuses, and chain_data, which
-numbers named cells for ChainData."""
+stand-in rule on a table that TableRule refuses, chain_data, which
+numbers named cells for ChainData, and check_cellular_resolution as it was
+before it checked each strand relative to the exact strands below it:
+one whole strand collapsed per distinct cell set."""
 
-from itertools import combinations
+from itertools import combinations, islice
+from operator import le
 
+from cellres.betti import TaylorSupport, _strands, lcm_lattice
 from cellres.chain import LabeledChainComplex, _by_col, _path_sums
 from cellres.errors import (
     NonCommutingChainMap,
+    NonMonotoneLabels,
     SymbolNotInComplex,
     VerificationError,
 )
-from cellres.exact import ChainData
+from cellres.exact import ChainData, is_exact, require_dd_zero
 from cellres.monomial import Monomial
 
 
@@ -294,3 +299,48 @@ def chain_data(cells_by_deg, boundary):
     for c, fs in boundary.items():
         faces[number[c]] = {number.get(f, -1): v for f, v in fs.items() if v}
     return ChainData(deg, faces)
+
+
+def check_cellular_resolution(X, ideal):
+    """betti.check_cellular_resolution as it was before it checked each
+    strand relative to the exact strands below it: every distinct strand
+    is restricted whole, `restrict(member << 1 | 1)`, and collapsed."""
+    full_simplices = isinstance(X, TaylorSupport)
+    if full_simplices:
+        cells = list(islice(X.cells_with_labels(), X.ideal.k))
+    else:
+        cells = list(X.cells_with_labels())
+    number = {}
+    deg = [-1]
+    exps = [()]
+    for key, dim, label in cells:
+        number[key] = len(deg)
+        deg.append(dim)
+        exps.append(label.e)
+    faces = [{}]
+    for (key, dim, _), e in zip(cells, exps[1:]):
+        row = {}
+        for face, sign in X.topo_boundary(key):
+            f = number.get(face)
+            if f is None:
+                raise NonMonotoneLabels("face %r missing from the complex" % (face,))
+            if not all(map(le, exps[f], e)):
+                raise NonMonotoneLabels(
+                    "label of %r does not divide label of %r" % (face, key)
+                )
+            if sign:
+                row[f] = sign
+        faces.append(row if dim else {0: 1})
+    vertex_labels = sorted(e for d, e in zip(deg, exps) if d == 0)
+    gen_labels = sorted(g.e for g in ideal.gens)
+    if vertex_labels != gen_labels:
+        return False, Monomial.one(ideal.n)
+    if full_simplices:
+        return True, None
+    chain = ChainData(deg, faces)
+    require_dd_zero(chain)
+    strands, _ = _strands(exps[1:], lcm_lattice(ideal))
+    for member, b in strands.items():
+        if not is_exact(chain.restrict(member << 1 | 1))[0]:
+            return False, b
+    return True, None

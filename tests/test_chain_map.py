@@ -1,5 +1,6 @@
 """ChainMap.commutes sums paths through the column-indexed helper it
-shares with check_dd_zero, grouping only the target columns psi names.
+shares with check_dd_zero, reading only the target columns psi names,
+from the column index a cone keeps.
 Two checks it replaced are the references: the scan-every-entry check
 here, and the one that grouped the whole target differential in
 reference.py.  The cone that lists G[1] first, and the re-sort the
@@ -105,6 +106,28 @@ def test_commutes_matches_reference_on_planted_maps(monkeypatch):
             assert verdicts[-1] == _reference_commutes(bad)
             assert verdicts[-1] == reference.commutes(bad)
     assert verdicts.count(False) > 20
+
+
+def test_cone_keeps_its_columns_and_commutes_reads_only_them(monkeypatch):
+    steps = _cone_steps(monkeypatch, _sample_ideals())
+    indexed = 0
+    for psi in steps:
+        cone = mapping_cone(psi)
+        assert [
+            {c: sorted(es) for c, es in cols.items()} for cols in cone._columns
+        ] == [{c: sorted(es) for c, es in chain._by_col(d).items()} for d in cone.diff]
+        tgt = psi.target
+        if tgt._columns is None:
+            continue
+        # a target with its entries gone but its column index kept: the
+        # check reads d_target only through the index
+        blind = chain.LabeledChainComplex(tgt.n, tgt.basis, tgt.mdeg, [{} for _ in tgt.diff])
+        blind._columns = tgt._columns
+        assert ChainMap(psi.source, blind, psi.maps).commutes() is True
+        for bad in _planted(psi):
+            assert ChainMap(bad.source, blind, bad.maps).commutes() == bad.commutes()
+        indexed += 1
+    assert indexed > 50
 
 
 def test_one_cone_per_generator_starting_from_r(monkeypatch):

@@ -67,7 +67,7 @@ def _reference_check(X, ideal):
     vertex_labels = sorted(label.e for key, dim, label in cells if dim == 0)
     if vertex_labels != sorted(g.e for g in ideal.gens):
         return False, Monomial.one(ideal.n)
-    strands = _strands([label.e for _, _, label in cells], lcm_lattice(ideal))
+    strands, _ = _strands([label.e for _, _, label in cells], lcm_lattice(ideal))
     for member in sorted(strands, key=lambda m: (m.bit_count(), str(strands[m]))):
         ok, _ = is_exact(_strand_chain(cells, boundaries, member))
         if not ok:
@@ -339,7 +339,7 @@ def test_is_exact_without_prime_is_exact_q_only(complexes):
     for _, X, ideal in complexes:
         cells = list(X.cells_with_labels())
         boundaries = {key: dict(X.topo_boundary(key)) for key, _, _ in cells}
-        strands = _strands([label.e for _, _, label in cells], lcm_lattice(ideal))
+        strands, _ = _strands([label.e for _, _, label in cells], lcm_lattice(ideal))
         chains += [_strand_chain(cells, boundaries, member) for member in strands]
     chains += [_simplicial_chain_data(facets) for facets in _facet_families()]
     nonexact = 0
