@@ -14,10 +14,11 @@ reduced homology.  Homology is computed over Q, exactly.
 from collections import defaultdict
 from functools import reduce
 from itertools import accumulate, combinations, islice
-from operator import and_, getitem, le
+from operator import add, and_, getitem, itemgetter, le
+from types import MappingProxyType
 
-from .chain import cell_chain_complex
-from .errors import NonMonotoneLabels, TooManyGenerators
+from .chain import UNIT, cell_chain_complex
+from .errors import NonMonotoneLabels, TooManyGenerators, VerificationError
 from .exact import ChainData, homology_ranks, is_exact, require_dd_zero
 from .monomial import Monomial
 
@@ -229,6 +230,156 @@ def _exact_base(member, b, within, verified):
     return base
 
 
+class NumberedComplex(ChainData):
+    """A labeled complex on numbered cells, augmented by the empty cell,
+    in the layout the strand check reads.
+
+    Number 0 is the empty cell, in degree -1, named UNIT and labeled 1;
+    the cells of each dimension follow in turn, dimensions ascending.
+    `names[c]`, `deg[c]` and `labels[c]` are cell c's name, degree and
+    label exponents, and `faces[c]` its boundary {face number: sign}.  A
+    face's incidence coefficient is not kept: it is the quotient of the
+    two labels, by the builder's check.
+
+    Made only by its two builders, each of which checks that every face
+    lies one degree lower and that its label divides its cell's:
+    - `of_cells(X, ideal, name_of)` numbers a labeled cell complex;
+    - `of_resolution(cx)` numbers a labeled chain complex whose every
+      entry is +-1 times the quotient of its column's multidegree by its
+      row's.
+
+    Its tables are tuples and its boundaries read-only views, so a check
+    made on it holds for as long as it lives: `require_dd_zero` sums the
+    signs on its first call only, and check_cellular_resolution reads a
+    NumberedComplex as it is, without numbering or checking it again.
+    (check_cellular_resolution numbers a bare complex for that call
+    alone, and leaves its tables lists and its boundaries dicts.)
+    """
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a NumberedComplex is made by of_cells or of_resolution")
+
+    @classmethod
+    def _made(cls, names, deg, faces, labels):
+        """A complex on the lists it is handed: a builder hands it out
+        only after _frozen."""
+        self = cls.__new__(cls)
+        ChainData.__init__(self, deg, faces)
+        self.names = names
+        self.labels = labels
+        self._dd_zero = False
+        return self
+
+    def _frozen(self):
+        self.names, self.deg, self.labels = map(
+            tuple, (self.names, self.deg, self.labels)
+        )
+        self.faces = tuple(map(MappingProxyType, self.faces))
+        return self
+
+    @classmethod
+    def of_cells(cls, X, ideal, name_of=None):
+        """The labeled cell complex X, numbered: its cells in X's order
+        (cells_with_labels), which lists them by dimension, each cell its
+        own name; or, given name_of, sorted by dimension and then by
+        name_of(cell), which is then the cell's name.  A vertex's only
+        face is the empty cell, with sign +1, and a face listed with sign
+        0 is no face.  NonMonotoneLabels names the first face met that is
+        not a cell or whose label does not divide its cell's; ValueError,
+        one not one dimension lower.
+        """
+        return cls._of_cells(X, ideal, name_of)._frozen()
+
+    @classmethod
+    def _of_cells(cls, X, ideal, name_of=None):
+        cells = X.cells_with_labels()
+        if name_of is not None:
+            named = sorted(
+                ((dim, name_of(key), key, label) for key, dim, label in cells),
+                key=itemgetter(0, 1),
+            )
+            cells = [(key, dim, label) for dim, _, key, label in named]
+        number, deg, exps = {}, [-1], [(0,) * ideal.n]
+        for key, dim, label in cells:
+            number[key] = len(deg)
+            deg.append(dim)
+            exps.append(label.e)
+        names = [UNIT, *(number if name_of is None else (cell[1] for cell in named))]
+        faces = [{}]
+        for key, dim, e in zip(number, islice(deg, 1, None), islice(exps, 1, None)):
+            row = {}
+            for face, sign in X.topo_boundary(key):
+                f = number.get(face)
+                if f is None:
+                    raise NonMonotoneLabels("face %r missing from the complex" % (face,))
+                if not all(map(le, exps[f], e)):
+                    raise NonMonotoneLabels(
+                        "label of %r does not divide label of %r" % (face, key)
+                    )
+                if sign:
+                    row[f] = sign
+            faces.append(row if dim else {0: 1})
+        return cls._made(names, deg, faces, exps)
+
+    @classmethod
+    def of_resolution(cls, cx):
+        """The labeled chain complex cx, numbered: its degree 0, the ring
+        alone, is the empty cell, and degree i >= 1 lists its basis in
+        order, in degree i - 1.  A cell's name is its basis element and
+        its label the exponents of its multidegree.  An entry (sign,
+        coeff) of diff[i] is a face with that sign, and VerificationError
+        names the first entry met whose sign is not +-1 or whose coeff
+        times its row's multidegree is not its column's: every coefficient
+        is then the quotient of the two labels, and the numbered complex
+        holds all of cx.
+        """
+        basis = cx.basis
+        if len(basis[0]) != 1:
+            raise VerificationError("degree 0 has %d basis elements" % len(basis[0]))
+        names, deg, exps, start = [], [], [], []
+        for i, level in enumerate(basis):
+            start.append(len(deg))
+            names += level
+            deg += [i - 1] * len(level)
+            if level:
+                exps += [m.e for m in cx.mdeg[i]]
+        faces = [{} for _ in deg]
+        for i in range(1, len(basis)):
+            r0, c0 = start[i - 1], start[i]
+            for (r, c), (sign, coeff) in cx.diff[i].items():
+                row, col = exps[r0 + r], exps[c0 + c]
+                if sign not in (1, -1) or tuple(map(add, coeff.e, row)) != col:
+                    raise VerificationError(
+                        "entry (%d,%d) in degree %d is not +-1 times a label quotient"
+                        % (r, c, i)
+                    )
+                faces[c0 + c][r0 + r] = sign
+        return cls._made(names, deg, faces, exps)._frozen()
+
+    def require_dd_zero(self):
+        """exact.require_dd_zero on this complex, on the first call only."""
+        if not self._dd_zero:
+            require_dd_zero(self)
+            self._dd_zero = True
+
+    def difference(self, other):
+        """None if other is this complex, cell by cell: names, degrees,
+        labels, and faces with their signs.  Else the first difference,
+        in that order and then by cell number, as text."""
+        if len(self.deg) != len(other.deg):
+            return "%d cells, not %d" % (len(self.deg), len(other.deg))
+        for what, mine, theirs in (
+            ("names", self.names, other.names),
+            ("degrees", self.deg, other.deg),
+            ("labels", self.labels, other.labels),
+            ("boundaries", self.faces, other.faces),
+        ):
+            if mine != theirs:
+                c = next(c for c, (a, b) in enumerate(zip(mine, theirs)) if a != b)
+                return "%s differ at cell %d, %s" % (what, c, self.names[c])
+        return None
+
+
 def check_cellular_resolution(X, ideal):
     """Does the labeled complex X support a resolution of R/I?
 
@@ -239,68 +390,53 @@ def check_cellular_resolution(X, ideal):
     homology.  Returns (ok, failing multidegree or None); the failing b
     is the first one met, in lattice order.
 
-    X is augmented by an empty cell, number 0 of one ChainData; the cell
-    X lists at position c (from 0) is number c + 1 and bit c of a
-    strand's member mask, so each strand K is `restrict(member << 1 | 1)`
-    of it.  A face listed with sign 0 is no face.  Distinct lattice
-    points selecting the same cell set share one homology computation,
-    and the lattice is built once per ideal.  Strands are checked in the
-    order _strands lists them, and the first that is not acyclic is
-    reported by the lattice point that selects it first.
+    X is numbered as NumberedComplex.of_cells numbers it, augmented by
+    the empty cell: the cell X lists at position c (from 0) is number
+    c + 1 and bit c of a strand's member mask, so each strand K is
+    `restrict(member << 1 | 1)` of it.  A NumberedComplex is read as it
+    is: its builder checked its labels, and dd = 0 is checked on it once
+    for as long as it lives, so a complex `cellres verify` has already
+    checked and compared is not checked again.  Distinct lattice points
+    selecting the same cell set share one homology computation, and the
+    lattice is built once per ideal.  Strands are checked in the order
+    _strands lists them, and the first that is not acyclic is reported
+    by the lattice point that selects it first.
 
     Lattice order extends divisibility, so every strand below b that is
     a lattice strand has been checked before b, and was exact, since the
     check stops at the first failure.  Each strand K is checked relative
     to a union A of such strands that is exact too (_exact_base): only
-    the quotient C(K)/C(A) is collapsed, the cells of K outside A.  By the long exact sequence of
-    0 -> C(A) -> C(K) -> C(K)/C(A) -> 0, K is exact iff the quotient is,
-    so each strand's verdict, and with it the answer and the failing b,
-    is the one the whole strand gives.
+    the quotient C(K)/C(A) is collapsed, the cells of K outside A.  By
+    the long exact sequence of 0 -> C(A) -> C(K) -> C(K)/C(A) -> 0, K is
+    exact iff the quotient is, so each strand's verdict, and with it the
+    answer and the failing b, is the one the whole strand gives.
     """
-    full_simplices = isinstance(X, TaylorSupport)
-    if full_simplices:
+    if isinstance(X, TaylorSupport):
         # Every strand is the full simplex on the generators dividing b
         # (lcm(S) | b iff every member of S divides b), hence acyclic.
         # Only the vertex layer needs checking; it is emitted first.
-        cells = list(islice(X.cells_with_labels(), X.ideal.k))
+        chain = None
+        vertices = islice(X.cells_with_labels(), X.ideal.k)
+        vertex_labels = sorted(label.e for _, _, label in vertices)
     else:
-        cells = list(X.cells_with_labels())
-    # cell 0 is the empty cell, in degree -1
-    number = {}
-    deg = [-1]
-    exps = [()]
-    for key, dim, label in cells:
-        number[key] = len(deg)
-        deg.append(dim)
-        exps.append(label.e)
-    faces = [{}]
-    for (key, dim, _), e in zip(cells, exps[1:]):
-        row = {}
-        for face, sign in X.topo_boundary(key):
-            f = number.get(face)
-            if f is None:
-                raise NonMonotoneLabels("face %r missing from the complex" % (face,))
-            if not all(map(le, exps[f], e)):
-                raise NonMonotoneLabels(
-                    "label of %r does not divide label of %r" % (face, key)
-                )
-            if sign:
-                row[f] = sign
-        faces.append(row if dim else {0: 1})
-    vertex_labels = sorted(e for d, e in zip(deg, exps) if d == 0)
+        chain = X
+        if not isinstance(X, NumberedComplex):
+            # numbered for this call only: its boundaries stay dicts,
+            # which the collapse reads faster than read-only views
+            chain = NumberedComplex._of_cells(X, ideal)
+        vertex_labels = sorted(e for d, e in zip(chain.deg, chain.labels) if d == 0)
     gen_labels = sorted(g.e for g in ideal.gens)
     if vertex_labels != gen_labels:
         return False, Monomial.one(ideal.n)
-    if full_simplices:
+    if chain is None:
         return True, None
-    # X augmented so homology is reduced; every strand is a restriction,
-    # so dd = 0 on the whole complex covers every strand
-    chain = ChainData(deg, faces)
-    require_dd_zero(chain)
+    # every strand is a restriction, so dd = 0 on the whole complex
+    # covers every strand
+    chain.require_dd_zero()
     if ideal._lattice is None:
         # kept as a tuple: no caller can change what later checks read
         ideal._lattice = tuple(lcm_lattice(ideal))
-    strands, within = _strands(exps[1:], ideal._lattice)
+    strands, within = _strands(chain.labels[1:], ideal._lattice)
     verified = set()
     for member, b in strands.items():
         base = _exact_base(member, b, within, verified)

@@ -14,23 +14,18 @@ import sys
 
 from . import betti as betti_mod
 from . import export
-from .chain import (
-    check_dd_zero,
-    check_minimal,
-    compare_up_to_degree_signs,
-    ht_resolution,
-)
+from .chain import check_dd_zero, check_minimal, ht_resolution
 from .cointerval import (
     build_hom_complex,
     cointerval_discrepancy,
     dgraph_of_ideal,
     edge_ideal,
-    hom_chain_complex,
     homcone_resolution,
     parse_dgraph,
+    symbol_of_face,
 )
 from .corpus import MAX_COINTERVAL_D, gen_corpus
-from .ekcells import build_ek_cw, cellular_chain_complex
+from .ekcells import build_ek_cw
 from .errors import CellresError, InputError, NotCointerval, VerificationError
 from .ideals import OrderedIdeal, check_regularity, parse_ideal
 from .monomial import Monomial, _check_variables
@@ -265,7 +260,47 @@ def cmd_enumerate(args):
     return EXIT_OK
 
 
+def _numbered_resolution(cx):
+    """(cx as a NumberedComplex, or None if an entry of cx is not +-1
+    times the quotient of its labels; whether dd = 0 on it)."""
+    try:
+        table = betti_mod.NumberedComplex.of_resolution(cx)
+    except VerificationError:
+        return None, False
+    try:
+        table.require_dd_zero()
+    except VerificationError:
+        return table, False
+    return table, True
+
+
+def _record_cellular(record, ideal, X, table, name_of, lines):
+    """Record whether the cell complex X, numbered in symbol order, is the
+    numbered resolution `table`, and whether X's strands are acyclic.
+    Equal, the strands are checked on `table`, whose dd = 0 is checked
+    once; else on X's own numbering, whose dd = 0 is checked there."""
+    cells = betti_mod.NumberedComplex.of_cells(X, ideal, name_of)
+    same = table is not None and cells.difference(table) is None
+    record(lines[0], same)
+    ok, _ = betti_mod.check_cellular_resolution(table if same else cells, ideal)
+    record(lines[1], ok)
+
+
 def cmd_verify(args):
+    """Print one line per check and exit 1 if any fails.
+
+    Each resolution is numbered once, as a NumberedComplex, and each line
+    reads one table:
+    - "dd = 0": the resolution's table.  Every entry must be +-1 times
+      the quotient of its labels, and then the signs of its paths sum to
+      zero;
+    - "minimal": the resolution itself;
+    - "cellular = algebraic": the cell complex, numbered in symbol order
+      (EK cells by their keys, hom cells by symbol_of_face), against the
+      resolution's table, names, labels and signs;
+    - "strands acyclic": the resolution's table when the two are equal,
+      else the cell complex's.  dd = 0 thus runs once per distinct table.
+    """
     ideal = load_ideal(args.input)
     checks = []
 
@@ -289,15 +324,17 @@ def cmd_verify(args):
         record("commutation follows containment", report.star_commutes)
     if report.regular:
         alg = ht_resolution(ideal)
-        ok, _ = check_dd_zero(alg)
-        record("dd = 0 (mapping cone)", ok)
+        table, dd_zero = _numbered_resolution(alg)
+        record("dd = 0 (mapping cone)", dd_zero)
         record("minimal", check_minimal(alg))
-        X = build_ek_cw(ideal)
-        cellular = cellular_chain_complex(X)
-        ok, _ = compare_up_to_degree_signs(cellular, alg)
-        record("cellular = algebraic", ok)
-        ok, failing = betti_mod.check_cellular_resolution(X, ideal)
-        record("cell complex strands acyclic", ok)
+        _record_cellular(
+            record,
+            ideal,
+            build_ek_cw(ideal),
+            table,
+            None,
+            ("cellular = algebraic", "cell complex strands acyclic"),
+        )
         if ideal.k <= betti_mod.TAYLOR_BOUND:
             oracle = betti_mod.multigraded_betti(ideal)
             record(
@@ -319,13 +356,16 @@ def cmd_verify(args):
         except NotCointerval:  # the graph is cointerval: its edges are out of order
             print("note: hom checks need the generators in lexicographic order")
     if hom is not None:
-        ok, _ = check_dd_zero(hom)
-        record("dd = 0 (hom complex cone)", ok)
-        H = build_hom_complex(dgraph_of_ideal(ideal), ideal.n)
-        ok, _ = compare_up_to_degree_signs(hom_chain_complex(H, ideal), hom)
-        record("hom cellular = algebraic", ok)
-        ok, _ = betti_mod.check_cellular_resolution(H, ideal)
-        record("hom strands acyclic", ok)
+        table, dd_zero = _numbered_resolution(hom)
+        record("dd = 0 (hom complex cone)", dd_zero)
+        _record_cellular(
+            record,
+            ideal,
+            build_hom_complex(dgraph_of_ideal(ideal), ideal.n),
+            table,
+            functools.partial(symbol_of_face, ideal),
+            ("hom cellular = algebraic", "hom strands acyclic"),
+        )
     if ideal.k <= betti_mod.TAYLOR_BOUND:
         ok, _ = betti_mod.check_cellular_resolution(
             betti_mod.TaylorSupport(ideal), ideal

@@ -38,6 +38,7 @@ HOMOLOGY = (
 RULES = ("tests/test_fast_paths.py",)
 GLUING = ("tests/test_ekcells.py",)
 COMPLEXES = ("tests/test_chain.py", "tests/test_dd_signs.py", "tests/test_chain_map.py")
+NUMBERED = ("tests/test_numbered_complex.py",)
 
 # (file, old text, new text, the check it disables, the test files)
 MUTANTS = (
@@ -257,6 +258,76 @@ MUTANTS = (
         "pass",
         "ChainMap.commutes: the d_target o psi term",
         COMPLEXES,
+    ),
+    (
+        BETTI,
+        "if sign not in (1, -1) or tuple(map(add, coeff.e, row)) != col:",
+        "if sign not in (1, -1):",
+        "NumberedComplex.of_resolution: every entry is homogeneous",
+        NUMBERED,
+    ),
+    (
+        BETTI,
+        "if sign not in (1, -1) or tuple(map(add, coeff.e, row)) != col:",
+        "if tuple(map(add, coeff.e, row)) != col:",
+        "NumberedComplex.of_resolution: every sign is +-1",
+        NUMBERED,
+    ),
+    (
+        BETTI,
+        "if len(self.deg) != len(other.deg):",
+        "if False:",
+        "NumberedComplex.difference: equal sizes",
+        NUMBERED,
+    ),
+    (
+        BETTI,
+        '("degrees", self.deg, other.deg),',
+        "",
+        "NumberedComplex.difference: equal degrees",
+        NUMBERED,
+    ),
+    (
+        BETTI,
+        '("names", self.names, other.names),',
+        "",
+        "NumberedComplex.difference: equal names",
+        NUMBERED,
+    ),
+    (
+        BETTI,
+        '("labels", self.labels, other.labels),',
+        "",
+        "NumberedComplex.difference: equal labels",
+        NUMBERED,
+    ),
+    (
+        BETTI,
+        '("boundaries", self.faces, other.faces),',
+        "",
+        "NumberedComplex.difference: equal faces and signs",
+        NUMBERED,
+    ),
+    (
+        BETTI,
+        "if not self._dd_zero:",
+        "if False:",
+        "NumberedComplex.require_dd_zero: dd = 0 is checked before it is reused",
+        NUMBERED,
+    ),
+    (
+        CLI,
+        "same = table is not None and cells.difference(table) is None",
+        "same = table is not None",
+        "cmd_verify: cellular = algebraic compares the tables",
+        NUMBERED,
+    ),
+    (
+        CLI,
+        "check_cellular_resolution(table if same else cells, ideal)",
+        "check_cellular_resolution(table or cells, ideal)",
+        "cmd_verify: the checked table is reused only when the tables are equal",
+        NUMBERED,
     ),
     (
         CLI,
