@@ -17,10 +17,11 @@ checks its table when it is built), and the rule's one subset DP per
 generator that lists the chains (TableRule.permutations) keeps only
 steps down, so generator indices strictly decrease along a
 nondegenerate chain and its vertex order is recoverable from its vertex
-set.  build_cell groups facets by that set.
+set.  build_cell keys chains and facets by that set, as a bitmask.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from operator import sub
 from typing import NamedTuple
@@ -57,8 +58,11 @@ def orientation_sign(sigma):
     ascending order gets +1.  With it the labeled cellular complex equals
     the algebraic resolution entry by entry, signs included.
     """
-    p = len(sigma)
-    inversions = sum(1 for i in range(p) for j in range(i + 1, p) if sigma[i] > sigma[j])
+    inversions = 0
+    for i, a in enumerate(sigma):
+        for b in sigma[i + 1 :]:
+            if a > b:
+                inversions += 1
     return -1 if inversions % 2 else 1
 
 
@@ -160,19 +164,40 @@ def classify_facet(ideal, chain, dropped, rule=None):
     return FacetClass("exterior", None)
 
 
+def _vertices(mask):
+    """The vertex tuple of a kept chain or facet from its vertex-set
+    bitmask: the set bits, largest first.  Masks compare as these tuples
+    do, so sorting by mask sorts by vertex tuple."""
+    out = []
+    while mask:
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    return tuple(out)
+
+
 @dataclass
 class GlueCell:
-    """The cell U(m_source, alpha); eps_by_vertices is its sign per vertex tuple."""
+    """The cell U(m_source, alpha), kept as ints.
+
+    `chains` holds the (sigma, vertices) pairs the rule yielded, shared
+    with it and not copied.  A kept chain's vertex tuple strictly
+    decreases, so its vertex set, as a bitmask (bit v for m_v), fixes it:
+    `signs` maps each chain's mask to its orientation sign, `survivors`
+    lists the surviving facets as (facet mask, coefficient, sigma,
+    dropped) sorted by mask, and `mask` is the cell's vertex set.
+
+    The views `simplices` (SimplexChains), `eps` (the sign of each
+    chain) and `facets` (the survivors with vertex tuples for masks) are
+    built on first access and cached; `vertex_set()` decodes `mask`.
+    """
 
     source: int
     alpha: tuple
-    simplices: tuple  # nondegenerate SimplexChains
-    eps: tuple  # orientation sign per simplex
-    facets: tuple  # surviving (vertex tuple, coefficient, sigma, dropped)
-    eps_by_vertices: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.eps_by_vertices = {s.vertices: e for s, e in zip(self.simplices, self.eps)}
+    chains: tuple
+    signs: dict
+    survivors: tuple
+    mask: int
 
     @property
     def dim(self):
@@ -182,11 +207,24 @@ class GlueCell:
     def key(self):
         return (self.source, self.alpha)
 
+    @cached_property
+    def simplices(self):
+        return tuple(
+            SimplexChain(self.source, self.alpha, sigma, vertices, False)
+            for sigma, vertices in self.chains
+        )
+
+    @cached_property
+    def eps(self):
+        signs = self.signs
+        return tuple(signs[sum(1 << v for v in vertices)] for _, vertices in self.chains)
+
+    @cached_property
+    def facets(self):
+        return tuple((_vertices(m), c, s, d) for m, c, s, d in self.survivors)
+
     def vertex_set(self):
-        out = set()
-        for s in self.simplices:
-            out.update(s.vertices)
-        return out
+        return set(_vertices(self.mask))
 
 
 def build_cell(ideal, j, alpha, rule=None):
@@ -194,108 +232,103 @@ def build_cell(ideal, j, alpha, rule=None):
 
     alpha must lie inside set(m_j).  The rule yields exactly the
     admissible nondegenerate orders, each with its chain's vertex tuple;
-    each becomes a simplex with orientation eps(sigma).  Check that every
-    facet shared by two simplices cancels; every other facet survives with
-    its one simplex's coefficient eps(sigma) (-1)^i = +-1 as the boundary.
-    A facet in three or more simplices, or in two that do not cancel, raises
-    OrientationClash for the first such facet met: chains in the rule's
-    order, the facets of each by dropped position.
+    each becomes a simplex with orientation eps(sigma), keyed by its
+    vertex-set bitmask, and the pairs are kept as they come (GlueCell
+    makes SimplexChains only when they are read).  Check that every
+    facet shared by two simplices cancels; every other facet survives
+    with its one simplex's coefficient eps(sigma) (-1)^i = +-1 as the
+    boundary.  A facet in three or more simplices, or in two that do not
+    cancel, raises OrientationClash for the first such facet met: chains
+    in the rule's order, the facets of each by dropped position.
     """
     rule = rule or BRule(ideal)
     alpha = tuple(sorted(alpha))
     if not set(alpha) <= set(ideal.set_of(j)):
         raise AlphaNotInSet("%s not inside set(m_%d)" % (alpha, j))
-    chains = [
-        SimplexChain(j, alpha, sigma, vertices, degenerate=False)
-        for sigma, vertices in rule.permutations(j, alpha)
-    ]
+    chains = tuple(rule.permutations(j, alpha))
     if not chains:
         raise VerificationError(
             "no nondegenerate chain for (m_%d, %s)" % (j, alpha)
         )
-    eps = tuple(orientation_sign(c.sigma) for c in chains)
 
-    # oriented boundary, grouped by facet vertex set as a bitmask: vertex
-    # tuples strictly decrease, so the set fixes the tuple
+    # oriented boundary, grouped by facet vertex set as a bitmask
+    signs = {}
     prov = {}
-    for chain, sign in zip(chains, eps):
-        bits = [1 << v for v in chain.vertices]
+    mask = 0
+    for sigma, vertices in chains:
+        coeff = orientation_sign(sigma)
+        bits = [1 << v for v in vertices]
         whole = sum(bits)
-        coeff = sign
+        signs[whole] = coeff
+        mask |= whole
         for i, bit in enumerate(bits):
-            prov.setdefault(whole ^ bit, []).append((chain, i, coeff))
+            prov.setdefault(whole ^ bit, []).append((sigma, i, coeff))
             coeff = -coeff
     survivors = []
-    for occurrences in prov.values():
-        chain, dropped, coeff = occurrences[0]
+    for facet, occurrences in prov.items():
+        sigma, dropped, coeff = occurrences[0]
         if len(occurrences) == 2 and not coeff + occurrences[1][2]:
             continue  # an interior facet that cancels
-        verts = chain.vertices
-        facet = verts[:dropped] + verts[dropped + 1 :]
         if len(occurrences) > 2:
             raise OrientationClash(
                 "facet %s lies in %d simplices of U(m_%d,%s)"
-                % (facet, len(occurrences), j, alpha)
+                % (_vertices(facet), len(occurrences), j, alpha)
             )
         if len(occurrences) == 2:
             raise OrientationClash(
-                "interior facet %s of U(m_%d,%s) does not cancel" % (facet, j, alpha)
+                "interior facet %s of U(m_%d,%s) does not cancel"
+                % (_vertices(facet), j, alpha)
             )
-        survivors.append((facet, coeff, chain.sigma, dropped))
+        survivors.append((facet, coeff, sigma, dropped))
     survivors.sort()
-    return GlueCell(
-        source=j,
-        alpha=alpha,
-        simplices=tuple(chains),
-        eps=eps,
-        facets=tuple(survivors),
-    )
+    return GlueCell(j, alpha, chains, signs, tuple(survivors), mask)
 
 
 def _boundary_from_cell(cell, cell_cache):
     """Signed incidences of the codimension-one cells under a glued cell.
 
     Each surviving facet must name a key of `cell_cache`, which holds
-    exactly the cells (j, alpha inside set(m_j)), and be a vertex tuple in
-    that target's `eps_by_vertices`; full coverage of the target's
-    simplices and a consistent incidence sign are enforced.
+    exactly the cells (j, alpha inside set(m_j)), and its mask must be a
+    chain of that target (a key of its `signs`); full coverage of the
+    target's chains and a consistent incidence sign are enforced.
+    Facets are read in mask order, which is vertex-tuple order.
     """
     alpha = cell.alpha
     if not alpha:
         return []
     faces = {t: alpha[:i] + alpha[i + 1 :] for i, t in enumerate(alpha)}
     hits = {}
-    for facet, coeff, sigma, dropped in cell.facets:
-        if dropped == 0:
-            target = (facet[0], faces[sigma[0]])
+    for facet, coeff, sigma, dropped in cell.survivors:
+        if dropped == 0:  # the chain's second vertex, the facet's largest
+            target = (facet.bit_length() - 1, faces[sigma[0]])
         else:
             target = (cell.source, faces[sigma[dropped - 1]])
         if target not in cell_cache:
             raise VerificationError(
-                "facet %s wants the non-cell (m_%d, %s)" % (facet, target[0], target[1])
+                "facet %s wants the non-cell (m_%d, %s)"
+                % (_vertices(facet), target[0], target[1])
             )
         hits.setdefault(target, []).append((facet, coeff))
 
     out = []
     for target in sorted(hits):
-        signs = cell_cache[target].eps_by_vertices
-        seen = set()
+        signs = cell_cache[target].signs
         incidence = None
         for facet, coeff in hits[target]:
-            if facet not in signs:
+            sign = signs.get(facet)
+            if sign is None:
                 raise VerificationError(
                     "facet %s is not a chain of (m_%d, %s)"
-                    % (facet, target[0], target[1])
+                    % (_vertices(facet), target[0], target[1])
                 )
-            value = coeff * signs[facet]
+            value = coeff * sign
             if incidence is None:
                 incidence = value
             elif incidence != value:
                 raise OrientationClash(
                     "incoherent incidence of U%s under U%s" % (target, cell.key)
                 )
-            seen.add(facet)
-        if len(seen) != len(signs):  # seen lies inside signs
+        if len(hits[target]) != len(signs):  # distinct masks, each in signs
             raise VerificationError(
                 "boundary of U%s covers only part of U%s" % (cell.key, target)
             )
@@ -356,7 +389,7 @@ def build_ek_cw(ideal, rule=None):
     for key in sorted(cache):
         cell = cache[key]
         label = labels[key]
-        vertex_lcm = tuple(map(max, zip(*(gens[v] for v in cell.vertex_set()))))
+        vertex_lcm = tuple(map(max, zip(*(gens[v] for v in _vertices(cell.mask)))))
         if vertex_lcm != label.e:
             raise VerificationError(
                 "label of U%s is not the lcm of its vertices" % (key,)
@@ -489,8 +522,8 @@ def cell_is_ball(cell):
     sphere.
     """
     p = cell.dim
-    tops = [frozenset(s.vertices) for s in cell.simplices]
-    if any(len(s.vertices) != p + 1 for s in cell.simplices):
+    tops = [frozenset(vertices) for _, vertices in cell.chains]
+    if any(len(vertices) != p + 1 for _, vertices in cell.chains):
         return False  # a simplex of the wrong size
     if any(len(t) != p + 1 for t in tops):
         return False  # a repeated vertex

@@ -36,7 +36,7 @@ HOMOLOGY = (
     "tests/test_relative_strands.py",
 )
 RULES = ("tests/test_fast_paths.py",)
-GLUING = ("tests/test_ekcells.py",)
+GLUING = ("tests/test_ekcells.py", "tests/test_glue_reference.py")
 COMPLEXES = ("tests/test_chain.py", "tests/test_dd_signs.py", "tests/test_chain_map.py")
 NUMBERED = ("tests/test_numbered_complex.py",)
 
@@ -191,7 +191,7 @@ MUTANTS = (
     ),
     (
         EKCELLS,
-        "if len(seen) != len(signs):",
+        "if len(hits[target]) != len(signs):",
         "if False:",
         "_boundary_from_cell: a boundary covers all of each face",
         GLUING,
@@ -208,6 +208,13 @@ MUTANTS = (
         "if len(occurrences) == 2 and not coeff + occurrences[1][2]:",
         "if len(occurrences) == 2:",
         "build_cell: an interior facet cancels",
+        GLUING,
+    ),
+    (
+        EKCELLS,
+        "signs[whole] = coeff",
+        "signs[whole] = coeff if signs else -coeff",
+        "build_cell: each chain's mask keeps its own sign",
         GLUING,
     ),
     (

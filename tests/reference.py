@@ -9,18 +9,25 @@ lcm_of on Monomials that build_ek_cw's vertex-lcm check used before it
 compared exponent tuples, the recursive walk of a rule's chain orders
 that TableRule.permutations ran once per cell before its subset DP, a
 stand-in rule on a table that TableRule refuses, chain_data, which
-numbers named cells for ChainData, and check_cellular_resolution as it was
+numbers named cells for ChainData, check_cellular_resolution as it was
 before it checked each strand relative to the exact strands below it:
-one whole strand collapsed per distinct cell set."""
+one whole strand collapsed per distinct cell set, and the gluing of the
+EK cells (GlueCell, build_cell, boundary_from_cell, build_ek_cw) as it
+was before it kept vertex sets as bitmasks: SimplexChains, and signs
+and facets keyed by vertex tuples."""
 
+from dataclasses import dataclass, field
 from itertools import combinations, islice
-from operator import le
+from operator import le, sub
 
 from cellres.betti import TaylorSupport, _strands, lcm_lattice
-from cellres.chain import LabeledChainComplex, _by_col, _path_sums
+from cellres.chain import BRule, LabeledChainComplex, _by_col, _path_sums
+from cellres.ekcells import SimplexChain
 from cellres.errors import (
+    AlphaNotInSet,
     NonCommutingChainMap,
     NonMonotoneLabels,
+    OrientationClash,
     SymbolNotInComplex,
     VerificationError,
 )
@@ -344,3 +351,159 @@ def check_cellular_resolution(X, ideal):
         if not is_exact(chain.restrict(member << 1 | 1))[0]:
             return False, b
     return True, None
+
+
+@dataclass
+class GlueCell:
+    """ekcells.GlueCell as it was before it kept ints: the cell
+    U(m_source, alpha); eps_by_vertices is its sign per vertex tuple."""
+
+    source: int
+    alpha: tuple
+    simplices: tuple  # nondegenerate SimplexChains
+    eps: tuple  # orientation sign per simplex
+    facets: tuple  # surviving (vertex tuple, coefficient, sigma, dropped)
+    eps_by_vertices: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.eps_by_vertices = {s.vertices: e for s, e in zip(self.simplices, self.eps)}
+
+    @property
+    def key(self):
+        return (self.source, self.alpha)
+
+    def vertex_set(self):
+        out = set()
+        for s in self.simplices:
+            out.update(s.vertices)
+        return out
+
+
+def _sign(sigma):
+    """The orientation sign of sigma, from the rank-table sign above."""
+    p = len(sigma)
+    return orientation_sign(sigma) * (-1) ** (p * (p - 1) // 2)
+
+
+def build_cell(ideal, j, alpha, rule=None):
+    """ekcells.build_cell as it was before it kept ints: one SimplexChain
+    per order the rule yields, facets grouped by vertex-set bitmask and
+    kept as vertex tuples, sorted."""
+    rule = rule or BRule(ideal)
+    alpha = tuple(sorted(alpha))
+    if not set(alpha) <= set(ideal.set_of(j)):
+        raise AlphaNotInSet("%s not inside set(m_%d)" % (alpha, j))
+    chains = [
+        SimplexChain(j, alpha, sigma, vertices, degenerate=False)
+        for sigma, vertices in rule.permutations(j, alpha)
+    ]
+    if not chains:
+        raise VerificationError("no nondegenerate chain for (m_%d, %s)" % (j, alpha))
+    eps = tuple(_sign(c.sigma) for c in chains)
+    prov = {}
+    for chain, sign in zip(chains, eps):
+        bits = [1 << v for v in chain.vertices]
+        whole = sum(bits)
+        coeff = sign
+        for i, bit in enumerate(bits):
+            prov.setdefault(whole ^ bit, []).append((chain, i, coeff))
+            coeff = -coeff
+    survivors = []
+    for occurrences in prov.values():
+        chain, dropped, coeff = occurrences[0]
+        if len(occurrences) == 2 and not coeff + occurrences[1][2]:
+            continue
+        verts = chain.vertices
+        facet = verts[:dropped] + verts[dropped + 1 :]
+        if len(occurrences) > 2:
+            raise OrientationClash(
+                "facet %s lies in %d simplices of U(m_%d,%s)"
+                % (facet, len(occurrences), j, alpha)
+            )
+        if len(occurrences) == 2:
+            raise OrientationClash(
+                "interior facet %s of U(m_%d,%s) does not cancel" % (facet, j, alpha)
+            )
+        survivors.append((facet, coeff, chain.sigma, dropped))
+    survivors.sort()
+    return GlueCell(j, alpha, tuple(chains), eps, tuple(survivors))
+
+
+def boundary_from_cell(cell, cell_cache):
+    """ekcells._boundary_from_cell as it was before it kept ints: facets
+    matched to faces by vertex tuple."""
+    alpha = cell.alpha
+    if not alpha:
+        return []
+    faces = {t: alpha[:i] + alpha[i + 1 :] for i, t in enumerate(alpha)}
+    hits = {}
+    for facet, coeff, sigma, dropped in cell.facets:
+        if dropped == 0:
+            target = (facet[0], faces[sigma[0]])
+        else:
+            target = (cell.source, faces[sigma[dropped - 1]])
+        if target not in cell_cache:
+            raise VerificationError(
+                "facet %s wants the non-cell (m_%d, %s)" % (facet, target[0], target[1])
+            )
+        hits.setdefault(target, []).append((facet, coeff))
+    out = []
+    for target in sorted(hits):
+        signs = cell_cache[target].eps_by_vertices
+        seen = set()
+        incidence = None
+        for facet, coeff in hits[target]:
+            if facet not in signs:
+                raise VerificationError(
+                    "facet %s is not a chain of (m_%d, %s)" % (facet, target[0], target[1])
+                )
+            value = coeff * signs[facet]
+            if incidence is None:
+                incidence = value
+            elif incidence != value:
+                raise OrientationClash(
+                    "incoherent incidence of U%s under U%s" % (target, cell.key)
+                )
+            seen.add(facet)
+        if len(seen) != len(signs):
+            raise VerificationError(
+                "boundary of U%s covers only part of U%s" % (cell.key, target)
+            )
+        out.append((target, incidence))
+    return out
+
+
+def build_ek_cw(ideal, rule=None):
+    """ekcells.build_ek_cw as it was before it glued on ints, returning
+    its tables ({key: cell}, {key: boundary}, {key: label}, {key:
+    coefficients}) instead of a CWComplexEK; labels are built from the
+    generators' Monomials."""
+    rule = rule or BRule(ideal)
+    cells, labels = {}, {}
+    for j in range(1, ideal.k + 1):
+        for size in range(len(ideal.set_of(j)) + 1):
+            for alpha in combinations(ideal.set_of(j), size):
+                cells[(j, alpha)] = build_cell(ideal, j, alpha, rule)
+                label = ideal.gen(j)
+                for t in alpha:
+                    label = label.times_var(t)
+                labels[(j, alpha)] = label
+    boundary, coefficients = {}, {}
+    for key in sorted(cells):
+        label = labels[key]
+        if lcm_of(ideal.gen(v) for v in cells[key].vertex_set()) != label:
+            raise VerificationError("label of U%s is not the lcm of its vertices" % (key,))
+        entries = boundary_from_cell(cells[key], cells)
+        coeffs = []
+        for target, _ in entries:
+            q = tuple(map(sub, label.e, labels[target].e))
+            if min(q) < 0:
+                raise VerificationError(
+                    "label of U%s does not divide label of U%s" % (target, key)
+                )
+            if not any(q):
+                raise VerificationError("unit coefficient between U%s and U%s" % (key, target))
+            coeffs.append(Monomial(q))
+        boundary[key] = entries
+        coefficients[key] = coeffs
+    return cells, boundary, labels, coefficients

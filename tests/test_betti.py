@@ -235,7 +235,7 @@ def test_hollow_triangle_fails_at_top_multidegree():
     [(None, "x2*x3"), ((2, 3), "x1*x3"), ((1, 2), "x2*x3")],
     ids=["no-edge", "edge-2-3", "edge-1-2"],
 )
-def test_failing_strands_of_one_count_report_the_str_least(edge, want):
+def test_failing_strands_report_the_first_in_lattice_order(edge, want):
     # three vertices, at most one edge: every strand of two vertices and
     # no edge is disconnected, so two or three strands of two cells fail.
     # The lattice lists x2*x3 before x1*x3 before x1*x2; the verdict names

@@ -13,7 +13,6 @@ from cellres.chain import (
 )
 from cellres.ekcells import (
     GlueCell,
-    SimplexChain,
     affinely_independent,
     build_cell,
     build_ek_cw,
@@ -358,14 +357,20 @@ def test_a_vertex_off_the_label_is_refused():
     assert str(err.value) == "label of U(3, (1,)) is not the lcm of its vertices"
 
 
+def _mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
 def _face_and_cell(*facets):
     """A 1-cell U(m_4, {1}) glued from the two edges (4, 2) and (3, 2),
     and a 2-cell U(m_4, {1, 2}) over it with the given surviving facets,
     each dropping the last vertex of the order (1, 2), so that each names
     the face (m_4, {1})."""
-    edges = tuple(SimplexChain(4, (1,), (1,), v, False) for v in ((4, 2), (3, 2)))
-    face = GlueCell(4, (1,), edges, (1, 1), ())
-    cell = GlueCell(4, (1, 2), (), (), tuple((f, c, (1, 2), 2) for f, c in facets))
+    edges = tuple(((1,), v) for v in ((4, 2), (3, 2)))
+    signs = {_mask(v): 1 for _, v in edges}
+    face = GlueCell(4, (1,), edges, signs, (), _mask((4, 3, 2)))
+    survivors = sorted((_mask(f), c, (1, 2), 2) for f, c in facets)
+    cell = GlueCell(4, (1, 2), (), {}, tuple(survivors), 0)
     return cell, {face.key: face, cell.key: cell}
 
 
@@ -376,6 +381,17 @@ def test_a_boundary_must_cover_its_face():
     assert str(err.value) == "boundary of U(4, (1, 2)) covers only part of U(4, (1,))"
     cell, cache = _face_and_cell(((4, 2), 1), ((3, 2), 1))
     assert ekcells._boundary_from_cell(cell, cache) == [((4, (1,)), 1)]
+
+
+def test_a_facet_off_its_face_is_named_by_its_vertices():
+    cell, cache = _face_and_cell(((4, 2), 1), ((4, 1), 1))
+    with pytest.raises(VerificationError) as err:
+        ekcells._boundary_from_cell(cell, cache)
+    assert str(err.value) == "facet (4, 1) is not a chain of (m_4, (1,))"
+    del cache[(4, (1,))]
+    with pytest.raises(VerificationError) as err:
+        ekcells._boundary_from_cell(cell, cache)
+    assert str(err.value) == "facet (4, 1) wants the non-cell (m_4, (1,))"
 
 
 def test_a_face_met_with_two_signs_is_refused():
@@ -395,7 +411,7 @@ class _Listed:
         return iter(self.pairs)
 
 
-def test_the_least_clashing_facet_is_named(running):
+def test_the_first_clashing_facet_met_is_named(running):
     # the edges of (7, 4, 2), listed twice, do not cancel, and those of
     # (7, 3, 1), listed three times, lie in three simplices; the facet
     # named is the first met, chains in the rule's order and the facets of
@@ -432,8 +448,8 @@ TETRAHEDRON_BOUNDARY = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
 
 def _glued(dim, *vertex_tuples):
     alpha = tuple(range(1, dim + 1))
-    chains = tuple(SimplexChain(1, alpha, alpha, v, False) for v in vertex_tuples)
-    return GlueCell(1, alpha, chains, (1,) * len(chains), ())
+    chains = tuple((alpha, v) for v in vertex_tuples)
+    return GlueCell(1, alpha, chains, {}, (), _mask({v for t in vertex_tuples for v in t}))
 
 
 @pytest.mark.parametrize(
