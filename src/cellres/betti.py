@@ -24,6 +24,10 @@ from .monomial import Monomial
 
 TAYLOR_BOUND = 16
 
+# Strands of fewer cells are collapsed whole: finding a base costs more
+# than it saves on them.
+_BASE_MIN_CELLS = 6
+
 # _UNARY[2**a - 1] == a for a <= 8: a byte of a unary code back to its exponent
 _UNARY = bytes.maketrans(bytes((1 << a) - 1 for a in range(9)), bytes(range(9)))
 # byte 0 or 1 to the ASCII digit
@@ -206,10 +210,8 @@ def _exact_base(member, b, within, verified):
     Mayer-Vietoris, with induction on their number (the homological
     nerve lemma), so is their union.  An empty intersection is the empty
     cell alone, never exact, so strands that meet in no cell never share
-    a base.  A strand of one cell has no smaller strand below it.
+    a base.
     """
-    if not member & (member - 1):
-        return 0
     lower = []
     for masks, v in zip(within, b.e):
         if v:
@@ -406,7 +408,8 @@ def check_cellular_resolution(X, ideal):
     a lattice strand has been checked before b, and was exact, since the
     check stops at the first failure.  Each strand K is checked relative
     to a union A of such strands that is exact too (_exact_base): only
-    the quotient C(K)/C(A) is collapsed, the cells of K outside A.  By
+    the quotient C(K)/C(A) is collapsed, the cells of K outside A.  A
+    strand of fewer than _BASE_MIN_CELLS cells is collapsed whole.  By
     the long exact sequence of 0 -> C(A) -> C(K) -> C(K)/C(A) -> 0, K is
     exact iff the quotient is, so each strand's verdict, and with it the
     answer and the failing b, is the one the whole strand gives.
@@ -439,7 +442,9 @@ def check_cellular_resolution(X, ideal):
     strands, within = _strands(chain.labels[1:], ideal._lattice)
     verified = set()
     for member, b in strands.items():
-        base = _exact_base(member, b, within, verified)
+        base = 0
+        if member.bit_count() >= _BASE_MIN_CELLS:
+            base = _exact_base(member, b, within, verified)
         # with no base the whole strand is collapsed, its empty cell too
         quotient = chain.restrict(member << 1 | 1, base << 1 | 1 if base else 0)
         if not is_exact(quotient)[0]:

@@ -124,11 +124,10 @@ def cmd_check(args):
     lq = failure is None
     if lq:
         lines.append("linear quotients: yes")
-        for j in range(1, ideal.k + 1):
-            colon = sorted(ideal.colon_by_generator(j), key=lambda m: m.support())
-            lines.append(
-                "colon j=%d: %s" % (j, ", ".join(map(str, colon)) if colon else "-")
-            )
+        # an LQ colon is generated by the variables x_t, t in set(m_j)
+        for j, sj in enumerate(ideal.set_table(), start=1):
+            colon = ", ".join("x%d" % t for t in sj)
+            lines.append("colon j=%d: %s" % (j, colon or "-"))
         report = check_regularity(ideal)
         lines.append("regular: %s" % ("yes" if report.regular else "no"))
         if not report.regular:

@@ -4,7 +4,9 @@ The central objects are OrderedIdeal (generators in a candidate
 linear-quotient order) and the combinatorics attached to that order: the
 colon ideals (m_1,..,m_{j-1}) : m_j, the variable sets set(m_j) they are
 generated by, the decomposition function b (first generator in order
-dividing a monomial), and the regularity test on b.
+dividing a monomial), and the regularity test on b.  Linear quotients,
+set(m_j) and b are decided together, in one pass over exponent tuples
+per generator; the minimalized colons stay as their exact reference.
 
 Generators and variables are 1-based everywhere.
 """
@@ -12,6 +14,7 @@ Generators and variables are 1-based everywhere.
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import sub
 
 from .errors import (
     DuplicateGenerator,
@@ -22,10 +25,6 @@ from .errors import (
     NotLinearQuotients,
 )
 from .monomial import Monomial, parse_monomial
-
-
-# linear_quotient_failure not yet computed; None means linear quotients
-_UNCHECKED = object()
 
 
 def minimalize(monomials):
@@ -46,6 +45,39 @@ def _colon_gens(placed, m):
     """Minimal generators of (placed) : m, the minimalization of
     { g / gcd(g, m) : g in placed }, as a frozenset."""
     return frozenset(minimalize([g // g.gcd(m) for g in placed]))
+
+
+def _variable_quotients(placed, m):
+    """Whether (placed) : m is generated by variables, in one pass over
+    exponent tuples: None if not, else {t: the 0-based position in
+    `placed` of the first g with g / gcd(g, m) = x_t}, whose keys are
+    set(m).
+
+    The quotients q = g / gcd(g, m) generate the colon, so its minimal
+    generators lie among them, and none is 1 while the tuples are
+    pairwise minimal and distinct.  The colon is variable-generated
+    exactly when every q is divisible by some q of degree 1.  A g divides
+    x_t m exactly when its q is x_t, so the first such g is b(x_t m)
+    among `placed`.
+    """
+    first = {}
+    wider = []
+    for i, g in enumerate(placed):
+        # g - m: q = x_t exactly when its one positive entry is a 1 at t
+        d = tuple(map(sub, g, m))
+        if max(d) == 1 and d.count(1) == 1:
+            t = d.index(1) + 1
+            if t not in first:
+                first[t] = i
+        else:
+            wider.append(d)
+    for d in wider:
+        for t in first:
+            if d[t - 1] > 0:
+                break
+        else:
+            return None
+    return first
 
 
 def _pair_law(table, j, s, t):
@@ -107,9 +139,7 @@ class OrderedIdeal:
         self.gens = gens
         self.exponent_index = index
         self._colons = {}
-        self._failure = _UNCHECKED
-        self._set_table = None
-        self._b_table = None
+        self._quotients = None  # (failure, set table, b table), see _decide
         self._b_absorbed = None
         self._lattice = None  # betti's lcm lattice, built on first use
 
@@ -138,6 +168,8 @@ class OrderedIdeal:
 
         Computed once per j, as the minimalization of
         { m_i / gcd(m_i, m_j) : i < j }, and shared.  Empty for j = 1.
+        The exact colon, independent of the one-pass decision below; the
+        decision reads it only to name a failure's witness.
         """
         if not 1 <= j <= self.k:
             raise IndexOutOfRange(j)
@@ -146,35 +178,45 @@ class OrderedIdeal:
             colon = self._colons[j] = _colon_gens(self.gens[: j - 1], self.gens[j - 1])
         return colon
 
+    def _decide(self):
+        """(failure, set table, b table), decided in one pass of
+        _variable_quotients per generator and kept in `_quotients`; both
+        tables are None on failure.  Readers take the memo as
+        `self._quotients or self._decide()`: the tables are read per cell."""
+        es = [g.e for g in self.gens]
+        sets = []
+        b = {}
+        for j in range(1, self.k + 1):
+            first = _variable_quotients(es[: j - 1], es[j - 1])
+            if first is None:
+                bad = [q for q in self.colon_by_generator(j) if q.degree() != 1]
+                self._quotients = (j, min(bad)), None, None
+                return self._quotients
+            sj = tuple(sorted(first))
+            sets.append(sj)
+            for t in sj:
+                b[(j, t)] = first[t] + 1
+        self._quotients = None, tuple(sets), b
+        return self._quotients
+
     def linear_quotient_failure(self):
         """None if the order has linear quotients, else (j, witness monomial)
-        for the smallest j whose colon has a non-variable minimal generator.
-        Computed once per ideal and kept."""
-        if self._failure is _UNCHECKED:
-            self._failure = None
-            for j in range(1, self.k + 1):
-                bad = [q for q in self.colon_by_generator(j) if q.degree() != 1]
-                if bad:
-                    self._failure = j, min(bad)
-                    break
-        return self._failure
+        for the smallest j whose colon has a non-variable minimal generator,
+        the witness the least such generator of the exact colon.  Computed
+        once per ideal and kept."""
+        return (self._quotients or self._decide())[0]
 
     def set_table(self):
         """set(m_j) for every j, as a tuple of sorted variable-index tuples.
 
         Raises NotLinearQuotients when some colon is not variable-generated.
         """
-        if self._set_table is None:
-            failure = self.linear_quotient_failure()
-            if failure is not None:
-                raise NotLinearQuotients(
-                    "colon at j=%d has non-variable generator %s" % failure
-                )
-            self._set_table = tuple(
-                tuple(sorted(q.support()[0] for q in self.colon_by_generator(j)))
-                for j in range(1, self.k + 1)
+        failure, table, _ = self._quotients or self._decide()
+        if failure is not None:
+            raise NotLinearQuotients(
+                "colon at j=%d has non-variable generator %s" % failure
             )
-        return self._set_table
+        return table
 
     def set_of(self, j):
         """set(m_j), 1-based."""
@@ -204,16 +246,14 @@ class OrderedIdeal:
 
         Under linear quotients x_t m_j lies in (m_1,..,m_{j-1}) exactly
         when t is in set(m_j), so b(x_t m_j) = m_j for every other t and
-        table.get((j, t), j) is b on all products x_t m_j.
+        table.get((j, t), j) is b on all products x_t m_j.  Read off the
+        same pass as set_table: b(x_t m_j) is the first m_i, i < j, with
+        m_i / gcd(m_i, m_j) = x_t; decomp_b is its exact reference.
         """
-        if self._b_table is None:
-            table = {}
-            for j, sj in enumerate(self.set_table(), start=1):
-                mj = self.gens[j - 1]
-                for t in sj:
-                    table[(j, t)] = self.decomp_b(mj.times_var(t))
-            self._b_table = table
-        return self._b_table
+        failure, _, table = self._quotients or self._decide()
+        if failure is not None:
+            self.set_table()  # raises NotLinearQuotients
+        return table
 
     def b_absorbed(self):
         """b's absorbing pairs, {j: {t: the s < t whose pair absorbs}},
@@ -275,7 +315,7 @@ def find_linear_quotient_order(ideal):
     earlier generators, so failed prefix sets are memoized.
     """
     k = ideal.k
-    gens = ideal.gens
+    es = [g.e for g in ideal.gens]
     dead = set()
 
     def extend(order, used):
@@ -284,11 +324,11 @@ def find_linear_quotient_order(ideal):
         key = frozenset(used)
         if key in dead:
             return None
-        placed = [gens[i - 1] for i in order]
+        placed = [es[i - 1] for i in order]
         for j in range(1, k + 1):
             if j in used:
                 continue
-            if all(q.degree() == 1 for q in _colon_gens(placed, gens[j - 1])):
+            if _variable_quotients(placed, es[j - 1]) is not None:
                 res = extend(order + [j], used | {j})
                 if res is not None:
                     return res

@@ -28,6 +28,7 @@ EKCELLS = "src/cellres/ekcells.py"
 EXACT = "src/cellres/exact.py"
 BETTI = "src/cellres/betti.py"
 CLI = "src/cellres/cli.py"
+IDEALS = "src/cellres/ideals.py"
 
 HOMOLOGY = (
     "tests/test_exact.py",
@@ -39,6 +40,7 @@ RULES = ("tests/test_fast_paths.py",)
 GLUING = ("tests/test_ekcells.py", "tests/test_glue_reference.py")
 COMPLEXES = ("tests/test_chain.py", "tests/test_dd_signs.py", "tests/test_chain_map.py")
 NUMBERED = ("tests/test_numbered_complex.py",)
+QUOTIENTS = ("tests/test_ideals.py", "tests/test_quotient_pass.py")
 
 # (file, old text, new text, the check it disables, the test files)
 MUTANTS = (
@@ -342,6 +344,27 @@ MUTANTS = (
         'record("minimal", True)',
         "cmd_verify: the minimal line",
         ("tests/test_cli.py",),
+    ),
+    (
+        IDEALS,
+        "    for d in wider:\n",
+        "    for d in ():\n",
+        "_variable_quotients: every quotient is divisible by a variable quotient",
+        QUOTIENTS,
+    ),
+    (
+        IDEALS,
+        "if max(d) == 1 and d.count(1) == 1:",
+        "if max(d) == 1:",
+        "_variable_quotients: a variable quotient has one positive entry",
+        QUOTIENTS,
+    ),
+    (
+        IDEALS,
+        "            if t not in first:\n                first[t] = i",
+        "            first[t] = i",
+        "_variable_quotients: b(x_t m) is the first variable quotient x_t",
+        QUOTIENTS,
     ),
 )
 

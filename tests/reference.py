@@ -14,7 +14,9 @@ before it checked each strand relative to the exact strands below it:
 one whole strand collapsed per distinct cell set, and the gluing of the
 EK cells (GlueCell, build_cell, boundary_from_cell, build_ek_cw) as it
 was before it kept vertex sets as bitmasks: SimplexChains, and signs
-and facets keyed by vertex tuples."""
+and facets keyed by vertex tuples, and find_linear_quotient_order as it
+was before it decided each position in one pass over exponent tuples:
+the exact colon minimalized for every candidate."""
 
 from dataclasses import dataclass, field
 from itertools import combinations, islice
@@ -32,6 +34,7 @@ from cellres.errors import (
     VerificationError,
 )
 from cellres.exact import ChainData, is_exact, require_dd_zero
+from cellres.ideals import _colon_gens
 from cellres.monomial import Monomial
 
 
@@ -507,3 +510,32 @@ def build_ek_cw(ideal, rule=None):
         boundary[key] = entries
         coefficients[key] = coeffs
     return cells, boundary, labels, coefficients
+
+
+def find_linear_quotient_order(ideal):
+    """The lexicographically smallest 1-based generator order with linear
+    quotients, or None: a depth-first search that minimalizes the colon
+    of every candidate, with failed prefix sets memoized."""
+    k = ideal.k
+    gens = ideal.gens
+    dead = set()
+
+    def extend(order, used):
+        if len(order) == k:
+            return order
+        key = frozenset(used)
+        if key in dead:
+            return None
+        placed = [gens[i - 1] for i in order]
+        for j in range(1, k + 1):
+            if j in used:
+                continue
+            if all(q.degree() == 1 for q in _colon_gens(placed, gens[j - 1])):
+                res = extend(order + [j], used | {j})
+                if res is not None:
+                    return res
+        dead.add(key)
+        return None
+
+    res = extend([], set())
+    return tuple(res) if res is not None else None
